@@ -170,44 +170,6 @@ let timing_tests ?(seed = 0) () =
       ~upper:(baseline.Protocol.bst.Bst.dmax) ()
   in
   let relaxed = Instance.uniform_bounds ~source ~sinks ~lower:0.0 ~upper:infinity () in
-  let with_pricing pricing =
-    {
-      Ebf.default_options with
-      Ebf.lp_params =
-        { Ebf.default_options.Ebf.lp_params with Simplex.pricing = pricing };
-    }
-  in
-  (* the fast-path configuration the PR 3 acceptance compares against the
-     frozen PR 2 trajectory: devex pricing + long-step ratio test +
-     cross-round warm starts *)
-  let fast_path =
-    {
-      Ebf.default_options with
-      Ebf.lp_params =
-        {
-          Ebf.default_options.Ebf.lp_params with
-          Simplex.pricing = Simplex.Devex;
-          bound_flips = true;
-          warm_start = true;
-        };
-    }
-  in
-  (* the PR 2 engine configuration (partial pricing, classic ratio test,
-     refactorise between rounds), for an apples-to-apples iteration count
-     on the current code *)
-  let pr2_baseline =
-    {
-      Ebf.default_options with
-      Ebf.warm_start = false;
-      Ebf.lp_params =
-        {
-          Ebf.default_options.Ebf.lp_params with
-          Simplex.pricing = Simplex.Partial;
-          bound_flips = false;
-          warm_start = false;
-        };
-    }
-  in
   (* certified run: same workload as "ebf lazy LP" plus a Full
      a-posteriori certificate, so the delta between the two entries is
      the certification overhead *)
@@ -263,21 +225,6 @@ let timing_tests ?(seed = 0) () =
       (Test.make ~name:"ebf lazy LP (certified)"
          (Staged.stage (fun () -> ignore (Ebf.solve ~options:certified inst topo))))
       (fun () -> Ebf.solve ~options:certified inst topo);
-    lp "ebf lazy LP (full pricing)"
-      (Test.make ~name:"ebf lazy LP (full pricing)"
-         (Staged.stage (fun () ->
-              ignore (Ebf.solve ~options:(with_pricing Simplex.Dantzig) inst topo))))
-      (fun () -> Ebf.solve ~options:(with_pricing Simplex.Dantzig) inst topo);
-    lp "ebf lazy LP (pr2 baseline)"
-      (Test.make ~name:"ebf lazy LP (pr2 baseline)"
-         (Staged.stage (fun () ->
-              ignore (Ebf.solve ~options:pr2_baseline inst topo))))
-      (fun () -> Ebf.solve ~options:pr2_baseline inst topo);
-    lp "ebf lazy LP (devex+flips+warm)"
-      (Test.make ~name:"ebf lazy LP (devex+flips+warm)"
-         (Staged.stage (fun () ->
-              ignore (Ebf.solve ~options:fast_path inst topo))))
-      (fun () -> Ebf.solve ~options:fast_path inst topo);
     lp "ebf eco re-solve (cold)"
       (Test.make ~name:"ebf eco re-solve (cold)"
          (Staged.stage (fun () -> ignore (Ebf.solve eco_edited topo))))
@@ -943,7 +890,9 @@ let usage_and_exit () =
 (* The regression gate: diff two bench-JSON files and exit non-zero on
    a regression past the threshold. Exit codes: 0 ok, 1 regression (or
    lost benchmark coverage), 2 unreadable/invalid input. --warn-only
-   prints the same report but always exits 0 (CI soft gate). *)
+   prints the same report but softens only the timing and SLO verdicts,
+   which are noise on shared runners: a baseline entry missing from the
+   new file is deterministic and still exits 1 (CI soft gate). *)
 let run_diff args =
   let threshold = ref 10.0 in
   let abs_floor_ms = ref 0.05 in
@@ -1021,7 +970,11 @@ let run_diff args =
       exit 2
     | Ok report ->
       Bench_diff.print stdout report;
-      if Bench_diff.has_regression report && not !warn_only then exit 1)
+      let failed =
+        if !warn_only then report.Bench_diff.r_only_old <> []
+        else Bench_diff.has_regression report
+      in
+      if failed then exit 1)
   | _ ->
     Printf.eprintf "diff needs exactly two bench-JSON files\n";
     usage_and_exit ()

@@ -261,8 +261,8 @@ let print_solver_stats (ebf : Ebf.result) =
         r.Ebf.solve_pivots)
     ebf.Ebf.round_stats
 
-let solve inst_path topo_path eager stats certify time_limit fault_seed
-    pricing no_warm_start json trace convergence cache_dir no_cache log_level =
+let solve inst_path topo_path eager stats certify time_limit fault_seed json
+    trace convergence cache_dir no_cache log_level =
   Log.set_level log_level;
   if trace <> None then Trace.start ();
   let conv_sink =
@@ -324,8 +324,6 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed
         (match fault_seed with
         | Some seed -> Some (Simplex.fault_plan seed)
         | None -> None);
-      pricing;
-      warm_start = not no_warm_start;
     }
   in
   let options =
@@ -334,7 +332,6 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed
       Ebf.lazy_steiner = not eager;
       check = (if certify then Lubt_lp.Certify.Full else Lubt_lp.Certify.Off);
       time_limit = (if time_limit <= 0.0 then infinity else time_limit);
-      warm_start = not no_warm_start;
       cache = make_cache ~no_cache ~cache_dir;
       lp_params;
       probe;
@@ -440,34 +437,6 @@ let solve_cmd =
              refactorisations, perturbed ftrans, zero pivots) seeded by \
              SEED, to exercise the recovery ladder. Testing only.")
   in
-  let pricing =
-    let rule =
-      Arg.enum
-        [
-          ("dantzig", Simplex.Dantzig);
-          ("partial", Simplex.Partial);
-          ("devex", Simplex.Devex);
-        ]
-    in
-    Arg.(
-      value
-      & opt rule Ebf.default_options.Ebf.lp_params.Simplex.pricing
-      & info [ "pricing" ] ~docv:"RULE"
-          ~doc:
-            "Simplex pricing rule: $(b,dantzig) (full most-negative scan), \
-             $(b,partial) (candidate-list partial pricing) or $(b,devex) \
-             (reference-framework weights). All reach the same optimum; \
-             only the pivot order differs.")
-  in
-  let no_warm_start =
-    Arg.(
-      value & flag
-      & info [ "no-warm-start" ]
-          ~doc:
-            "Refactorise the LP basis after each lazy row-generation round \
-             instead of extending the live factorisation in place \
-             (disables cross-round warm starts).")
-  in
   let json =
     Arg.(
       value & flag
@@ -505,8 +474,8 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Solve the LUBT problem (EBF + embedding)")
     Term.(
       const solve $ inst_path $ topo_path $ eager $ stats $ certify
-      $ time_limit $ fault_seed $ pricing $ no_warm_start $ json $ trace
-      $ convergence $ cache_dir_t $ no_cache_t $ log_level_t)
+      $ time_limit $ fault_seed $ json $ trace $ convergence $ cache_dir_t
+      $ no_cache_t $ log_level_t)
 
 (* ------------------------------------------------------------------ *)
 (* batch                                                                *)

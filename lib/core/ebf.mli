@@ -44,13 +44,6 @@ type options = {
           and both delay bounds per sink — including rows the lazy
           generator never materialised. A rejected certificate degrades
           the status to [Numerical_failure]. *)
-  warm_start : bool;
-      (** keep the factorised LP basis alive across row-generation rounds
-          (default [true]): appended rows extend the live factorisation
-          ({!Lubt_lp.Simplex.add_row} border extension) instead of forcing
-          a refactorisation before each re-solve. Gates — never enables —
-          [lp_params.warm_start], so setting either [false] disables the
-          reuse. Per-round uptake is reported in {!round_stat}[.warm_rows]. *)
   cache : Lubt_lp.Basis_cache.t option;
       (** cross-request warm-start cache (default [None]). When given, the
           solve first consults the cache under the instance's content
@@ -96,7 +89,8 @@ type round_stat = {
   warm_rows : int;
       (** how many of [rows_added] the engine absorbed into the live
           factorisation (warm start) rather than deferring to a
-          refactorisation; 0 when warm start is off or unavailable *)
+          refactorisation; 0 on the dense backend, which extends its
+          inverse in place, and while a factorisation awaits a rebuild *)
   scan_seconds : float;  (** wall time of the all-pairs violation scan *)
   solve_seconds : float;  (** wall time of this round's LP (re-)solve *)
   solve_pivots : int;

@@ -1,7 +1,5 @@
 type vstat = Basic of int | At_lower | At_upper | Free_zero
 
-type pricing = Dantzig | Partial | Devex
-
 type fault_kind = Fault_singular_refactor | Fault_perturb_ftran | Fault_zero_pivot
 
 type fault = {
@@ -34,14 +32,8 @@ let default_recovery =
 type params = {
   max_iters : int;
   time_limit : float;
-  tol_feas : float;
-  tol_dual : float;
-  tol_pivot : float;
   refactor_every : int;
   sparse_basis : bool;
-  pricing : pricing;
-  bound_flips : bool;
-  warm_start : bool;
   bland_threshold : int;
   recovery : recovery_stage list;
   fault : fault option;
@@ -51,14 +43,8 @@ let default_params =
   {
     max_iters = 0;
     time_limit = infinity;
-    tol_feas = 1e-7;
-    tol_dual = 1e-9;
-    tol_pivot = 1e-9;
     refactor_every = 100;
     sparse_basis = false;
-    pricing = Partial;
-    bound_flips = true;
-    warm_start = true;
     bland_threshold = 1000;
     recovery = default_recovery;
     fault = None;
@@ -217,8 +203,6 @@ type t = {
   cand : int array;
   cand_score : float array;
   mutable ncand : int;
-  (* devex reference weights, length n+cap; reset to 1 on refactorisation *)
-  mutable dvx : float array;
   (* scratch vectors, length cap *)
   mutable w : float array;
   mutable y : float array;
@@ -305,11 +289,20 @@ let col_dot t j dense =
   if j < t.n then Sparse.dot_dense t.cols.(j) dense
   else -.dense.(j - t.n)
 
+(* Absolute primal feasibility, reduced-cost optimality and smallest
+   acceptable pivot magnitude. The pivot tolerance only seeds
+   [cur_tol_pivot], which the recovery ladder may escalate. *)
+let tol_feas = 1e-7
+
+let tol_dual = 1e-9
+
+let tol_pivot = 1e-9
+
 (* Relative tolerances: bounds in EBF problems are chip-scale (1e4..1e6), so
    absolute tests would be meaninglessly tight. *)
-let feas_tol t bound = t.p.tol_feas *. (1.0 +. abs_float bound)
+let feas_tol bound = tol_feas *. (1.0 +. abs_float bound)
 
-let dual_tol t j = t.p.tol_dual *. (1.0 +. abs_float t.obj.(j))
+let dual_tol t j = tol_dual *. (1.0 +. abs_float t.obj.(j))
 
 (* ------------------------------------------------------------------ *)
 (* Linear algebra on the explicit basis inverse                        *)
@@ -423,8 +416,8 @@ let fill_cb_phase1 t =
   for r = 0 to t.m - 1 do
     let b = t.basic.(r) in
     let x = t.xb.(r) in
-    if x < t.lo.(b) -. feas_tol t t.lo.(b) then t.cb.(r) <- -1.0
-    else if x > t.up.(b) +. feas_tol t t.up.(b) then t.cb.(r) <- 1.0
+    if x < t.lo.(b) -. feas_tol t.lo.(b) then t.cb.(r) <- -1.0
+    else if x > t.up.(b) +. feas_tol t.up.(b) then t.cb.(r) <- 1.0
     else t.cb.(r) <- 0.0
   done
 
@@ -557,9 +550,6 @@ let refactor_run t =
   t.degen_streak <- 0;
   t.bland <- false;
   t.xb_stale <- false;
-  (* devex weights reference the basis representation they were accumulated
-     against; a fresh factorisation restarts the reference framework *)
-  Array.fill t.dvx 0 (Array.length t.dvx) 1.0;
   if sparse_mode t then begin
     (match Basis.create ~counters:t.ops ~pivot_tol:(lu_pivot_tol t) (basis_columns t) with
     | sb ->
@@ -670,16 +660,6 @@ let cand_offer t j score =
     end
   end
 
-(* Pricing score of an attractive column with reduced cost [d]: Dantzig and
-   partial use |d|; devex uses the reference-framework measure d^2 / w_j,
-   which approximates the steepest-edge criterion at eta-update cost. *)
-let score_of t j d =
-  match t.p.pricing with
-  | Devex ->
-    let w = t.dvx.(j) in
-    d *. d /. (if w >= 1.0 then w else 1.0)
-  | Dantzig | Partial -> abs_float d
-
 (* Full scan over all n+m columns. Refills the candidate list as a
    side effect (except in Bland mode, where the first eligible index wins
    and candidate quality is irrelevant). *)
@@ -704,7 +684,7 @@ let price_full t ~cost =
       match attractiveness t ~cost j with
       | None -> ()
       | Some (d, sigma) ->
-        let score = score_of t j d in
+        let score = abs_float d in
         (match !best with
         | Some (_, _, s) when s >= score -> ()
         | _ -> best := Some (j, sigma, score));
@@ -730,7 +710,7 @@ let price_partial t ~cost =
       t.cand.(!k) <- t.cand.(t.ncand);
       t.cand_score.(!k) <- t.cand_score.(t.ncand)
     | Some (d, sigma) ->
-      let score = score_of t j d in
+      let score = abs_float d in
       t.cand_score.(!k) <- score;
       (match !best with
       | Some (_, _, s) when s >= score -> ()
@@ -740,17 +720,16 @@ let price_partial t ~cost =
   !best
 
 (* Chooses an entering variable given reduced costs derived from t.y and the
-   supplied per-variable cost function. Returns (q, sigma, d_q). *)
+   supplied per-variable cost function: the candidate list first, a full
+   scan when it runs dry or Bland's rule is engaged, so [None] (optimality)
+   always comes from a full scan. Returns (q, sigma, |d_q|). *)
 let price t ~cost =
-  match t.p.pricing with
-  | Dantzig -> price_full t ~cost
-  | Partial | Devex ->
-    if t.bland then price_full t ~cost
-    else begin
-      match price_partial t ~cost with
-      | Some _ as r -> r
-      | None -> price_full t ~cost
-    end
+  if t.bland then price_full t ~cost
+  else begin
+    match price_partial t ~cost with
+    | Some _ as r -> r
+    | None -> price_full t ~cost
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Pivoting                                                            *)
@@ -790,45 +769,6 @@ let update_binv t r =
   done
   end
 
-(* Devex reference-framework weight update after a pivot in row [r] with
-   entering column [q]; [t.rho] must hold the PRE-pivot row [r] of B^-1 and
-   [t.w] the ftran of [q]. Weights are maintained lazily: only the entering
-   column, the leaving variable and the current candidate list are touched
-   (the full devex recurrence needs alpha_j for every nonbasic j, which
-   would cost a dense pass; stale weights elsewhere only make the score an
-   underestimate, and {!refactor} resets the framework anyway). *)
-let devex_update_with_rho t ~q ~r =
-  let alpha_q = t.w.(r) in
-  if abs_float alpha_q > t.cur_tol_pivot then begin
-    let wq = max t.dvx.(q) 1.0 in
-    let ratio2 = wq /. (alpha_q *. alpha_q) in
-    for k = 0 to t.ncand - 1 do
-      let j = t.cand.(k) in
-      if j <> q then begin
-        match t.vstat.(j) with
-        | Basic _ -> ()
-        | At_lower | At_upper | Free_zero ->
-          let aj = col_dot t j t.rho in
-          if aj <> 0.0 then begin
-            let w' = aj *. aj *. ratio2 in
-            if w' > t.dvx.(j) then t.dvx.(j) <- w'
-          end
-      end
-    done;
-    let leaving = t.basic.(r) in
-    t.dvx.(leaving) <- max ratio2 1.0
-  end
-
-(* Primal pivots have no rho at hand; fetch the pre-pivot row of B^-1. *)
-let devex_update_primal t ~q ~r =
-  (if sparse_mode t then begin
-     match t.sbasis with
-     | None -> invalid_arg "devex: basis not factorised"
-     | Some sb -> Array.blit (Basis.btran_unit sb r) 0 t.rho 0 t.m
-   end
-   else Array.blit t.binv.(r) 0 t.rho 0 t.m);
-  devex_update_with_rho t ~q ~r
-
 type blocking = Flip | Block of { row : int; to_upper : bool }
 
 (* Applies a primal step: entering q moves by sigma*step, the blocking
@@ -849,9 +789,6 @@ let apply_primal_pivot t ~q ~sigma ~step ~blocking =
         | Basic _ | Free_zero -> invalid_arg "flip of non-bounded variable");
       -1
     | Block { row = r; to_upper } ->
-      (* devex needs the pre-pivot basis; weights are heuristic state, so
-         mutating them before a possible Zero_pivot raise is harmless *)
-      if t.p.pricing = Devex then devex_update_primal t ~q ~r;
       (* update the basis representation first: it raises on a bad pivot
          before mutating anything, keeping vstat/basic/xb consistent for the
          recovery ladder *)
@@ -866,7 +803,7 @@ let apply_primal_pivot t ~q ~sigma ~step ~blocking =
       t.xb.(r) <- q_new;
       (* the just-ejected variable tends to price attractively again soon:
          seed it into the candidate list *)
-      if t.p.pricing <> Dantzig then cand_offer t leaving 0.0;
+      cand_offer t leaving 0.0;
       leaving
   in
   t.iters <- t.iters + 1;
@@ -955,11 +892,11 @@ let ratio_phase1 t ~q ~sigma =
       let b = t.basic.(r) in
       let x = t.xb.(r) in
       let mag = abs_float w.(r) in
-      if x < t.lo.(b) -. feas_tol t t.lo.(b) then begin
+      if x < t.lo.(b) -. feas_tol t.lo.(b) then begin
         (* violated below: blocks only when moving up to its lower bound *)
         if delta > 0.0 then offer ((t.lo.(b) -. x) /. delta) r false mag
       end
-      else if x > t.up.(b) +. feas_tol t t.up.(b) then begin
+      else if x > t.up.(b) +. feas_tol t.up.(b) then begin
         if delta < 0.0 then offer ((t.up.(b) -. x) /. delta) r true mag
       end
       else begin
@@ -1011,7 +948,7 @@ let primal_phase1 t =
     else begin
       maybe_refactor t;
       let inf = primal_infeasibility t in
-      if inf <= t.p.tol_feas *. float_of_int (1 + t.m) then Status.Optimal
+      if inf <= tol_feas *. float_of_int (1 + t.m) then Status.Optimal
       else begin
         fill_cb_phase1 t;
         compute_y t t.cb;
@@ -1039,8 +976,8 @@ let most_violated_row t =
     let b = t.basic.(r) in
     let x = t.xb.(r) in
     let viol =
-      if x < t.lo.(b) -. feas_tol t t.lo.(b) then t.lo.(b) -. x
-      else if x > t.up.(b) +. feas_tol t t.up.(b) then x -. t.up.(b)
+      if x < t.lo.(b) -. feas_tol t.lo.(b) then t.lo.(b) -. x
+      else if x > t.up.(b) +. feas_tol t.up.(b) then x -. t.up.(b)
       else 0.0
     in
     if viol > 0.0 then
@@ -1129,26 +1066,20 @@ let dual_simplex t =
            planned first and applied only once an entering column exists,
            so an infeasible exit mutates nothing. *)
         let entering, flips =
-          if not t.p.bound_flips then
-            ((match pick !cands with Some (j, _, _) -> j | None -> -1), [])
-          else begin
-            let tol = feas_tol t target in
-            let rec walk cs delta flips =
-              match pick cs with
-              | None -> (-1, flips)
-              | Some (j, _, mag) ->
-                let range = t.up.(j) -. t.lo.(j) in
-                let gain =
-                  if range < infinity then range *. mag else infinity
-                in
-                if gain < delta -. tol then
-                  walk
-                    (List.filter (fun (j', _, _) -> j' <> j) cs)
-                    (delta -. gain) (j :: flips)
-                else (j, flips)
-            in
-            walk !cands (abs_float (t.xb.(r) -. target)) []
-          end
+          let tol = feas_tol target in
+          let rec walk cs delta flips =
+            match pick cs with
+            | None -> (-1, flips)
+            | Some (j, _, mag) ->
+              let range = t.up.(j) -. t.lo.(j) in
+              let gain = if range < infinity then range *. mag else infinity in
+              if gain < delta -. tol then
+                walk
+                  (List.filter (fun (j', _, _) -> j' <> j) cs)
+                  (delta -. gain) (j :: flips)
+              else (j, flips)
+          in
+          walk !cands (abs_float (t.xb.(r) -. target)) []
         in
         tr_stop tr0 "simplex.dual_scan";
         if entering < 0 then Status.Infeasible
@@ -1202,8 +1133,6 @@ let dual_simplex t =
             raise (Numerical "dual simplex: tiny pivot");
           let dq = (t.xb.(r) -. target) /. alpha_rq in
           let q_new = value t q +. dq in
-          (* devex sees the pre-pivot rho computed for the row selection *)
-          if t.p.pricing = Devex then devex_update_with_rho t ~q ~r;
           (* basis update first: raises before any state mutation *)
           update_binv t r;
           for r' = 0 to t.m - 1 do
@@ -1213,7 +1142,7 @@ let dual_simplex t =
           t.basic.(r) <- q;
           t.vstat.(q) <- Basic r;
           t.xb.(r) <- q_new;
-          if t.p.pricing <> Dantzig then cand_offer t b 0.0;
+          cand_offer t b 0.0;
           t.iters <- t.iters + 1;
           t.since_refactor <- t.since_refactor + 1;
           fire_probe t ~entering:q ~leaving:b ();
@@ -1257,10 +1186,6 @@ let grow_arrays t needed_cap =
     let vs = Array.make (t.n + ncap) Free_zero in
     Array.blit t.vstat 0 vs 0 (t.n + t.m);
     t.vstat <- vs;
-    (* fresh devex slots start at the reference weight, not 0 *)
-    let dv = Array.make (t.n + ncap) 1.0 in
-    Array.blit t.dvx 0 dv 0 (t.n + t.m);
-    t.dvx <- dv;
     let nbinv =
       if t.cur_sparse then [||]
       else
@@ -1338,7 +1263,7 @@ let of_problem ?(params = default_params) prob =
       degen_streak = 0;
       bland = false;
       cur_sparse = params.sparse_basis;
-      cur_tol_pivot = params.tol_pivot;
+      cur_tol_pivot = tol_pivot;
       time_budget = params.time_limit;
       deadline = infinity;
       solving = false;
@@ -1356,7 +1281,6 @@ let of_problem ?(params = default_params) prob =
       cand = Array.make cand_cap 0;
       cand_score = Array.make cand_cap 0.0;
       ncand = 0;
-      dvx = Array.make (n + cap) 1.0;
       w = Array.make cap 0.0;
       y = Array.make cap 0.0;
       rho = Array.make cap 0.0;
@@ -1385,13 +1309,13 @@ let add_row t ~lo ~up coeffs =
     sp;
   (* extend B^-1: the new basis matrix is [[B, 0], [C, -1]] whose inverse is
      [[B^-1, 0], [C B^-1, -1]], where C holds the new row's coefficients on
-     the current basic (necessarily structural) variables. In sparse mode a
-     warm start appends the same border to the live factorisation — the
-     next solve then re-enters the dual simplex without refactorising —
-     and otherwise the factorisation is rebuilt at the next solve. *)
+     the current basic (necessarily structural) variables. In sparse mode
+     the same border is appended to a live factorisation — the next solve
+     then re-enters the dual simplex without refactorising — and a stale
+     one is rebuilt at the next solve. *)
   if t.cur_sparse then begin
     match t.sbasis with
-    | Some sb when t.p.warm_start && not t.needs_factor ->
+    | Some sb when not t.needs_factor ->
       let border = ref [] in
       Sparse.iter
         (fun j v ->
@@ -1499,7 +1423,7 @@ let drive t =
   if dual_feasible t then run_dual t
   else begin
     let inf = primal_infeasibility t in
-    if inf <= t.p.tol_feas *. float_of_int (1 + t.m) then run_phase2 t
+    if inf <= tol_feas *. float_of_int (1 + t.m) then run_phase2 t
     else
       match run_phase1 t with
       | Status.Optimal -> run_phase2 t
@@ -1539,7 +1463,7 @@ let validate_solution t =
       in
       if v > !infeas then infeas := v
     done;
-    let tol = 1e3 *. t.p.tol_feas in
+    let tol = 1e3 *. tol_feas in
     if residual > tol || !infeas > tol then begin
       t.st.s_rejected <- t.st.s_rejected + 1;
       raise
@@ -1706,17 +1630,16 @@ let solve t =
     if sparse_mode t && (t.needs_factor || t.sbasis = None) then refactor t;
     (* warm-started row growth skipped that rebuild; give the solve the
        same starting hygiene a refactorisation provides — exact basic
-       values and a fresh anti-cycling / devex reference state. The live
-       factorisation is kept unless its trail has grown heavier than the
-       LU itself, in which case rebuilding now is cheaper than dragging
-       the trail through the whole re-solve. *)
+       values and a fresh anti-cycling state. The live factorisation is
+       kept unless its trail has grown heavier than the LU itself, in
+       which case rebuilding now is cheaper than dragging the trail
+       through the whole re-solve. *)
     if t.xb_stale then begin
       t.xb_stale <- false;
       if trail_heavy t then refactor t
       else begin
         t.degen_streak <- 0;
         t.bland <- false;
-        Array.fill t.dvx 0 (Array.length t.dvx) 1.0;
         recompute_xb t
       end
     end;

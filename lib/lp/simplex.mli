@@ -35,26 +35,6 @@ type t
     all mutation goes through {!solve}, {!add_row} and
     {!set_time_limit}. *)
 
-type pricing =
-  | Dantzig
-      (** classic most-negative-reduced-cost rule: a full scan of all
-          [n + m] columns on every iteration. Kept as the reference path
-          for cross-checks. *)
-  | Partial
-      (** partial pricing over a candidate list: a short list of columns
-          that priced attractively at the last full scan is repriced
-          (against the current multipliers) each iteration; a full scan
-          runs only when the list goes dry or Bland's rule engages.
-          Identical optima — only the pivot order differs. *)
-  | Devex
-      (** devex reference-framework pricing (Harris): candidates are
-          scored by [d_j^2 / w_j], where the weights [w_j] approximate
-          the steepest-edge norms and are updated from the pivot column
-          at eta-update cost. Uses the same candidate-list control flow
-          as [Partial]; the weights reset to the reference framework on
-          every refactorisation. Typically the fewest iterations on the
-          path-structured EBF programs. *)
-
 (** Where a deterministic fault is injected (testing only). *)
 type fault_kind =
   | Fault_singular_refactor
@@ -111,27 +91,12 @@ type params = {
       (** wall-clock budget in seconds per [solve] call; [infinity]
           (the default) disables it. On expiry [solve] returns
           {!Status.Time_limit} with the best basis reached so far. *)
-  tol_feas : float;  (** absolute primal feasibility tolerance *)
-  tol_dual : float;  (** reduced-cost optimality tolerance *)
-  tol_pivot : float;  (** smallest acceptable pivot magnitude *)
   refactor_every : int;  (** pivots between basis refactorisations *)
   sparse_basis : bool;
       (** use the product-form sparse basis ({!Basis}: LU + eta file)
           instead of the explicit dense inverse. Same results; much
           faster and far less memory on large sparse programs (default
           [false]) *)
-  pricing : pricing;  (** entering-variable rule (default [Partial]) *)
-  bound_flips : bool;
-      (** bound-flipping (long-step) dual ratio test: boxed nonbasic
-          columns whose breakpoint cannot absorb the remaining primal
-          violation flip to their opposite bound without a basis change,
-          letting one dual pivot pass many breakpoints (default [true]).
-          The dominant move for box-constrained edge-length variables. *)
-  warm_start : bool;
-      (** keep the factorised sparse basis alive across {!add_row} calls
-          by appending a border row to the live factorisation instead of
-          marking it for refactorisation (default [true]; sparse backend
-          only — the dense inverse always extends in place). *)
   bland_threshold : int;
       (** consecutive degenerate pivots tolerated before the anti-cycling
           escape switches to Bland's rule (default 1000). The switch
@@ -147,10 +112,23 @@ type params = {
 }
 
 val default_params : params
-(** Partial pricing, bound flips on, warm starts on, dense explicit
-    inverse, [refactor_every = 100], [tol_feas = 1e-7],
-    [tol_dual = tol_pivot = 1e-9], automatic iteration cap, no time
-    limit, full recovery ladder, no fault injection. *)
+(** Dense explicit inverse, [refactor_every = 100], automatic iteration
+    cap, no time limit, [bland_threshold = 1000], full recovery ladder, no
+    fault injection.
+
+    The algorithm itself is not configurable. Primal pricing is partial:
+    a short candidate list of columns that priced attractively at the
+    last full scan is repriced against the current multipliers each
+    iteration, and a full scan of all [n + m] columns runs when the list
+    goes dry or Bland's rule is engaged, so optimality is only ever
+    declared by a full scan. The dual ratio test is the long-step
+    (bound-flipping) rule: boxed nonbasic columns whose breakpoint cannot
+    absorb the remaining primal violation flip to their opposite bound
+    without a basis change. On the sparse backend {!add_row} extends the
+    live factorisation by a border row. The tolerances are fixed: primal
+    feasibility [1e-7] and reduced-cost optimality [1e-9], both relative
+    to [1 + |value|], and pivot magnitude [1e-9] (escalated only by the
+    {!Tighten_pivot_tol} recovery stage). *)
 
 type recoveries = {
   refactor_retries : int;
@@ -180,8 +158,9 @@ type stats = {
       (** nonbasic bound flips performed by the long-step dual ratio
           test (not counted as iterations — no basis change) *)
   full_pricing_scans : int;
-      (** full-column scans: Dantzig/Bland pricing passes plus dual ratio
-          scans (each inspects all [n + m] columns) *)
+      (** full-column scans: full pricing passes (candidate list dry or
+          Bland's rule engaged) plus dual ratio scans (each inspects all
+          [n + m] columns) *)
   partial_pricing_scans : int;  (** candidate-list-only pricing passes *)
   ftran_count : int;  (** forward solves [B^-1 a] on either backend *)
   btran_count : int;  (** transpose solves [B^-T c] on either backend *)
@@ -192,7 +171,7 @@ type stats = {
   basis_updates : int;  (** rank-1 / eta updates applied *)
   basis_extensions : int;
       (** rows appended to a live factorisation by warm-started
-          {!add_row} (sparse backend with [warm_start]) *)
+          {!add_row} (sparse backend) *)
   refactorisations : int;  (** basis factorisations from scratch *)
   degenerate_pivots : int;  (** pivots with (numerically) zero step *)
   bland_activations : int;  (** times the anti-cycling escape engaged *)
@@ -252,10 +231,9 @@ val to_problem : t -> Problem.t
 val add_row : t -> lo:float -> up:float -> (int * float) list -> unit
 (** Appends a constraint row over structural variables. The engine stays
     dual feasible; call [solve] to re-optimise (it will run the dual
-    simplex). On the sparse backend with {!params}[.warm_start] the live
-    factorisation is extended by a border row (counted in
-    [basis_extensions]) so the re-solve skips the refactorisation;
-    otherwise the basis is refactorised at the next [solve]. *)
+    simplex). On the sparse backend a live factorisation is extended by a
+    border row (counted in [basis_extensions]) so the re-solve skips the
+    refactorisation; a stale one is refactorised at the next [solve]. *)
 
 type warm_basis = {
   wb_nvars : int;  (** structural variable count of the source engine *)

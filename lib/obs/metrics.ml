@@ -138,7 +138,7 @@ let histogram ?help ?labels ?(buckets = default_buckets) name =
 type cell =
   | C_empty
   | C_counter of { mutable c : float }
-  | C_hist of { counts : int array; mutable sum : float; mutable n : int }
+  | C_hist of { counts : int array; mutable sum : float }
 
 type block = { blk_gen : int; mutable cells : cell array }
 
@@ -177,7 +177,7 @@ let cell_for (d : def) =
       | KCounter -> C_counter { c = 0.0 }
       | KHist bounds ->
         C_hist
-          { counts = Array.make (Array.length bounds + 1) 0; sum = 0.0; n = 0 }
+          { counts = Array.make (Array.length bounds + 1) 0; sum = 0.0 }
       | KGauge _ -> C_empty (* gauges live in the def, not in blocks *)
     in
     b.cells.(d.m_id) <- c;
@@ -202,7 +202,6 @@ let observe (d : histogram) v =
     | KHist bounds, C_hist h ->
       let i = Buckets.index bounds v in
       h.counts.(i) <- h.counts.(i) + 1;
-      h.n <- h.n + 1;
       if Float.is_finite v then h.sum <- h.sum +. v
     | _ -> ()
 
@@ -278,23 +277,24 @@ let snapshot () =
                0.0 cells)
         | KHist bounds ->
           let counts = Array.make (Array.length bounds + 1) 0 in
-          let sum = ref 0.0 and n = ref 0 in
+          let sum = ref 0.0 in
           List.iter
             (fun c ->
               match c with
               | C_hist h ->
-                (* copy before summing: the owner may be mid-update *)
                 Array.iteri (fun i v -> counts.(i) <- counts.(i) + v) h.counts;
-                sum := !sum +. h.sum;
-                n := !n + h.n
+                sum := !sum +. h.sum
               | _ -> ())
             cells;
+          (* the total is derived from the merged buckets, not kept per
+             cell: a snapshot racing an owner's [observe] then still has
+             [h_count] equal to the sum of [h_counts] *)
           Histogram
             {
               h_bounds = Array.copy bounds;
               h_counts = counts;
               h_sum = !sum;
-              h_count = !n;
+              h_count = Array.fold_left ( + ) 0 counts;
             }
       in
       { s_name = d.m_name; s_help = d.m_help; s_labels = d.m_labels;

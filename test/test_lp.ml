@@ -279,8 +279,6 @@ let test_param_fuzz () =
       { Simplex.default_params with Simplex.refactor_every = 1; sparse_basis = true };
       { Simplex.default_params with Simplex.refactor_every = 3; sparse_basis = true };
       { Simplex.default_params with Simplex.max_iters = 100_000 };
-      { Simplex.default_params with Simplex.pricing = Simplex.Dantzig };
-      { Simplex.default_params with Simplex.pricing = Simplex.Dantzig; sparse_basis = true };
       (* a tiny Bland threshold forces the anti-cycling path onto
          ordinary problems *)
       { Simplex.default_params with Simplex.bland_threshold = 0 };

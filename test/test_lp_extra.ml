@@ -1,9 +1,8 @@
-(* Tests for the LP extras: presolve reductions and the LP-format
-   writer/reader. *)
+(* Tests for the LP extras: the sparse LU, the LP-format writer/reader,
+   and an engine cross-check on random EBF instances. *)
 
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
-module Presolve = Lubt_lp.Presolve
 module Lp_format = Lubt_lp.Lp_format
 module Status = Lubt_lp.Status
 module Sparse = Lubt_lp.Sparse
@@ -11,128 +10,9 @@ module Prng = Lubt_util.Prng
 
 let check_float = Alcotest.(check (float 1e-6))
 
-(* ------------------------------------------------------------------ *)
-(* Presolve                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_fixed_variable_substitution () =
-  let p = Problem.create () in
-  let x = Problem.add_var ~lo:2.0 ~up:2.0 ~obj:3.0 p in
-  let y = Problem.add_var ~obj:1.0 p in
-  ignore (Problem.add_row p ~lo:5.0 ~up:infinity [ (x, 1.0); (y, 1.0) ]);
-  match Presolve.run p with
-  | Presolve.Infeasible_detected msg -> Alcotest.fail msg
-  | Presolve.Reduced t ->
-    Alcotest.(check int) "one variable left" 1 (Presolve.reduced_vars t);
-    let sol = Presolve.solve p in
-    Alcotest.(check bool) "optimal" true (sol.Status.status = Status.Optimal);
-    (* x fixed at 2, row needs y >= 3: objective 3*2 + 3 = 9 *)
-    check_float "objective" 9.0 sol.Status.objective;
-    check_float "x reinstated" 2.0 sol.Status.primal.(x);
-    check_float "y" 3.0 sol.Status.primal.(y)
-
-let test_singleton_row_to_bound () =
-  let p = Problem.create () in
-  let x = Problem.add_var ~obj:1.0 p in
-  ignore (Problem.add_row p ~lo:4.0 ~up:10.0 [ (x, 2.0) ]);
-  match Presolve.run p with
-  | Presolve.Infeasible_detected msg -> Alcotest.fail msg
-  | Presolve.Reduced t ->
-    Alcotest.(check int) "row folded away" 0 (Presolve.reduced_rows t);
-    let sol = Presolve.solve p in
-    check_float "x at tightened lower bound" 2.0 sol.Status.primal.(x)
-
-let test_duplicate_rows_merge () =
-  let p = Problem.create () in
-  let x = Problem.add_var ~obj:1.0 p in
-  let y = Problem.add_var ~obj:1.0 p in
-  ignore (Problem.add_row p ~lo:1.0 ~up:infinity [ (x, 1.0); (y, 1.0) ]);
-  ignore (Problem.add_row p ~lo:3.0 ~up:infinity [ (x, 1.0); (y, 1.0) ]);
-  ignore (Problem.add_row p ~lo:neg_infinity ~up:8.0 [ (x, 1.0); (y, 1.0) ]);
-  match Presolve.run p with
-  | Presolve.Infeasible_detected msg -> Alcotest.fail msg
-  | Presolve.Reduced t ->
-    Alcotest.(check int) "rows merged" 1 (Presolve.reduced_rows t);
-    let sol = Presolve.solve p in
-    check_float "objective" 3.0 sol.Status.objective
-
-let test_presolve_detects_infeasible () =
-  let cases =
-    [
-      (fun p ->
-        (* crossed bounds via two singleton rows *)
-        let x = Problem.add_var p in
-        ignore (Problem.add_row p ~lo:5.0 ~up:infinity [ (x, 1.0) ]);
-        ignore (Problem.add_row p ~lo:neg_infinity ~up:2.0 [ (x, 1.0) ]));
-      (fun p ->
-        (* duplicate rows with disjoint bounds *)
-        let x = Problem.add_var p in
-        let y = Problem.add_var p in
-        ignore (Problem.add_row p ~lo:1.0 ~up:2.0 [ (x, 1.0); (y, 1.0) ]);
-        ignore (Problem.add_row p ~lo:5.0 ~up:6.0 [ (x, 1.0); (y, 1.0) ]));
-      (fun p ->
-        (* empty row after substituting a fixed variable *)
-        let x = Problem.add_var ~lo:1.0 ~up:1.0 p in
-        ignore (Problem.add_row p ~lo:5.0 ~up:6.0 [ (x, 1.0) ]));
-    ]
-  in
-  List.iter
-    (fun build ->
-      let p = Problem.create () in
-      build p;
-      match Presolve.run p with
-      | Presolve.Infeasible_detected _ -> ()
-      | Presolve.Reduced t ->
-        (* presolve may legitimately defer to the solver *)
-        let sol = Solver.solve (Presolve.problem t) in
-        Alcotest.(check bool) "solver confirms infeasible" true
-          (sol.Status.status = Status.Infeasible))
-    cases
-
-let test_all_variables_fixed () =
-  let p = Problem.create () in
-  let x = Problem.add_var ~lo:1.0 ~up:1.0 ~obj:2.0 p in
-  let y = Problem.add_var ~lo:3.0 ~up:3.0 ~obj:1.0 p in
-  ignore (Problem.add_row p ~lo:0.0 ~up:10.0 [ (x, 1.0); (y, 1.0) ]);
-  let sol = Presolve.solve p in
-  Alcotest.(check bool) "optimal" true (sol.Status.status = Status.Optimal);
-  check_float "objective" 5.0 sol.Status.objective;
-  (* and an infeasible variant *)
-  let q = Problem.create () in
-  let a = Problem.add_var ~lo:1.0 ~up:1.0 q in
-  ignore (Problem.add_row q ~lo:5.0 ~up:10.0 [ (a, 1.0) ]);
-  let sol2 = Presolve.solve q in
-  Alcotest.(check bool) "infeasible" true (sol2.Status.status = Status.Infeasible)
-
-(* randomised: presolve+solve agrees with direct solve.  Shared
-   generator (lp_gen.ml); [fixed_vars] adds the fixed-variable kind that
-   exercises substitution, with the original draw sequence. *)
+(* Shared generator (lp_gen.ml); [fixed_vars] adds fixed variables, so
+   the LP-format round-trips below also cover [lo = up] bounds. *)
 let random_problem rng = Lp_gen.random_problem ~fixed_vars:true rng
-
-let test_presolve_random_agreement () =
-  let rng = Prng.create 606 in
-  for id = 1 to 300 do
-    let p = random_problem rng in
-    let direct = Solver.solve p in
-    let pre = Presolve.solve p in
-    (match (direct.Status.status, pre.Status.status) with
-    | Status.Optimal, Status.Optimal ->
-      if
-        not
-          (Lubt_util.Stats.approx_eq ~eps:1e-5 direct.Status.objective
-             pre.Status.objective)
-      then
-        Alcotest.failf "case %d: direct %.9g vs presolved %.9g" id
-          direct.Status.objective pre.Status.objective;
-      if not (Problem.is_feasible ~tol:1e-5 p pre.Status.primal) then
-        Alcotest.failf "case %d: postsolved point infeasible" id
-    | a, b when a = b -> ()
-    | Status.Unbounded, Status.Optimal | Status.Optimal, Status.Unbounded ->
-      Alcotest.failf "case %d: optimal/unbounded mismatch" id
-    | a, b ->
-      Alcotest.failf "case %d: status mismatch %s vs %s" id (Status.to_string a)
-        (Status.to_string b))
-  done
 
 (* ------------------------------------------------------------------ *)
 (* LP format                                                            *)
@@ -292,7 +172,7 @@ let test_ebf_program_exports () =
 
 
 (* ------------------------------------------------------------------ *)
-(* Four-way engine cross-check on random EBF instances                  *)
+(* Engine cross-check on random EBF instances                          *)
 (* ------------------------------------------------------------------ *)
 
 module Simplex = Lubt_lp.Simplex
@@ -302,28 +182,18 @@ module Instance = Lubt_core.Instance
 module Topogen = Lubt_topo.Topogen
 module Point = Lubt_geom.Point
 
-(* Every engine configuration — {dense inverse, sparse LU} x {full
-   Dantzig pricing, partial pricing} — must agree with the independent
-   two-phase tableau oracle, both on the eager formulation (primal
-   phases) and through the lazy row-generation loop (dual-simplex warm
-   restarts after add_row). A fifth of the instances get an upper bound
-   below the radius so the infeasibility verdict is cross-checked too. *)
+(* Four engine runs per instance — {dense inverse, sparse LU} basis x
+   {eager formulation (primal phases), lazy row-generation loop
+   (dual-simplex warm restarts after add_row)} — must agree with the
+   independent two-phase tableau oracle. A fifth of the instances get an
+   upper bound below the radius so the infeasibility verdict is
+   cross-checked too. *)
 let test_ebf_four_way_crosscheck () =
   let rng = Prng.create 8086 in
   let engine_params =
     [
-      ("dense+dantzig",
-       { Simplex.default_params with
-         Simplex.sparse_basis = false; pricing = Simplex.Dantzig });
-      ("dense+partial",
-       { Simplex.default_params with
-         Simplex.sparse_basis = false; pricing = Simplex.Partial });
-      ("sparse+dantzig",
-       { Simplex.default_params with
-         Simplex.sparse_basis = true; pricing = Simplex.Dantzig });
-      ("sparse+partial",
-       { Simplex.default_params with
-         Simplex.sparse_basis = true; pricing = Simplex.Partial });
+      ("dense", { Simplex.default_params with Simplex.sparse_basis = false });
+      ("sparse", { Simplex.default_params with Simplex.sparse_basis = true });
     ]
   in
   for case = 1 to 50 do
@@ -378,13 +248,7 @@ let test_ebf_four_way_crosscheck () =
           Alcotest.failf "case %d (%s): %d round stats for %d rounds" case
             label
             (List.length lazy_r.Ebf.round_stats)
-            lazy_r.Ebf.rounds;
-        if
-          params.Simplex.pricing = Simplex.Dantzig
-          && st.Simplex.partial_pricing_scans <> 0
-        then
-          Alcotest.failf "case %d (%s): Dantzig pricing did partial scans"
-            case label)
+            lazy_r.Ebf.rounds)
       engine_params
   done
 
@@ -493,21 +357,6 @@ let test_lu_permutation_matrix () =
 let () =
   Alcotest.run "lp-extra"
     [
-      ( "presolve",
-        [
-          Alcotest.test_case "fixed variable substitution" `Quick
-            test_fixed_variable_substitution;
-          Alcotest.test_case "singleton row to bound" `Quick
-            test_singleton_row_to_bound;
-          Alcotest.test_case "duplicate rows merge" `Quick
-            test_duplicate_rows_merge;
-          Alcotest.test_case "detects infeasibility" `Quick
-            test_presolve_detects_infeasible;
-          Alcotest.test_case "all variables fixed" `Quick
-            test_all_variables_fixed;
-          Alcotest.test_case "300 random LPs agree" `Slow
-            test_presolve_random_agreement;
-        ] );
       ( "sparse-lu",
         [
           Alcotest.test_case "solve roundtrip" `Quick test_lu_solve_roundtrip;

@@ -1,13 +1,12 @@
-(* Fast-path equivalence layer: the devex pricing rule, the
-   bound-flipping dual ratio test, the hyper-sparse solve kernels and
-   the EBF warm start are pure accelerations — no configuration may
-   change any verdict or optimal value.  Every engine configuration
-   ({dense, sparse} basis x {Dantzig, Partial, Devex} pricing, with and
-   without bound flips) is checked against the independent two-phase
-   tableau oracle to 1e-7 and against the a-posteriori certifier, on a
-   fixed 50-instance corpus, on fresh QCheck-generated instances, on
-   LPs whose optimum is known exactly by construction, and under
-   injected numerical faults driven through the recovery ladder. *)
+(* Fast-path equivalence layer: partial pricing, the bound-flipping dual
+   ratio test, the hyper-sparse solve kernels and the EBF warm start are
+   pure accelerations — they may change no verdict or optimal value.
+   Each instance gets five verdicts that must agree: the dense and the
+   sparse basis backend, the independent two-phase tableau oracle (to
+   1e-7), the a-posteriori certifier, and a primal feasibility check.
+   They run on a fixed 50-instance corpus, on fresh QCheck-generated
+   instances, on LPs whose optimum is known exactly by construction, and
+   under injected numerical faults driven through the recovery ladder. *)
 
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
@@ -20,33 +19,14 @@ module Prng = Lubt_util.Prng
 
 let approx = Lubt_util.Stats.approx_eq
 
-(* The full configuration matrix.  Bound flips only alter dual ratio
-   tests and devex only primal pricing, but every combination must
-   still agree everywhere — that is the point. *)
+(* The engine's one algorithm on both basis backends. *)
 let configs =
-  List.concat_map
-    (fun (bname, sparse) ->
-      List.concat_map
-        (fun (pname, pricing) ->
-          List.map
-            (fun flips ->
-              ( Printf.sprintf "%s+%s%s" bname pname
-                  (if flips then "+flips" else ""),
-                {
-                  Simplex.default_params with
-                  Simplex.sparse_basis = sparse;
-                  pricing;
-                  bound_flips = flips;
-                } ))
-            [ true; false ])
-        [
-          ("dantzig", Simplex.Dantzig);
-          ("partial", Simplex.Partial);
-          ("devex", Simplex.Devex);
-        ])
-    [ ("dense", false); ("sparse", true) ]
+  [
+    ("dense", { Simplex.default_params with Simplex.sparse_basis = false });
+    ("sparse", { Simplex.default_params with Simplex.sparse_basis = true });
+  ]
 
-(* Solve [p] under every configuration and compare with the tableau
+(* Solve [p] on both backends and compare with the tableau
    oracle: identical status; optimal objectives within 1e-7; primal
    point feasible; the packaged solution accepted by the certifier. *)
 let check_all_configs ctx p =
@@ -125,16 +105,7 @@ let qcheck_certified_fresh =
     QCheck.(make Gen.(int_bound max_int))
     (fun seed ->
       let cert = Lp_gen.certified_problem (Prng.create seed) in
-      let sol =
-        Solver.solve
-          ~params:
-            {
-              Simplex.default_params with
-              Simplex.pricing = Simplex.Devex;
-              bound_flips = true;
-            }
-          cert.Lp_gen.c_problem
-      in
+      let sol = Solver.solve cert.Lp_gen.c_problem in
       sol.Status.status = Status.Optimal
       && approx ~eps:1e-7 sol.Status.objective cert.Lp_gen.c_optimum)
 
@@ -145,8 +116,8 @@ let qcheck_certified_fresh =
 (* A dual solve where the best-ratio breakpoints are boxed variables
    whose flip gain is below the row infeasibility: the long-step ratio
    test must pass them by flipping, and only the unbounded variable
-   enters.  The corpus above proves flips change no answer; this pins
-   that the code path runs at all, with the exact expected optimum. *)
+   enters.  The corpus above checks answers against the oracle; this
+   pins that the flip path runs at all, with the exact expected optimum. *)
 let test_bound_flips_fire () =
   let p = Problem.create () in
   (* cheapest reduced costs on the tightly boxed variables *)
@@ -154,11 +125,7 @@ let test_bound_flips_fire () =
   let _ = Problem.add_var ~lo:0.0 ~up:1.0 ~obj:0.6 p in
   let _ = Problem.add_var ~lo:0.0 ~up:1.0 ~obj:0.7 p in
   let _ = Problem.add_var ~lo:0.0 ~up:infinity ~obj:1.0 p in
-  let eng =
-    Simplex.of_problem
-      ~params:{ Simplex.default_params with Simplex.bound_flips = true }
-      p
-  in
+  let eng = Simplex.of_problem p in
   Alcotest.(check bool) "initial optimal" true (Simplex.solve eng = Status.Optimal);
   (* covering row far beyond the boxed ranges: x0..x2 flip to their
      upper bounds (gain 1 each < infeasibility 50), x3 enters *)
@@ -174,18 +141,13 @@ let test_bound_flips_fire () =
 (* EBF warm start: equivalence, uptake, hyper-sparse traffic           *)
 (* ------------------------------------------------------------------ *)
 
+(* Warm lazy EBF (the default: sparse backend, appended rows extend the
+   live factorisation) against the tableau oracle on the complete
+   formulation, with the materialised final LP certified a posteriori. *)
 let test_ebf_warm_start_equivalence () =
   let rng = Prng.create 61803 in
   let warm_rows_total = ref 0 in
   let hyper_total = ref 0 in
-  let fast_params =
-    {
-      Simplex.default_params with
-      Simplex.sparse_basis = true;
-      pricing = Simplex.Devex;
-      bound_flips = true;
-    }
-  in
   for case = 1 to 10 do
     (* 25+ sinks: small instances converge in one round (the seeded
        rows already cover them), so no border extension would happen *)
@@ -194,41 +156,31 @@ let test_ebf_warm_start_equivalence () =
         ~sink_span:30 rng
     in
     let oracle = Tableau.solve (Ebf.formulate inst tree) in
-    let solve ~warm =
+    let warm =
       Ebf.solve
-        ~options:
-          {
-            Ebf.default_options with
-            Ebf.warm_start = warm;
-            lp_params = { fast_params with Simplex.warm_start = warm };
-          }
+        ~options:{ Ebf.default_options with Ebf.check = Certify.Full }
         inst tree
     in
-    let warm = solve ~warm:true in
-    let cold = solve ~warm:false in
-    List.iter
-      (fun (label, (r : Ebf.result)) ->
-        if r.Ebf.status <> oracle.Status.status then
-          Alcotest.failf "case %d (%s): status %s vs oracle %s" case label
-            (Status.to_string r.Ebf.status)
-            (Status.to_string oracle.Status.status);
-        if
-          oracle.Status.status = Status.Optimal
-          && not (approx ~eps:1e-7 r.Ebf.objective oracle.Status.objective)
-        then
-          Alcotest.failf "case %d (%s): %.12g vs oracle %.12g" case label
-            r.Ebf.objective oracle.Status.objective)
-      [ ("warm", warm); ("cold", cold) ];
+    if warm.Ebf.status <> oracle.Status.status then
+      Alcotest.failf "case %d: status %s vs oracle %s" case
+        (Status.to_string warm.Ebf.status)
+        (Status.to_string oracle.Status.status);
+    if oracle.Status.status = Status.Optimal then begin
+      if not (approx ~eps:1e-7 warm.Ebf.objective oracle.Status.objective)
+      then
+        Alcotest.failf "case %d: %.12g vs oracle %.12g" case warm.Ebf.objective
+          oracle.Status.objective;
+      match warm.Ebf.certificate with
+      | Some r when r.Certify.ok -> ()
+      | Some r ->
+        Alcotest.failf "case %d: certifier rejected: %s" case
+          (match r.Certify.failure with Some m -> m | None -> "?")
+      | None -> Alcotest.failf "case %d: optimal solve without a certificate" case
+    end;
     List.iter
       (fun (r : Ebf.round_stat) ->
         warm_rows_total := !warm_rows_total + r.Ebf.warm_rows)
       warm.Ebf.round_stats;
-    List.iter
-      (fun (r : Ebf.round_stat) ->
-        if r.Ebf.warm_rows <> 0 then
-          Alcotest.failf "case %d: warm_rows %d with warm start off" case
-            r.Ebf.warm_rows)
-      cold.Ebf.round_stats;
     hyper_total :=
       !hyper_total
       + warm.Ebf.lp_stats.Simplex.hyper_sparse_ftrans
@@ -244,8 +196,8 @@ let test_ebf_warm_start_equivalence () =
 (* ------------------------------------------------------------------ *)
 
 (* The fast path must coexist with the resilience layer: with
-   deterministic faults injected into the sparse devex+flips engine,
-   the recovery ladder still produces the oracle's verdict. *)
+   deterministic faults injected into the sparse engine, the recovery
+   ladder still produces the oracle's verdict. *)
 let test_fastpath_under_faults () =
   let rng = Prng.create 8087 in
   for case = 1 to 25 do
@@ -254,9 +206,7 @@ let test_fastpath_under_faults () =
     let params =
       {
         Simplex.default_params with
-        Simplex.pricing = Simplex.Devex;
-        bound_flips = true;
-        sparse_basis = true;
+        Simplex.sparse_basis = true;
         fault = Some (Simplex.fault_plan (1000 + case));
       }
     in
@@ -293,6 +243,6 @@ let () =
           ( "EBF warm start equivalence + uptake",
             `Slow,
             test_ebf_warm_start_equivalence );
-          ("devex+flips under injected faults", `Quick, test_fastpath_under_faults);
+          ("sparse engine under injected faults", `Quick, test_fastpath_under_faults);
         ] );
     ]

@@ -610,6 +610,7 @@ let test_diff_exit_codes () =
   let old_p = write "old.json" (bench_file [ ("a", 10.0, 5) ]) in
   let same_p = write "same.json" (bench_file [ ("a", 10.0, 5) ]) in
   let reg_p = write "reg.json" (bench_file [ ("a", 30.0, 5) ]) in
+  let lost_p = write "lost.json" (bench_file [ ("b", 10.0, 5) ]) in
   let bad_p = write "bad.json" "nonsense" in
   let code args =
     Sys.command
@@ -624,13 +625,17 @@ let test_diff_exit_codes () =
     (code (Filename.quote reg_p ^ " " ^ Filename.quote old_p));
   Alcotest.(check int) "--warn-only masks the failure" 0
     (code (Filename.quote old_p ^ " " ^ Filename.quote reg_p ^ " --warn-only"));
+  Alcotest.(check int) "lost coverage exits 1" 1
+    (code (Filename.quote old_p ^ " " ^ Filename.quote lost_p));
+  Alcotest.(check int) "--warn-only keeps the lost-coverage failure" 1
+    (code (Filename.quote old_p ^ " " ^ Filename.quote lost_p ^ " --warn-only"));
   Alcotest.(check int) "huge threshold passes" 0
     (code
        (Filename.quote old_p ^ " " ^ Filename.quote reg_p
       ^ " --threshold 500"));
   Alcotest.(check int) "unreadable input exits 2" 2
     (code (Filename.quote old_p ^ " " ^ Filename.quote bad_p));
-  List.iter Sys.remove [ old_p; same_p; reg_p; bad_p ];
+  List.iter Sys.remove [ old_p; same_p; reg_p; lost_p; bad_p ];
   Unix.rmdir dir
 
 (* ------------------------------------------------------------------ *)
