@@ -690,17 +690,8 @@ let serve socket port host metrics_port jobs max_pending default_time_limit
     exit 1
   | Ok server ->
     Serve.install_signal_handlers server;
-    let stats = Serve.run server in
     (* stdout stays machine-readable: one summary object, like batch *)
-    Printf.printf
-      "{\"connections\": %d, \"served\": %d, \"rejected\": %d, \
-       \"failed\": %d, \"degraded\": %d, \"restarts\": %d, \
-       \"watchdog_fires\": %d, \"breaker_trips\": %d, \
-       \"cache_hits\": %d, \"cache_misses\": %d}\n"
-      stats.Serve.connections stats.Serve.served stats.Serve.rejected
-      stats.Serve.failed stats.Serve.degraded stats.Serve.restarts
-      stats.Serve.watchdog_fires stats.Serve.breaker_trips
-      stats.Serve.cache_hits stats.Serve.cache_misses
+    print_endline (Serve.stats_json (Serve.run server))
 
 let serve_cmd =
   let socket =

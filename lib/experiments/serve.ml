@@ -18,9 +18,12 @@ module Prometheus = Lubt_obs.Prometheus
 
 module Basis_cache = Lubt_lp.Basis_cache
 
-(* Request-path metrics. [lubt_requests_total] counts every protocol
-   line the daemon answers (including rejections and parse errors);
-   the latency histogram is one family labelled by op. *)
+(* Request-path metrics, and the daemon's only request accounting:
+   [answer] is the one place that counts a response, so
+   [lubt_requests_total] is every protocol line answered (rejections
+   and parse errors included) and [served] in health and stats is
+   requests minus rejections. The latency histogram is one family
+   labelled by op; the breaker reads its p95 from the same family. *)
 let m_requests =
   Metrics.counter ~help:"Protocol requests answered (any outcome)"
     "lubt_requests_total"
@@ -520,15 +523,26 @@ let execute_solve ~default_time_limit ~cache ~id (q : solve_req) =
       )
 
 (* The floor rung run inline (no LP, no worker): what a saturated pool
-   answers with when the client opted into degradation. *)
-let execute_degraded_inline ~id (q : solve_req) =
+   answers a degrade-opted solve or eco with — for an eco, on the
+   EDITED instance, not the base it was derived from. [None] when the
+   request did not opt in or the rung fails. *)
+let execute_degraded_inline ~id op =
   let t0 = Clock.now () in
   match
-    let inst, _ = materialize_workload q in
-    Ladder.heuristic inst
+    match op with
+    | Solve q when q.sq_degrade -> Some (fst (materialize_workload q))
+    | Eco e when e.eq_base.sq_degrade ->
+      Result.to_option
+        (Instance.Edit.apply_all
+           (fst (materialize_workload e.eq_base))
+           e.eq_edits)
+    | _ -> None
   with
-  | Ok outcome -> Some (ladder_response ~id ~t0 outcome)
-  | Error _ -> None
+  | None -> None
+  | Some inst -> (
+    match Ladder.heuristic inst with
+    | Ok outcome -> Some (ladder_response ~id ~t0 outcome)
+    | Error _ | (exception _) -> None)
   | exception _ -> None
 
 (* An eco request: apply the edit chain to the base instance, keep the
@@ -642,7 +656,9 @@ type conn = {
   c_fd : Unix.file_descr;  (* non-blocking; closed by the select loop *)
   c_lock : Mutex.t;
   mutable c_state : conn_state;
-  mutable c_partial : string;  (* bytes after the last newline *)
+  c_line : Buffer.t;  (* the current line's bytes, up to its newline *)
+  mutable c_skipping : bool;
+      (* the current line overran [max_line_bytes]: drop to its newline *)
   c_out : string Queue.t;  (* response lines awaiting the socket *)
   mutable c_out_off : int;  (* bytes of the queue head already written *)
   mutable c_out_bytes : int;  (* queued total, capped by [max_out_bytes] *)
@@ -656,18 +672,16 @@ type conn = {
    queue itself keeps workers from ever blocking in [Unix.write]. *)
 let max_out_bytes = 8 * 1024 * 1024
 
-(* Completed-request latencies for the admission controller live in a
-   rolling log-bucketed histogram: two epochs of bucket counts, rotated
-   every [lat_epoch] records, approximate a window of the most recent
-   128–256 requests. Recording is one bucket increment and the breaker's
-   p95 is a cumulative walk over the buckets — O(buckets) under the
-   lock, where the old sample ring sorted the window (O(n log n)) on
-   every admission check. The quantile agrees with the nearest-rank
-   percentile of the raw window to within one bucket width (pinned by
-   the metrics test suite). *)
-let lat_epoch = 128
+(* A line longer than this (newline excluded) is answered with
+   [too_large] and dropped up to its newline: the same bound as the
+   output backlog, so no session buffers more than that either way. *)
+let max_line_bytes = max_out_bytes
 
-let lat_bounds = Metrics.Buckets.log ~lo:0.01 ~hi:10_000.0 ~count:28
+(* The breaker's p95 window: the registry's latency histograms minus
+   the merged read taken two marks ago, where a mark moves forward
+   once [lat_epoch] more requests have completed since the last one —
+   the most recent 128–256 requests, read in O(buckets). *)
+let lat_epoch = 128
 
 type server = {
   cfg : config;
@@ -677,48 +691,38 @@ type server = {
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
   stopped : bool Atomic.t;
-  s_connections : int Atomic.t;
-  s_served : int Atomic.t;
-  s_rejected : int Atomic.t;
-  s_failed : int Atomic.t;
-  s_degraded : int Atomic.t;
-  s_breaker_trips : int Atomic.t;
-  lat_lock : Mutex.t;
-  lat_cur : int array;  (* bucket counts, current epoch *)
-  lat_prev : int array;  (* bucket counts, previous epoch *)
-  mutable lat_cur_n : int;  (* records in the current epoch *)
-  mutable lat_count : int;  (* total ever recorded *)
+  baseline : stats;
+      (* the registry's serve counters when [create] ran: the registry
+         is process-wide and one process may host several daemons in
+         turn, so this daemon's counts are the registry minus these *)
+  mutable marks : Metrics.histogram_snapshot * Metrics.histogram_snapshot;
+      (* latency reads at the last two window marks, older first;
+         loop-thread only *)
   mutable breaker_until : float;  (* loop-thread only; Clock.now axis *)
 }
 
-let record_latency server wall_ms =
-  Mutex.protect server.lat_lock (fun () ->
-      if server.lat_cur_n >= lat_epoch then begin
-        Array.blit server.lat_cur 0 server.lat_prev 0
-          (Array.length server.lat_cur);
-        Array.fill server.lat_cur 0 (Array.length server.lat_cur) 0;
-        server.lat_cur_n <- 0
-      end;
-      let i = Metrics.Buckets.index lat_bounds wall_ms in
-      server.lat_cur.(i) <- server.lat_cur.(i) + 1;
-      server.lat_cur_n <- server.lat_cur_n + 1;
-      server.lat_count <- server.lat_count + 1)
+(* The three per-op latency histograms merged: every request the
+   workers have completed in this process. *)
+let latency_read () =
+  Metrics.merge_histogram
+    (Metrics.read_histogram m_lat_solve)
+    (Metrics.merge_histogram
+       (Metrics.read_histogram m_lat_eco)
+       (Metrics.read_histogram m_lat_sleep))
 
-(* p95 over the rolling window; NaN while the window is empty (a NaN
-   never trips the [>=] threshold, so a cold server admits). *)
+(* p95 over the window since the older mark; NaN while it is empty (a
+   NaN never trips the [>=] threshold, so a cold server admits). *)
 let p95_ms server =
-  Mutex.protect server.lat_lock (fun () ->
-      if server.lat_count = 0 then nan
-      else begin
-        let counts =
-          Array.init (Array.length server.lat_cur) (fun i ->
-              server.lat_cur.(i)
-              + (if server.lat_count > server.lat_cur_n then
-                   server.lat_prev.(i)
-                 else 0))
-        in
-        Metrics.Buckets.quantile ~bounds:lat_bounds ~counts 0.95
-      end)
+  let now = latency_read () in
+  let _, newer = server.marks in
+  if now.Metrics.h_count - newer.Metrics.h_count >= lat_epoch then
+    server.marks <- (newer, now);
+  let older, _ = server.marks in
+  if now.Metrics.h_count = older.Metrics.h_count then nan
+  else
+    Metrics.Buckets.quantile ~bounds:now.Metrics.h_bounds
+      ~counts:(Array.map2 ( - ) now.Metrics.h_counts older.Metrics.h_counts)
+      0.95
 
 (* The circuit breaker: called on the select loop before submitting a
    solve. Once open it stays open for [breaker_cooldown] seconds and
@@ -735,7 +739,6 @@ let breaker_check server =
     let p95_trip = p95 >= cfg.breaker_p95_ms in
     if queue_trip || p95_trip then begin
       server.breaker_until <- now +. cfg.breaker_cooldown;
-      Atomic.incr server.s_breaker_trips;
       Metrics.incr m_breaker_trips;
       Log.warn
         ~fields:
@@ -785,7 +788,7 @@ let kill_conn_locked conn =
    [Unix.write] while holding [c_lock]. *)
 let enqueue_locked conn line =
   match conn.c_state with
-  | Dead | Closed -> false
+  | Dead | Closed -> ()
   | Reading | Draining ->
     let s = line ^ "\n" in
     if conn.c_out_bytes + String.length s > max_out_bytes then begin
@@ -794,23 +797,63 @@ let enqueue_locked conn line =
         "output backlog over %d bytes (client not reading): dropping \
          session"
         max_out_bytes;
-      kill_conn_locked conn;
-      false
+      kill_conn_locked conn
     end
     else begin
       Queue.add s conn.c_out;
-      conn.c_out_bytes <- conn.c_out_bytes + String.length s;
-      true
+      conn.c_out_bytes <- conn.c_out_bytes + String.length s
     end
 
-let write_line server conn line =
-  let queued =
-    Mutex.protect conn.c_lock (fun () -> enqueue_locked conn line)
+(* Drain queued output into the socket until it is empty or would
+   block. The select loop calls this on a non-blocking socket, so a
+   slow reader just keeps write interest; shutdown calls it on a
+   blocking socket with a send timeout, whose expiry is the same
+   EAGAIN. Any other write error drops the session. *)
+let flush_locked conn =
+  let rec go () =
+    match (conn.c_state, Queue.peek_opt conn.c_out) with
+    | (Reading | Draining), Some s -> (
+      let len = String.length s - conn.c_out_off in
+      match Unix.write_substring conn.c_fd s conn.c_out_off len with
+      | w ->
+        Metrics.incr m_bytes_out ~by:(float_of_int w);
+        conn.c_out_bytes <- conn.c_out_bytes - w;
+        if w = len then begin
+          ignore (Queue.pop conn.c_out);
+          conn.c_out_off <- 0;
+          go ()
+        end
+        else conn.c_out_off <- conn.c_out_off + w
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Log.debug
+          ~fields:[ ("conn", Trace.Int conn.c_id) ]
+          "write failed (%s): dropping session" (Unix.error_message e);
+        kill_conn_locked conn)
+    | _ -> ()
   in
+  go ()
+
+(* The one accounting point: every response the daemon writes is
+   counted here, by outcome, and then queued for the select loop. A
+   request that a vanished client's session cancelled before it ran is
+   never answered, so never counted. *)
+let answer ?(failed = false) ?(degraded = false) ?(rejected = false)
+    ?(req = "-") server conn line =
+  Metrics.incr m_requests;
+  if rejected then Metrics.incr m_rejected;
+  if failed then Metrics.incr m_failed;
+  if degraded then begin
+    Metrics.incr m_degraded;
+    if Trace.enabled () then
+      Trace.instant "serve.degraded" ~args:[ ("req", Trace.Str req) ]
+  end;
+  Mutex.protect conn.c_lock (fun () -> enqueue_locked conn line);
   (* new output (or a newly dead session) changes the loop's interest
      set either way *)
-  wake server;
-  queued
+  wake server
 
 (* A worker finished one of this session's requests. [ticket_cell] is
    read under [c_lock] — the session thread fills it under the same
@@ -827,265 +870,265 @@ let finish_task server conn ticket_cell =
       conn.c_inflight <- conn.c_inflight - 1);
   wake server
 
-let bump counter = Atomic.incr counter
-
-(* The ping payload doubles as the health probe: queue depth and worker
-   state for admission decisions on the client side, supervision and
-   degradation counters for monitoring. *)
 (* Cross-request cache counters as seen by this process; zeros when the
    daemon runs cacheless so the health schema stays stable. *)
-let cache_counters server =
-  match server.cfg.cache with
+let cache_counters cfg =
+  match cfg.cache with
   | None -> (0, 0, 0)
   | Some c ->
     let s = Basis_cache.stats c in
     (s.Basis_cache.hits, s.Basis_cache.misses, s.Basis_cache.rejects)
 
+(* The registry's serve counters as process-wide totals, in [stats]
+   shape; the supervision and cache fields are filled by [server_stats]. *)
+let registry_stats () =
+  let read c = int_of_float (Metrics.read_counter c) in
+  let rejected = read m_rejected in
+  {
+    connections = read m_connections;
+    served = read m_requests - rejected;
+    rejected;
+    failed = read m_failed;
+    degraded = read m_degraded;
+    restarts = 0;
+    watchdog_fires = 0;
+    breaker_trips = read m_breaker_trips;
+    cache_hits = 0;
+    cache_misses = 0;
+  }
+
+(* This daemon's stats: the registry's counts since [create], the
+   executor's supervision counters and the cache's hit/miss counts —
+   what both [ping] health and the shutdown line report. *)
+let server_stats server =
+  let now = registry_stats () and b = server.baseline in
+  let cache_hits, cache_misses, _ = cache_counters server.cfg in
+  {
+    connections = now.connections - b.connections;
+    served = now.served - b.served;
+    rejected = now.rejected - b.rejected;
+    failed = now.failed - b.failed;
+    degraded = now.degraded - b.degraded;
+    restarts = Executor.restarts server.executor;
+    watchdog_fires = Executor.watchdog_fires server.executor;
+    breaker_trips = now.breaker_trips - b.breaker_trips;
+    cache_hits;
+    cache_misses;
+  }
+
+(* [stats] as named counts, in the order the stats line prints them;
+   health, the stats line and the shutdown log all render this list. *)
+let stats_fields s =
+  [
+    ("connections", s.connections);
+    ("served", s.served);
+    ("rejected", s.rejected);
+    ("failed", s.failed);
+    ("degraded", s.degraded);
+    ("restarts", s.restarts);
+    ("watchdog_fires", s.watchdog_fires);
+    ("breaker_trips", s.breaker_trips);
+    ("cache_hits", s.cache_hits);
+    ("cache_misses", s.cache_misses);
+  ]
+
+let stats_members s =
+  String.concat ", "
+    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) (stats_fields s))
+
+let stats_json s = "{" ^ stats_members s ^ "}"
+
+(* The ping payload doubles as the health probe: queue depth and worker
+   state for admission decisions on the client side, this daemon's
+   stats for monitoring. *)
 let health_response server ~id =
   let ex = server.executor in
-  let cache_hits, cache_misses, cache_rejects = cache_counters server in
+  let _, _, cache_rejects = cache_counters server.cfg in
   Printf.sprintf
     "{\"id\": %s, \"ok\": true, \"pong\": true, \"health\": {\"pending\": \
-     %d, \"running\": %d, \"workers\": %d, \"restarts\": %d, \
-     \"watchdog_fires\": %d, \"breaker_open\": %b, \"p95_ms\": %s, \
-     \"served\": %d, \"degraded\": %d, \"rejected\": %d, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"cache_rejects\": %d}}"
+     %d, \"running\": %d, \"workers\": %d, \"breaker_open\": %b, \
+     \"p95_ms\": %s, %s, \"cache_rejects\": %d}}"
     id (Executor.pending ex) (Executor.running ex) (Executor.workers ex)
-    (Executor.restarts ex)
-    (Executor.watchdog_fires ex)
     (Clock.now () < server.breaker_until)
     (Protocol.json_float (p95_ms server))
-    (Atomic.get server.s_served)
-    (Atomic.get server.s_degraded)
-    (Atomic.get server.s_rejected)
-    cache_hits cache_misses cache_rejects
+    (stats_members (server_stats server))
+    cache_rejects
 
-(* Dispatch one request line. Cheap ops (ping, malformed, breaker and
-   backpressure rejections, the inline degraded answer) are handled on
-   the session thread; solves and sleeps go to the worker pool. *)
+(* Hand one request to the worker pool. Exactly-once response
+   resolution: the task claims its ticket before answering; the
+   supervisor's [on_abandon] answers instead when the claim is lost to
+   a crash or watchdog deposal. Whoever wins also runs the epilogue
+   ([finish_task]) — never both. A pool that refuses the request
+   answers a degrade-opted one inline with the heuristic rung, and
+   rejects the rest. *)
+let submit server conn rq =
+  let id_text = rq.rq_id_text in
+  let ticket_cell = ref None in
+  let task () =
+    let t0 = Clock.now () in
+    Trace.with_context [ ("req", Trace.Str id_text) ] (fun () ->
+        let run () =
+          execute ~default_time_limit:server.cfg.default_time_limit
+            ~cache:server.cfg.cache rq
+        in
+        let failed, degraded, resp =
+          if Trace.enabled () then Trace.span "serve.request" run else run ()
+        in
+        let won =
+          match Mutex.protect conn.c_lock (fun () -> !ticket_cell) with
+          | Some tk -> Executor.claim tk
+          | None -> true
+        in
+        if won then begin
+          let wall_ms = (Clock.now () -. t0) *. 1e3 in
+          Metrics.observe
+            (match rq.rq_op with
+            | Eco _ -> m_lat_eco
+            | Sleep _ -> m_lat_sleep
+            | _ -> m_lat_solve)
+            wall_ms;
+          answer ~failed ~degraded ~req:id_text server conn resp;
+          Log.info
+            ~fields:
+              [
+                ("conn", Trace.Int conn.c_id);
+                ("ok", Trace.Bool (not failed));
+                ("wall_ms", Trace.Float wall_ms);
+              ]
+            "request served";
+          finish_task server conn ticket_cell
+        end)
+  in
+  let on_abandon reason =
+    let code, msg =
+      match reason with
+      | Executor.Crashed e ->
+        ("worker_crashed", "worker domain died mid-request: " ^ e)
+      | Executor.Timed_out elapsed ->
+        ( "watchdog_timeout",
+          Printf.sprintf
+            "request exceeded the %.3gs watchdog deadline (ran %.3fs); \
+             worker replaced"
+            server.cfg.watchdog elapsed )
+      | Executor.Dropped ->
+        ("dropped", "server shut down before the request ran")
+    in
+    Log.warn
+      ~fields:[ ("conn", Trace.Int conn.c_id); ("req", Trace.Str id_text) ]
+      "request abandoned: %s" code;
+    answer ~failed:true server conn (error_response ~id:rq.rq_id ~code msg);
+    finish_task server conn ticket_cell
+  in
+  let submitted =
+    Mutex.protect conn.c_lock (fun () ->
+        match conn.c_state with
+        | Dead | Closed -> Ok ()
+        | Reading | Draining -> (
+          match Executor.submit ~on_abandon server.executor task with
+          | Ok ticket ->
+            (* the submit happens under [c_lock], which the task's
+               epilogue also takes: the cell is filled before any
+               worker can reach [finish_task] *)
+            ticket_cell := Some ticket;
+            conn.c_tickets <- ticket :: conn.c_tickets;
+            conn.c_inflight <- conn.c_inflight + 1;
+            Ok ()
+          | Error _ as e -> e))
+  in
+  match submitted with
+  | Ok () -> ()
+  | Error reject -> (
+    let inline =
+      match reject with
+      | Executor.Overloaded _ -> execute_degraded_inline ~id:rq.rq_id rq.rq_op
+      | Executor.Shutting_down -> None
+    in
+    match inline with
+    | Some (failed, degraded, resp) ->
+      Log.info
+        ~fields:[ ("conn", Trace.Int conn.c_id); ("req", Trace.Str id_text) ]
+        "pool saturated: answered with the inline heuristic rung";
+      answer ~failed ~degraded ~req:id_text server conn resp
+    | None ->
+      let code, msg =
+        match reject with
+        | Executor.Overloaded depth ->
+          ( "overloaded",
+            Printf.sprintf "%d requests already pending (max %d); retry later"
+              depth server.cfg.max_pending )
+        | Executor.Shutting_down -> ("shutting_down", "server is shutting down")
+      in
+      Log.warn
+        ~fields:[ ("conn", Trace.Int conn.c_id); ("req", Trace.Str id_text) ]
+        "rejected: %s" code;
+      answer ~rejected:true server conn (error_response ~id:rq.rq_id ~code msg))
+
+(* Dispatch one request line. Cheap ops (ping, metrics, malformed and
+   breaker rejections) are answered on the session thread; solves,
+   ecos and sleeps go to the worker pool. *)
 let dispatch server conn line =
-  if String.trim line <> "" then begin
-    (* every answered protocol line, whatever its outcome *)
-    Metrics.incr m_requests;
+  if String.trim line <> "" then
     match parse_request line with
     | Error (id, msg) ->
-      bump server.s_served;
-      bump server.s_failed;
-      Metrics.incr m_failed;
-      Log.warn
-        ~fields:[ ("conn", Trace.Int conn.c_id) ]
-        "bad request: %s" msg;
-      ignore (write_line server conn (error_response ~id ~code:"bad_request" msg))
+      Log.warn ~fields:[ ("conn", Trace.Int conn.c_id) ] "bad request: %s" msg;
+      answer ~failed:true server conn
+        (error_response ~id ~code:"bad_request" msg)
     | Ok { rq_op = Ping; rq_id; _ } ->
-      bump server.s_served;
-      ignore (write_line server conn (health_response server ~id:rq_id))
+      answer server conn (health_response server ~id:rq_id)
     | Ok { rq_op = Metrics_dump; rq_id; _ } ->
       (* cheap like ping: a snapshot merge over a handful of blocks,
          answered on the session thread so it works under saturation *)
-      bump server.s_served;
-      ignore (write_line server conn (metrics_response ~id:rq_id))
-    | Ok rq ->
-      let id_text = rq.rq_id_text in
-      let breaker =
-        match rq.rq_op with
-        (* sleep occupies a worker exactly like a solve, so admission
-           control covers both; ping stays exempt — it is the health
-           probe clients use to decide when to retry *)
-        | Solve _ | Eco _ | Sleep _ -> breaker_check server
-        | Ping | Metrics_dump -> None
-      in
-      (match breaker with
+      answer server conn (metrics_response ~id:rq_id)
+    | Ok rq -> (
+      (* sleep occupies a worker exactly like a solve, so admission
+         control covers both; ping stays exempt — it is the health
+         probe clients use to decide when to retry *)
+      match breaker_check server with
+      | None -> submit server conn rq
       | Some wait_s ->
-        bump server.s_rejected;
-        Metrics.incr m_rejected;
         Log.warn
-          ~fields:[ ("conn", Trace.Int conn.c_id); ("req", Trace.Str id_text) ]
+          ~fields:
+            [ ("conn", Trace.Int conn.c_id); ("req", Trace.Str rq.rq_id_text) ]
           "rejected: breaker_open";
-        ignore
-          (write_line server conn
-             (error_response ~id:rq.rq_id ~code:"breaker_open"
-                ~retry_after_ms:(wait_s *. 1e3)
-                (Printf.sprintf
-                   "circuit breaker open (overload); retry in %.0f ms"
-                   (wait_s *. 1e3))))
-      | None ->
-      Mutex.protect conn.c_lock (fun () ->
-          match conn.c_state with
-          | Dead | Closed -> ()
-          | Reading | Draining -> begin
-            let ticket_cell = ref None in
-            (* exactly-once response resolution: the task claims its
-               ticket before answering; the supervisor's [on_abandon]
-               answers instead when the claim is lost to a crash or
-               watchdog deposal. Whoever wins also runs the epilogue
-               ([finish_task]) — never both. *)
-            let task () =
-              let t0 = Clock.now () in
-              Trace.with_context [ ("req", Trace.Str id_text) ] (fun () ->
-                  let failed, degraded, resp =
-                    if Trace.enabled () then
-                      Trace.span "serve.request" (fun () ->
-                          execute
-                            ~default_time_limit:
-                              server.cfg.default_time_limit
-                            ~cache:server.cfg.cache rq)
-                    else
-                      execute
-                        ~default_time_limit:server.cfg.default_time_limit
-                        ~cache:server.cfg.cache rq
-                  in
-                  let ticket =
-                    Mutex.protect conn.c_lock (fun () -> !ticket_cell)
-                  in
-                  let won =
-                    match ticket with
-                    | Some tk -> Executor.claim tk
-                    | None -> true
-                  in
-                  if won then begin
-                    let wall_ms = (Clock.now () -. t0) *. 1e3 in
-                    bump server.s_served;
-                    if failed then begin
-                      bump server.s_failed;
-                      Metrics.incr m_failed
-                    end;
-                    if degraded then begin
-                      bump server.s_degraded;
-                      Metrics.incr m_degraded;
-                      if Trace.enabled () then
-                        Trace.instant "serve.degraded"
-                          ~args:[ ("req", Trace.Str id_text) ]
-                    end;
-                    Metrics.observe
-                      (match rq.rq_op with
-                      | Eco _ -> m_lat_eco
-                      | Sleep _ -> m_lat_sleep
-                      | _ -> m_lat_solve)
-                      wall_ms;
-                    record_latency server wall_ms;
-                    ignore (write_line server conn resp);
-                    Log.info
-                      ~fields:
-                        [
-                          ("conn", Trace.Int conn.c_id);
-                          ("ok", Trace.Bool (not failed));
-                          ("wall_ms", Trace.Float wall_ms);
-                        ]
-                      "request served";
-                    finish_task server conn ticket_cell
-                  end)
-            in
-            let on_abandon reason =
-              let code, msg =
-                match reason with
-                | Executor.Crashed e ->
-                  ("worker_crashed", "worker domain died mid-request: " ^ e)
-                | Executor.Timed_out elapsed ->
-                  ( "watchdog_timeout",
-                    Printf.sprintf
-                      "request exceeded the %.3gs watchdog deadline (ran \
-                       %.3fs); worker replaced"
-                      server.cfg.watchdog elapsed )
-                | Executor.Dropped ->
-                  ("dropped", "server shut down before the request ran")
-              in
-              bump server.s_served;
-              bump server.s_failed;
-              Metrics.incr m_failed;
-              Log.warn
-                ~fields:
-                  [ ("conn", Trace.Int conn.c_id); ("req", Trace.Str id_text) ]
-                "request abandoned: %s" code;
-              ignore
-                (write_line server conn
-                   (error_response ~id:rq.rq_id ~code msg));
-              finish_task server conn ticket_cell
-            in
-            match Executor.submit ~on_abandon server.executor task with
-            | Ok ticket ->
-              (* the submit happens under [c_lock], which the task's
-                 epilogue also takes: the cell is filled before any
-                 worker can reach [finish_task] *)
-              ticket_cell := Some ticket;
-              conn.c_tickets <- ticket :: conn.c_tickets;
-              conn.c_inflight <- conn.c_inflight + 1
-            | Error reject ->
-              let degraded_inline =
-                match (reject, rq.rq_op) with
-                | Executor.Overloaded _, Solve q when q.sq_degrade ->
-                  execute_degraded_inline ~id:rq.rq_id q
-                | Executor.Overloaded _, Eco e when e.eq_base.sq_degrade -> (
-                  (* the heuristic rung must answer for the EDITED
-                     instance, not the base it was derived from *)
-                  match
-                    let inst, _ = materialize_workload e.eq_base in
-                    Instance.Edit.apply_all inst e.eq_edits
-                  with
-                  | Ok edited ->
-                    execute_degraded_inline ~id:rq.rq_id
-                      { e.eq_base with sq_workload = Inline (edited, None) }
-                  | Error _ -> None
-                  | exception _ -> None)
-                | _ -> None
-              in
-              (match degraded_inline with
-              | Some (failed, degraded, resp) ->
-                bump server.s_served;
-                if failed then begin
-                  bump server.s_failed;
-                  Metrics.incr m_failed
-                end;
-                if degraded then begin
-                  bump server.s_degraded;
-                  Metrics.incr m_degraded;
-                  if Trace.enabled () then
-                    Trace.instant "serve.degraded"
-                      ~args:[ ("req", Trace.Str id_text) ]
-                end;
-                Log.info
-                  ~fields:
-                    [
-                      ("conn", Trace.Int conn.c_id);
-                      ("req", Trace.Str id_text);
-                    ]
-                  "pool saturated: answered with the inline heuristic rung";
-                ignore (enqueue_locked conn resp)
-              | None ->
-                bump server.s_rejected;
-                Metrics.incr m_rejected;
-                let code, msg =
-                  match reject with
-                  | Executor.Overloaded depth ->
-                    ( "overloaded",
-                      Printf.sprintf
-                        "%d requests already pending (max %d); retry later"
-                        depth server.cfg.max_pending )
-                  | Executor.Shutting_down ->
-                    ("shutting_down", "server is shutting down")
-                in
-                Log.warn
-                  ~fields:
-                    [ ("conn", Trace.Int conn.c_id); ("req", Trace.Str id_text) ]
-                  "rejected: %s" code;
-                (* already under [c_lock]: enqueue directly; the loop
-                   (which is running this dispatch) flushes it next turn *)
-                ignore
-                  (enqueue_locked conn (error_response ~id:rq.rq_id ~code msg)))
-          end))
-  end
+        answer ~rejected:true server conn
+          (error_response ~id:rq.rq_id ~code:"breaker_open"
+             ~retry_after_ms:(wait_s *. 1e3)
+             (Printf.sprintf "circuit breaker open (overload); retry in %.0f ms"
+                (wait_s *. 1e3))))
 
-(* Feed freshly-read bytes through the line splitter. *)
+(* Feed freshly-read bytes through the line splitter. Only the new
+   bytes are scanned for newlines, and a line's bytes are appended once
+   to its buffer; a line over [max_line_bytes] is answered [too_large]
+   when it crosses the bound and its remainder is dropped. *)
 let feed server conn chunk =
-  let data = conn.c_partial ^ chunk in
-  let lines = String.split_on_char '\n' data in
-  let rec go = function
-    | [] -> ()
-    | [ last ] -> conn.c_partial <- last
-    | line :: rest ->
-      dispatch server conn line;
-      go rest
+  let n = String.length chunk in
+  let take start len =
+    if not conn.c_skipping then
+      if Buffer.length conn.c_line + len <= max_line_bytes then
+        Buffer.add_substring conn.c_line chunk start len
+      else begin
+        Buffer.reset conn.c_line;
+        conn.c_skipping <- true;
+        Log.warn
+          ~fields:[ ("conn", Trace.Int conn.c_id) ]
+          "request line too large";
+        answer ~failed:true server conn
+          (error_response ~id:"null" ~code:"too_large"
+             (Printf.sprintf "request line over %d bytes" max_line_bytes))
+      end
   in
-  go lines
+  let rec go start =
+    match String.index_from_opt chunk start '\n' with
+    | None -> take start (n - start)
+    | Some i ->
+      take start (i - start);
+      let line = Buffer.contents conn.c_line in
+      Buffer.reset conn.c_line;
+      if conn.c_skipping then conn.c_skipping <- false
+      else dispatch server conn line;
+      go (i + 1)
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Listeners                                                           *)
@@ -1093,73 +1136,76 @@ let feed server conn chunk =
 
 let unlink_quiet path = try Unix.unlink path with Unix.Unix_error _ -> ()
 
-let bind_listeners cfg =
-  let opened = ref [] in
-  let cleanup () =
-    List.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) !opened
-  in
-  try
-    (match cfg.socket with
-    | Some path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      unlink_quiet path;
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      opened := (fd, "unix:" ^ path) :: !opened
-    | None -> ());
-    (match cfg.port with
-    | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd
-        (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, port));
-      Unix.listen fd 64;
-      opened := (fd, Printf.sprintf "tcp:%s:%d" cfg.host port) :: !opened
-    | None -> ());
-    match !opened with
-    | [] -> Error "serve: no listener (give --socket and/or --port)"
-    | ls -> Ok (List.rev ls)
-  with
+(* [f ()], with a bind/listen failure as an [Error] message *)
+let binding what f =
+  try Ok (f ()) with
   | Unix.Unix_error (e, fn, arg) ->
-    cleanup ();
     Error
-      (Printf.sprintf "serve: %s(%s): %s" fn arg (Unix.error_message e))
+      (Printf.sprintf "serve: %s%s(%s): %s" what fn arg (Unix.error_message e))
   | Failure msg ->
     (* inet_addr_of_string *)
-    cleanup ();
     Error (Printf.sprintf "serve: bad host address: %s" msg)
 
-(* The optional Prometheus listener is bound separately from the
-   protocol listeners: it is plain HTTP, never mixes with the JSON-lines
-   protocol, and its absence must not stop the daemon from serving. *)
-let bind_metrics_listener cfg =
-  match cfg.metrics_port with
-  | None -> Ok None
-  | Some port -> (
-    try
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, port));
-      Unix.listen fd 16;
-      Ok (Some fd)
-    with
-    | Unix.Unix_error (e, fn, arg) ->
-      Error
-        (Printf.sprintf "serve: metrics %s(%s): %s" fn arg
-           (Unix.error_message e))
-    | Failure msg -> Error (Printf.sprintf "serve: bad host address: %s" msg))
+(* Bind and listen on a fresh socket, closing it if either fails. *)
+let listen_on domain addr =
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  try
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd addr;
+    Unix.listen fd 64;
+    fd
+  with e ->
+    Unix.close fd;
+    raise e
+
+let tcp_listener cfg port =
+  listen_on Unix.PF_INET
+    (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, port))
+
+let close_listeners = List.iter (fun (fd, _) -> try Unix.close fd with _ -> ())
+
+let bind_listeners cfg =
+  let opened = ref [] in
+  match
+    binding "" (fun () ->
+        Option.iter
+          (fun path ->
+            unlink_quiet path;
+            opened :=
+              (listen_on Unix.PF_UNIX (Unix.ADDR_UNIX path), "unix:" ^ path)
+              :: !opened)
+          cfg.socket;
+        Option.iter
+          (fun port ->
+            opened :=
+              (tcp_listener cfg port, Printf.sprintf "tcp:%s:%d" cfg.host port)
+              :: !opened)
+          cfg.port;
+        List.rev !opened)
+  with
+  | Error _ as e ->
+    close_listeners !opened;
+    e
+  | Ok [] -> Error "serve: no listener (give --socket and/or --port)"
+  | Ok _ as ok -> ok
 
 let create cfg =
   match bind_listeners cfg with
   | Error _ as e -> e
   | Ok listeners ->
-  match bind_metrics_listener cfg with
+  (* the Prometheus listener is plain HTTP, never mixed with the
+     JSON-lines protocol listeners *)
+  match
+    binding "metrics " (fun () ->
+        Option.map (tcp_listener cfg) cfg.metrics_port)
+  with
   | Error msg ->
-    List.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) listeners;
+    close_listeners listeners;
     Error msg
   | Ok metrics_listener ->
     (* the daemon always keeps its own metrics hot: the registry is the
-       source for both the [metrics] op and the Prometheus endpoint *)
+       source for health, stats, the [metrics] op and the Prometheus
+       endpoint *)
     Metrics.enable ();
     let stop_r, stop_w = Unix.pipe () in
     (* wake-ups must never block a worker: a full pipe already means a
@@ -1170,6 +1216,7 @@ let create cfg =
         ~max_pending:(max 0 cfg.max_pending) ~watchdog:cfg.watchdog
         ?chaos:cfg.chaos ()
     in
+    let latency = latency_read () in
     Ok
       {
         cfg;
@@ -1179,17 +1226,8 @@ let create cfg =
         stop_r;
         stop_w;
         stopped = Atomic.make false;
-        s_connections = Atomic.make 0;
-        s_served = Atomic.make 0;
-        s_rejected = Atomic.make 0;
-        s_failed = Atomic.make 0;
-        s_degraded = Atomic.make 0;
-        s_breaker_trips = Atomic.make 0;
-        lat_lock = Mutex.create ();
-        lat_cur = Array.make (Array.length lat_bounds + 1) 0;
-        lat_prev = Array.make (Array.length lat_bounds + 1) 0;
-        lat_cur_n = 0;
-        lat_count = 0;
+        baseline = registry_stats ();
+        marks = (latency, latency);
         breaker_until = neg_infinity;
       }
 
@@ -1241,14 +1279,11 @@ let run server =
           ]
         "listening on %s" desc)
     server.listeners;
-  (match server.metrics_listener with
-  | Some _ ->
-    Log.info
-      ~fields:
-        [ ("port", Trace.Int (Option.value ~default:0 server.cfg.metrics_port)) ]
-      "metrics endpoint listening on tcp:%s:%d" server.cfg.host
-      (Option.value ~default:0 server.cfg.metrics_port)
-  | None -> ());
+  Option.iter
+    (fun port ->
+      Log.info ~fields:[ ("port", Trace.Int port) ]
+        "metrics endpoint listening on tcp:%s:%d" server.cfg.host port)
+    server.cfg.metrics_port;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let http_conns : (Unix.file_descr, http_conn) Hashtbl.t = Hashtbl.create 4 in
   let next_conn_id = ref 0 in
@@ -1259,7 +1294,6 @@ let run server =
     | fd, _addr ->
       Unix.set_nonblock fd;
       incr next_conn_id;
-      Atomic.incr server.s_connections;
       Metrics.incr m_connections;
       Log.debug ~fields:[ ("conn", Trace.Int !next_conn_id) ] "session open";
       Hashtbl.replace conns fd
@@ -1268,7 +1302,8 @@ let run server =
           c_fd = fd;
           c_lock = Mutex.create ();
           c_state = Reading;
-          c_partial = "";
+          c_line = Buffer.create 256;
+          c_skipping = false;
           c_out = Queue.create ();
           c_out_off = 0;
           c_out_bytes = 0;
@@ -1282,9 +1317,7 @@ let run server =
       (* client finished sending; an unterminated trailing line is
          still a request, then the session stays open only until its
          in-flight requests have answered and their responses flushed *)
-      let tail = conn.c_partial in
-      conn.c_partial <- "";
-      if String.trim tail <> "" then dispatch server conn tail;
+      feed server conn "\n";
       Mutex.protect conn.c_lock (fun () ->
           if conn.c_state = Reading then conn.c_state <- Draining)
     | n ->
@@ -1298,39 +1331,6 @@ let run server =
       (* any other read error — ECONNRESET, EPIPE, ... — drops the
          session; the prune pass closes it *)
       Mutex.protect conn.c_lock (fun () -> kill_conn_locked conn)
-  in
-  (* Drain queued output into a writable socket. Non-blocking, so a
-     slow reader never stalls the loop: it just keeps write interest. *)
-  let flush_conn conn =
-    Mutex.protect conn.c_lock (fun () ->
-        if conn.c_state = Reading || conn.c_state = Draining then
-          let rec go () =
-            match Queue.peek_opt conn.c_out with
-            | None -> ()
-            | Some s -> (
-              let len = String.length s - conn.c_out_off in
-              match Unix.write_substring conn.c_fd s conn.c_out_off len with
-              | w ->
-                Metrics.incr m_bytes_out ~by:(float_of_int w);
-                conn.c_out_bytes <- conn.c_out_bytes - w;
-                if w = len then begin
-                  ignore (Queue.pop conn.c_out);
-                  conn.c_out_off <- 0;
-                  go ()
-                end
-                else conn.c_out_off <- conn.c_out_off + w
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-              | exception Unix.Unix_error (e, _, _) ->
-                Log.debug
-                  ~fields:[ ("conn", Trace.Int conn.c_id) ]
-                  "write failed (%s): dropping session"
-                  (Unix.error_message e);
-                kill_conn_locked conn)
-          in
-          go ())
   in
   let close_http hc =
     Hashtbl.remove http_conns hc.hc_fd;
@@ -1496,7 +1496,8 @@ let run server =
         List.iter
           (fun fd ->
             match Hashtbl.find_opt conns fd with
-            | Some conn -> flush_conn conn
+            | Some conn ->
+              Mutex.protect conn.c_lock (fun () -> flush_locked conn)
             | None -> (
               match Hashtbl.find_opt http_conns fd with
               | Some hc -> write_http hc
@@ -1510,89 +1511,37 @@ let run server =
      accepted request still gets its response, flush what the drain
      enqueued (bounded by a send timeout — a client that stopped
      reading cannot wedge shutdown), then tear the sessions down *)
-  List.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) server.listeners;
-  (match server.metrics_listener with
-  | Some fd -> ( try Unix.close fd with _ -> ())
-  | None -> ());
+  close_listeners server.listeners;
+  Option.iter
+    (fun fd -> try Unix.close fd with _ -> ())
+    server.metrics_listener;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with _ -> ()) http_conns;
   Hashtbl.reset http_conns;
   (match server.cfg.socket with Some p -> unlink_quiet p | None -> ());
-  (* read the supervision counters before the executor is torn down;
-     the drain itself may still add restarts, so read them after *)
   Executor.shutdown ~drain:true server.executor;
-  let restarts = Executor.restarts server.executor in
-  let watchdog_fires = Executor.watchdog_fires server.executor in
-  Hashtbl.iter
-    (fun _ conn ->
+  List.iter
+    (fun conn ->
       Mutex.protect conn.c_lock (fun () ->
-          (if conn.c_state = Reading || conn.c_state = Draining then begin
-             (try
-                Unix.clear_nonblock conn.c_fd;
-                Unix.setsockopt_float conn.c_fd Unix.SO_SNDTIMEO 5.0
-              with Unix.Unix_error _ -> ());
-             try
-               while not (Queue.is_empty conn.c_out) do
-                 let s = Queue.peek conn.c_out in
-                 let w =
-                   Unix.write_substring conn.c_fd s conn.c_out_off
-                     (String.length s - conn.c_out_off)
-                 in
-                 if conn.c_out_off + w = String.length s then begin
-                   ignore (Queue.pop conn.c_out);
-                   conn.c_out_off <- 0
-                 end
-                 else conn.c_out_off <- conn.c_out_off + w
-               done
-             with Unix.Unix_error _ -> ()
-           end);
-          if conn.c_state <> Closed then begin
-            conn.c_state <- Closed;
-            (try Unix.close conn.c_fd with Unix.Unix_error _ -> ())
-          end))
-    conns;
+          if conn.c_state = Reading || conn.c_state = Draining then begin
+            (try
+               Unix.clear_nonblock conn.c_fd;
+               Unix.setsockopt_float conn.c_fd Unix.SO_SNDTIMEO 5.0
+             with Unix.Unix_error _ -> ());
+            flush_locked conn
+          end);
+      close_conn conn)
+    (List.of_seq (Hashtbl.to_seq_values conns));
   (try Unix.close server.stop_r with _ -> ());
   (try Unix.close server.stop_w with _ -> ());
-  let cache_hits, cache_misses, _ = cache_counters server in
-  let stats =
-    {
-      connections = Atomic.get server.s_connections;
-      served = Atomic.get server.s_served;
-      rejected = Atomic.get server.s_rejected;
-      failed = Atomic.get server.s_failed;
-      degraded = Atomic.get server.s_degraded;
-      restarts;
-      watchdog_fires;
-      breaker_trips = Atomic.get server.s_breaker_trips;
-      cache_hits;
-      cache_misses;
-    }
-  in
+  (* read after the drain: it may still answer requests and respawn
+     workers *)
+  let stats = server_stats server in
+  let fields = stats_fields stats in
   if Trace.enabled () then
     Trace.counter "serve.stats"
-      [
-        ("served", float_of_int stats.served);
-        ("rejected", float_of_int stats.rejected);
-        ("failed", float_of_int stats.failed);
-        ("degraded", float_of_int stats.degraded);
-        ("restarts", float_of_int stats.restarts);
-        ("breaker_trips", float_of_int stats.breaker_trips);
-        ("cache_hits", float_of_int stats.cache_hits);
-        ("cache_misses", float_of_int stats.cache_misses);
-      ];
+      (List.map (fun (k, v) -> (k, float_of_int v)) fields);
   Log.info
-    ~fields:
-      [
-        ("connections", Trace.Int stats.connections);
-        ("served", Trace.Int stats.served);
-        ("rejected", Trace.Int stats.rejected);
-        ("failed", Trace.Int stats.failed);
-        ("degraded", Trace.Int stats.degraded);
-        ("restarts", Trace.Int stats.restarts);
-        ("watchdog_fires", Trace.Int stats.watchdog_fires);
-        ("breaker_trips", Trace.Int stats.breaker_trips);
-        ("cache_hits", Trace.Int stats.cache_hits);
-        ("cache_misses", Trace.Int stats.cache_misses);
-      ]
+    ~fields:(List.map (fun (k, v) -> (k, Trace.Int v)) fields)
     "server stopped";
   stats
 

@@ -87,7 +87,10 @@
      "error": {"code": "overloaded", "message": "..."}}
     v}
 
-    with [code] one of [bad_request], [overloaded], [shutting_down],
+    with [code] one of [bad_request], [too_large] (the request line
+    is longer than {!max_line_bytes}; the line is dropped up to its
+    newline and the response's [id] is [null]), [overloaded],
+    [shutting_down],
     [infeasible], [edit_failed] (an [eco] edit chain could not be
     applied), [time_limit], [solver_failure], [embedding_failure],
     [degraded_failed] (every ladder rung failed), [worker_crashed] (the
@@ -103,28 +106,35 @@
     of order).
 
     [ping] responses carry a [health] object — queue depth, running and
-    live worker counts, supervision counters ([restarts],
-    [watchdog_fires]), breaker state, the served/degraded/rejected
-    totals and the warm-start cache counters ([cache_hits],
-    [cache_misses], [cache_rejects]; zeros when the daemon runs
-    cacheless) — so clients can make admission decisions without a
-    separate endpoint.
+    live worker counts, breaker state and p95, every {!stats} member
+    so far (sessions, served/rejected/failed/degraded totals,
+    supervision counters, breaker trips, warm-start cache hits and
+    misses; cache counters are zeros when the daemon runs cacheless)
+    and [cache_rejects] — so clients can make admission decisions
+    without a separate endpoint.
 
     {2 Metrics}
 
     The daemon enables the {!Lubt_obs.Metrics} registry and counts its
-    request path into it: requests by outcome, per-op latency
-    histograms ([lubt_serve_request_latency_ms]), breaker trips, bytes
+    request path into it: answered requests
+    ([lubt_requests_total]) and their failures, degradations and
+    rejections, per-op latency histograms
+    ([lubt_serve_request_latency_ms]), breaker trips, sessions, bytes
     in/out, plus whatever the solver layers record (simplex work
     counters, EBF rounds, executor supervision, warm-start cache
-    outcomes). Two exports read the same registry snapshot: the
+    outcomes). The registry is the daemon's only request accounting:
+    [ping] health and the shutdown {!stats} read it too ([served] is
+    requests minus rejections), less the values it held when {!create}
+    ran, since one process may host several daemons in turn. The
+    registry must therefore not be {!Lubt_obs.Metrics.reset} while a
+    daemon runs. Two exports render the same registry snapshot: the
     ["metrics"] protocol op (JSON), and — with [metrics_port] set — a
     Prometheus text-exposition endpoint ([GET /metrics]) on a plain
     HTTP listener handled entirely on the accept loop, so a scraper can
-    never occupy a worker. The circuit breaker's p95 is itself read
-    from a rolling two-epoch latency histogram over the same bucket
-    grid (O(buckets) per admission check rather than sorting a window
-    under the lock).
+    never occupy a worker. The circuit breaker reads its p95 from the
+    latency histograms as well: the difference between the current
+    read and one taken two window marks ago, a mark moving forward
+    every 128 completed requests (O(buckets) per admission check).
 
     {2 Scheduling and observability}
 
@@ -177,6 +187,10 @@ type config = {
           way. *)
 }
 
+val max_line_bytes : int
+(** The longest request line the daemon reads (8 MiB, newline
+    excluded); a longer one is answered with [too_large]. *)
+
 val default_config : config
 (** No listeners ([create] requires at least one of [socket]/[port]),
     [jobs = 4], [max_pending = 64], no default deadline, watchdog and
@@ -199,6 +213,11 @@ type stats = {
       (** warm-start cache misses over the server's lifetime; 0 when
           cacheless *)
 }
+
+val stats_json : stats -> string
+(** [stats] as the one-line JSON object [lubt serve] prints on exit,
+    one member per field in declaration order. [ping] health carries
+    the same members. *)
 
 type server
 

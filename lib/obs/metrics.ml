@@ -249,54 +249,66 @@ let merge_histogram a b =
 
 let quantile h q = Buckets.quantile ~bounds:h.h_bounds ~counts:h.h_counts q
 
-let snapshot () =
+let live_blocks () =
   let gen = Atomic.get generation in
-  let live =
-    Mutex.protect blocks_lock (fun () ->
-        List.filter (fun b -> b.blk_gen = gen) !blocks)
+  Mutex.protect blocks_lock (fun () ->
+      List.filter (fun b -> b.blk_gen = gen) !blocks)
+
+(* One metric merged over the [live] blocks: the single merge behind
+   [snapshot] and the per-handle reads. *)
+let value_of live d =
+  let cells =
+    List.filter_map
+      (fun b ->
+        if d.m_id < Array.length b.cells then
+          match b.cells.(d.m_id) with C_empty -> None | c -> Some c
+        else None)
+      live
   in
+  match d.m_kind with
+  | KGauge a -> Gauge (Atomic.get a)
+  | KCounter ->
+    Counter
+      (List.fold_left
+         (fun acc c -> match c with C_counter x -> acc +. x.c | _ -> acc)
+         0.0 cells)
+  | KHist bounds ->
+    let counts = Array.make (Array.length bounds + 1) 0 in
+    let sum = ref 0.0 in
+    List.iter
+      (fun c ->
+        match c with
+        | C_hist h ->
+          Array.iteri (fun i v -> counts.(i) <- counts.(i) + v) h.counts;
+          sum := !sum +. h.sum
+        | _ -> ())
+      cells;
+    (* the total is derived from the merged buckets, not kept per
+       cell: a snapshot racing an owner's [observe] then still has
+       [h_count] equal to the sum of [h_counts] *)
+    Histogram
+      {
+        h_bounds = Array.copy bounds;
+        h_counts = counts;
+        h_sum = !sum;
+        h_count = Array.fold_left ( + ) 0 counts;
+      }
+
+let read_counter (d : counter) =
+  match value_of (live_blocks ()) d with
+  | Counter v -> v
+  | _ -> invalid_arg "Metrics.read_counter: not a counter"
+
+let read_histogram (d : histogram) =
+  match value_of (live_blocks ()) d with
+  | Histogram h -> h
+  | _ -> invalid_arg "Metrics.read_histogram: not a histogram"
+
+let snapshot () =
+  let live = live_blocks () in
   let ds = Mutex.protect defs_lock (fun () -> List.rev !defs) in
   List.map
     (fun d ->
-      let cells =
-        List.filter_map
-          (fun b ->
-            if d.m_id < Array.length b.cells then
-              match b.cells.(d.m_id) with C_empty -> None | c -> Some c
-            else None)
-          live
-      in
-      let value =
-        match d.m_kind with
-        | KGauge a -> Gauge (Atomic.get a)
-        | KCounter ->
-          Counter
-            (List.fold_left
-               (fun acc c ->
-                 match c with C_counter x -> acc +. x.c | _ -> acc)
-               0.0 cells)
-        | KHist bounds ->
-          let counts = Array.make (Array.length bounds + 1) 0 in
-          let sum = ref 0.0 in
-          List.iter
-            (fun c ->
-              match c with
-              | C_hist h ->
-                Array.iteri (fun i v -> counts.(i) <- counts.(i) + v) h.counts;
-                sum := !sum +. h.sum
-              | _ -> ())
-            cells;
-          (* the total is derived from the merged buckets, not kept per
-             cell: a snapshot racing an owner's [observe] then still has
-             [h_count] equal to the sum of [h_counts] *)
-          Histogram
-            {
-              h_bounds = Array.copy bounds;
-              h_counts = counts;
-              h_sum = !sum;
-              h_count = Array.fold_left ( + ) 0 counts;
-            }
-      in
       { s_name = d.m_name; s_help = d.m_help; s_labels = d.m_labels;
-        s_value = value })
+        s_value = value_of live d })
     ds

@@ -33,9 +33,10 @@ type counter
 type gauge
 type histogram
 
-(** Bucket-layout helpers shared by the registry and by standalone
-    rolling histograms (the serve admission breaker keeps its own
-    windowed bucket counts and reads p95 through {!quantile}). *)
+(** Bucket-layout helpers: the registry's histograms use them, and a
+    reader can take {!quantile} over any bucket counts on a layout —
+    the serve admission breaker reads p95 off the difference of two
+    {!read_histogram} results this way. *)
 module Buckets : sig
   val log : lo:float -> hi:float -> count:int -> float array
   (** [log ~lo ~hi ~count] is [count] geometrically spaced upper
@@ -118,6 +119,13 @@ val snapshot : unit -> sample list
     Safe to call concurrently with recording: counter and bucket reads
     are unsynchronised (a snapshot racing a record may miss the very
     latest increments, never corrupt totals). *)
+
+val read_counter : counter -> float
+(** One counter merged across domains: the value {!snapshot} reports
+    for it, without merging every other metric. *)
+
+val read_histogram : histogram -> histogram_snapshot
+(** One histogram merged across domains, as {!snapshot} reports it. *)
 
 val merge_histogram :
   histogram_snapshot -> histogram_snapshot -> histogram_snapshot

@@ -143,6 +143,30 @@ let test_histogram_snapshot () =
           (Array.fold_left ( + ) 0 s.Metrics.h_counts)
       | _ -> Alcotest.fail "histogram sample missing")
 
+(* a handle read is the snapshot's value for that handle, merged over
+   every domain that recorded *)
+let test_handle_reads () =
+  with_enabled (fun () ->
+      let c = Metrics.counter "tm_read_total" in
+      let h = Metrics.histogram ~buckets:[| 1.0; 10.0 |] "tm_read_ms" in
+      let record () =
+        Metrics.incr ~by:2.0 c;
+        List.iter (Metrics.observe h) [ 0.5; 5.0; 50.0 ]
+      in
+      record ();
+      Domain.join (Domain.spawn record);
+      Alcotest.(check (float 0.0)) "counter read = snapshot"
+        (counter_value "tm_read_total") (Metrics.read_counter c);
+      Alcotest.(check (float 0.0)) "counter merges both domains" 4.0
+        (Metrics.read_counter c);
+      let r = Metrics.read_histogram h in
+      Alcotest.(check (array int)) "histogram merges both domains"
+        [| 2; 2; 2 |] r.Metrics.h_counts;
+      match find_sample "tm_read_ms" with
+      | Some { Metrics.s_value = Metrics.Histogram s; _ } ->
+        Alcotest.(check bool) "histogram read = snapshot" true (s = r)
+      | _ -> Alcotest.fail "histogram sample missing")
+
 (* Four domains hammer one counter and one histogram while the main
    domain snapshots concurrently: snapshots must never crash or report
    a total above the true one, and after the join the merge is exact. *)
@@ -359,6 +383,7 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "gauge and reset" `Quick test_gauge_and_reset;
           Alcotest.test_case "histogram snapshot" `Quick test_histogram_snapshot;
+          Alcotest.test_case "handle reads" `Quick test_handle_reads;
           Alcotest.test_case "4-domain record/merge race" `Quick
             test_concurrent_domains;
         ] );

@@ -3,8 +3,10 @@
    the one-shot report renderer, an in-process socket smoke over
    concurrent pipelined clients (responses matched by id, objectives
    identical to single-shot solves), bounded-queue backpressure,
-   per-request deadline expiry, and the malformed-input robustness
-   contract (a bad line never takes down the session or the daemon). *)
+   per-request deadline expiry, the malformed-input robustness
+   contract (a bad line never takes down the session or the daemon),
+   the request-line length bound, the agreement of health, metrics
+   dump and shutdown stats, and both circuit breakers. *)
 
 module Serve = Lubt_experiments.Serve
 module Protocol = Lubt_experiments.Protocol
@@ -330,7 +332,8 @@ let temp_socket () =
     (Printf.sprintf "lubt-test-%d-%d.sock" (Unix.getpid ()) (Random.int 100000))
 
 let with_daemon ?(jobs = 2) ?(max_pending = 64) ?(watchdog = infinity)
-    ?(breaker_queue = 0) ?(breaker_cooldown = 1.0) ?chaos f =
+    ?(breaker_p95_ms = infinity) ?(breaker_queue = 0) ?(breaker_cooldown = 1.0)
+    ?chaos f =
   let path = temp_socket () in
   let cfg =
     {
@@ -339,6 +342,7 @@ let with_daemon ?(jobs = 2) ?(max_pending = 64) ?(watchdog = infinity)
       jobs;
       max_pending;
       watchdog;
+      breaker_p95_ms;
       breaker_queue;
       breaker_cooldown;
       chaos;
@@ -563,6 +567,133 @@ let test_socket_deadline () =
   in
   ()
 
+(* send one line and read its one response *)
+let probe fd line =
+  send fd line;
+  match read_lines fd 1 with
+  | [ l ] -> parse_response l
+  | ls -> Alcotest.failf "expected 1 line, got %d" (List.length ls)
+
+(* a request line split across two writes is still one request; a line
+   at the length bound is parsed, one byte over it is answered once
+   with too_large, dropped to its newline, and the session goes on *)
+let test_socket_line_bound () =
+  let _, stats =
+    with_daemon (fun path ->
+        let fd = connect path in
+        let ping = {|{"id": "split", "op": "ping"}|} in
+        ignore (Unix.write_substring fd ping 0 10);
+        Unix.sleepf 0.05;
+        let j = probe fd (String.sub ping 10 (String.length ping - 10)) in
+        Alcotest.(check string) "split line answered as one" "split"
+          (response_id j);
+        let j = probe fd (String.make Serve.max_line_bytes 'x') in
+        Alcotest.(check string) "a line at the bound is parsed" "bad_request"
+          (error_code j);
+        send fd (String.make (Serve.max_line_bytes + 1) 'x');
+        send fd {|{"id": "after", "op": "ping"}|};
+        (match List.map parse_response (read_lines fd 2) with
+        | [ big; after ] ->
+          Alcotest.(check string) "one byte over is too_large" "too_large"
+            (error_code big);
+          Alcotest.(check bool) "too_large echoes a null id" true
+            (member_exn "id" big = Json.Null);
+          Alcotest.(check string) "the next line is served" "after"
+            (response_id after)
+        | ls -> Alcotest.failf "expected 2 lines, got %d" (List.length ls));
+        Unix.close fd)
+  in
+  Alcotest.(check int) "stats: bad_request and too_large failed" 2
+    stats.Serve.failed;
+  Alcotest.(check int) "stats: every answer served" 4 stats.Serve.served
+
+(* a counter's value in a [metrics] dump *)
+let dumped dump name =
+  match member_exn "metrics" dump with
+  | Json.Arr samples -> (
+    match
+      List.find_opt
+        (fun m -> Json.member "name" m = Some (Json.Str name))
+        samples
+    with
+    | Some m -> (
+      match Json.num (member_exn "value" m) with
+      | Some v -> int_of_float v
+      | None -> Alcotest.failf "%s has no numeric value" name)
+    | None -> Alcotest.failf "%s missing from the dump" name)
+  | _ -> Alcotest.fail "metrics is not an array"
+
+let health_count h name =
+  match Json.num (member_exn name (member_exn "health" h)) with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "health %s is not a number" name
+
+(* ping health, a metrics dump and the shutdown stats read one store:
+   after ok, malformed, overloaded and degraded requests, and a client
+   that hangs up with requests still queued (cancelled unanswered, so
+   counted nowhere), the three agree on every outcome count, up to the
+   probes this test sends itself *)
+let test_socket_counts_agree () =
+  let (h, d0, d1), stats =
+    with_daemon ~jobs:1 ~max_pending:4 (fun path ->
+        let fd = connect path in
+        let d0 = probe fd {|{"id": "m0", "op": "metrics"}|} in
+        let gone = connect path in
+        let sleep_on fd id ms =
+          send fd
+            (Printf.sprintf {|{"id": "%s", "op": "sleep", "ms": %d}|} id ms)
+        in
+        sleep_on gone "g1" 50;
+        Unix.sleepf 0.02;
+        List.iter (fun id -> sleep_on gone id 50) [ "g2"; "g3"; "g4"; "g5" ];
+        Unix.close gone;
+        (* g1's answer hits the closed socket; the session is dropped and
+           the requests still queued behind it are cancelled *)
+        Unix.sleepf 0.4;
+        send fd {|{"id": "ok", "bench": "prim1s", "size": "tiny"}|};
+        send fd "not json";
+        send fd
+          {|{"id": "deg", "bench": "prim1s", "size": "tiny", "degrade": true, "time_limit": 1e-9}|};
+        Alcotest.(check int) "first batch answered" 3
+          (List.length (read_lines fd 3));
+        sleep_on fd "slow" 300;
+        Unix.sleepf 0.1;
+        List.iter (fun id -> sleep_on fd id 1)
+          [ "q1"; "q2"; "q3"; "q4"; "over" ];
+        send fd
+          {|{"id": "inline", "bench": "prim1s", "size": "tiny", "degrade": true}|};
+        let lines = List.map parse_response (read_lines fd 7) in
+        Alcotest.(check int) "second batch answered" 7 (List.length lines);
+        let h = probe fd {|{"id": "h", "op": "ping"}|} in
+        let d1 = probe fd {|{"id": "m1", "op": "metrics"}|} in
+        Unix.close fd;
+        (h, d0, d1))
+  in
+  let delta name = dumped d1 name - dumped d0 name in
+  let served = health_count h "served" in
+  let rejected = health_count h "rejected" in
+  let failed = health_count h "failed" in
+  let degraded = health_count h "degraded" in
+  Alcotest.(check bool) "the overflow was rejected" true (rejected >= 1);
+  Alcotest.(check bool) "the malformed line failed" true (failed >= 1);
+  Alcotest.(check bool) "deadline and inline answers degraded" true
+    (degraded >= 2);
+  (* m0 is answered before health renders, the ping [h] after *)
+  Alcotest.(check int) "dump: requests = health served + rejected + ping"
+    (served + rejected + 1)
+    (delta "lubt_requests_total");
+  Alcotest.(check int) "dump: rejected" rejected
+    (delta "lubt_serve_rejected_total");
+  Alcotest.(check int) "dump: failed" failed (delta "lubt_serve_failed_total");
+  Alcotest.(check int) "dump: degraded" degraded
+    (delta "lubt_serve_degraded_total");
+  (* the stats also count the ping [h] and the dump [m1] *)
+  Alcotest.(check int) "stats: served" (served + 2) stats.Serve.served;
+  Alcotest.(check int) "stats: rejected" rejected stats.Serve.rejected;
+  Alcotest.(check int) "stats: failed" failed stats.Serve.failed;
+  Alcotest.(check int) "stats: degraded" degraded stats.Serve.degraded;
+  Alcotest.(check int) "stats: connections" 2 stats.Serve.connections
+
 (* ------------------------------------------------------------------ *)
 (* Fault tolerance: health, degradation, breaker, watchdog, chaos      *)
 (* ------------------------------------------------------------------ *)
@@ -676,6 +807,38 @@ let test_socket_breaker () =
     (stats.Serve.breaker_trips >= 1);
   Alcotest.(check int) "stats count the rejection" 1 stats.Serve.rejected
 
+(* p95 breaker: one completed 100 ms request puts the window's p95
+   over a 50 ms threshold, so the next sleep is shed; the first one is
+   admitted because the latencies earlier daemons in this process
+   recorded are not this daemon's window *)
+let test_socket_p95_breaker () =
+  let _, stats =
+    with_daemon ~jobs:1 ~breaker_p95_ms:50.0 (fun path ->
+        let fd = connect path in
+        let j = probe fd {|{"id": "first", "op": "sleep", "ms": 100}|} in
+        Alcotest.(check bool) "a cold window admits" true (is_ok j);
+        let j = probe fd {|{"id": "shed", "op": "sleep", "ms": 100}|} in
+        Alcotest.(check string) "breaker_open code" "breaker_open"
+          (error_code j);
+        (match Json.member "retry_after_ms" (member_exn "error" j) with
+        | Some ms ->
+          Alcotest.(check bool) "positive retry_after_ms" true
+            (match Json.num ms with Some ms -> ms > 0.0 | None -> false)
+        | None -> Alcotest.fail "no retry_after_ms hint");
+        let h = member_exn "health" (probe fd {|{"id": "h", "op": "ping"}|}) in
+        Alcotest.(check bool) "health: breaker open" true
+          (member_exn "breaker_open" h = Json.Bool true);
+        (match Json.num (member_exn "p95_ms" h) with
+        | Some p ->
+          Alcotest.(check bool) "health: finite p95 over the threshold" true
+            (Float.is_finite p && p >= 50.0)
+        | None -> Alcotest.fail "health p95_ms is not a number");
+        Unix.close fd)
+  in
+  Alcotest.(check bool) "stats count the trip" true
+    (stats.Serve.breaker_trips >= 1);
+  Alcotest.(check int) "stats count the rejection" 1 stats.Serve.rejected
+
 (* the watchdog deposes a stuck request's worker and answers the
    request with a structured watchdog_timeout *)
 let test_socket_watchdog () =
@@ -773,6 +936,9 @@ let () =
             test_socket_client_vanishes;
           Alcotest.test_case "deadline over the wire" `Quick
             test_socket_deadline;
+          Alcotest.test_case "line length bound" `Quick test_socket_line_bound;
+          Alcotest.test_case "health, dump and stats agree" `Quick
+            test_socket_counts_agree;
         ] );
       ( "faults",
         [
@@ -781,6 +947,8 @@ let () =
           Alcotest.test_case "degraded over the wire" `Quick
             test_socket_degraded;
           Alcotest.test_case "breaker sheds load" `Quick test_socket_breaker;
+          Alcotest.test_case "p95 breaker sheds load" `Quick
+            test_socket_p95_breaker;
           Alcotest.test_case "watchdog over the wire" `Quick
             test_socket_watchdog;
           Alcotest.test_case "chaos crash contained" `Quick
