@@ -12,11 +12,13 @@
      dune exec bench/main.exe -- table1 --tiny   # smoke-run sizes
      dune exec bench/main.exe -- table1 --jobs 4 # domain-parallel sweeps
      dune exec bench/main.exe -- sweep --jobs 4  # reference-corpus batch run
+     dune exec bench/main.exe -- lp-sweep --full # per-benchmark LP breakdown
      dune exec bench/main.exe -- timing --json BENCH_lp.json
                                                  # machine-readable timings
-                                                 #   plus solver counters and
-                                                 #   the jobs=1/2/4/8 corpus
-                                                 #   scaling curve
+                                                 #   plus solver counters,
+                                                 #   one scaled-size LP entry
+                                                 #   and the jobs=1/2/4/8
+                                                 #   corpus scaling curve
 
    Unknown flags and commands are rejected (exit 1): a typo must never
    silently fall back to the default sweep. *)
@@ -141,6 +143,37 @@ let run_extensions size =
   Printf.printf "(generated in %.1fs)\n%!" secs
 
 (* ------------------------------------------------------------------ *)
+(* LP sweep: where the lazy EBF LP spends its time, per benchmark       *)
+(* ------------------------------------------------------------------ *)
+
+(* One Table 1 LUBT call per paper benchmark at skew 0.5: its wall
+   clock, pivots and rounds, the violation-scan and simplex-solve times
+   summed over the rounds, and the linear-algebra counts. It reads only
+   the stats the solve already returns. *)
+let run_lp_sweep size =
+  Printf.printf "=== LP sweep (skew 0.5, one LUBT call each) ===\n";
+  Printf.printf "%-8s %6s %9s %7s %6s %10s %10s %8s %8s %7s\n%!" "bench"
+    "sinks" "lubt_s" "iters" "rounds" "scan_ms" "solve_ms" "ftran" "btran"
+    "refact";
+  List.iter
+    (fun spec ->
+      let r =
+        Protocol.run_lubt_from_baseline (Protocol.run_baseline spec ~skew_rel:0.5)
+      in
+      let e = r.Protocol.ebf in
+      let s = e.Ebf.lp_stats in
+      let sum_ms f =
+        List.fold_left (fun acc rs -> acc +. (f rs *. 1e3)) 0.0 e.Ebf.round_stats
+      in
+      Printf.printf "%-8s %6d %9.3f %7d %6d %10.1f %10.1f %8d %8d %7d\n%!"
+        spec.Benchmarks.name spec.Benchmarks.num_sinks r.Protocol.lubt_seconds
+        s.Simplex.iterations e.Ebf.rounds
+        (sum_ms (fun rs -> rs.Ebf.scan_seconds))
+        (sum_ms (fun rs -> rs.Ebf.solve_seconds))
+        s.Simplex.ftran_count s.Simplex.btran_count s.Simplex.refactorisations)
+    (Benchmarks.specs size)
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per table/figure plus the pipeline     *)
 (* stages, on the tiny size so a timing run stays short. Each timed      *)
 (* benchmark optionally carries a probe that reruns the workload once    *)
@@ -255,6 +288,33 @@ let timing_tests ?(seed = 0) () =
              fun () -> ignore (Embed.place inst topo lengths))));
   ]
 
+(* The LP at a size where regressions show: the Table 1 LUBT call on
+   scaled r3s at skew 0.5 ([--seed] offsets its sink field). One call
+   takes about a second, too long for Bechamel's sampling, so it is timed
+   directly as the best of [scaled_reps] calls; the last call's counters
+   fill the entry's solver and ebf members. *)
+let scaled_reps = 3
+
+let scaled_lp_entry ~seed =
+  let name = "ebf lazy LP (r3s scaled)" in
+  let spec = Benchmarks.find Benchmarks.Scaled "r3s" in
+  let spec = { spec with Benchmarks.seed = spec.Benchmarks.seed + seed } in
+  let baseline = Protocol.run_baseline spec ~skew_rel:0.5 in
+  let best = ref infinity and last = ref None in
+  for _ = 1 to scaled_reps do
+    let r = Protocol.run_lubt_from_baseline baseline in
+    best := Float.min !best r.Protocol.lubt_seconds;
+    last := Some r.Protocol.ebf
+  done;
+  let ms = !best *. 1e3 in
+  Printf.printf "%-40s %12.3f ms/run\n%!" name ms;
+  {
+    Protocol.bench_name = name;
+    ms_per_run = ms;
+    solver = Option.map (fun e -> e.Ebf.lp_stats) !last;
+    ebf_result = !last;
+  }
+
 let run_timing ?(seed = 0) ?(jobs = 1) ?(no_scaling = false) json_out =
   let open Bechamel in
   let cfg =
@@ -298,6 +358,7 @@ let run_timing ?(seed = 0) ?(jobs = 1) ?(no_scaling = false) json_out =
         })
       (timing_tests ~seed ())
   in
+  let entries = entries @ [ scaled_lp_entry ~seed ] in
   match json_out with
   | None -> ()
   | Some path ->
@@ -871,7 +932,7 @@ let run_serve args =
 
 let known_commands =
   [ "table1"; "table2"; "table3"; "tradeoff"; "figure8"; "ablation";
-    "extensions"; "sweep"; "timing"; "diff"; "serve" ]
+    "extensions"; "sweep"; "lp-sweep"; "timing"; "diff"; "serve" ]
 
 let usage_and_exit () =
   Printf.eprintf
@@ -883,7 +944,7 @@ let usage_and_exit () =
      \       main.exe serve [--rps N] [--duration S] [--conns N] [--jobs N]\n\
      \                      [--socket PATH] [--json FILE]\n\
      \                      [--degrade-every N] [--chaos-seed N]\n\
-     commands: %s (all of them when none given)\n"
+     commands: %s (all but lp-sweep when none given)\n"
     (String.concat "|" known_commands);
   exit 1
 
@@ -1080,6 +1141,7 @@ let () =
     | "ablation" -> run_ablation size
     | "extensions" -> run_extensions size
     | "sweep" -> run_sweep ~jobs ~seed:!seed size
+    | "lp-sweep" -> run_lp_sweep size
     | "timing" -> run_timing ~seed:!seed ~jobs ~no_scaling:!no_scaling !json_out
     | "diff" | "serve" ->
       Printf.eprintf "%s must be the first argument\n"

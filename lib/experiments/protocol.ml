@@ -126,8 +126,7 @@ let solver_stats_json (s : Simplex.stats) =
      \"phase2_iterations\": %d, \"dual_iterations\": %d, \
      \"bound_flips\": %d, \"full_pricing_scans\": %d, \
      \"partial_pricing_scans\": %d, \"ftran_count\": %d, \
-     \"btran_count\": %d, \"hyper_sparse_ftrans\": %d, \
-     \"hyper_sparse_btrans\": %d, \"basis_updates\": %d, \
+     \"btran_count\": %d, \"basis_updates\": %d, \
      \"basis_extensions\": %d, \"refactorisations\": %d, \
      \"degenerate_pivots\": %d, \"bland_activations\": %d, \
      \"phase1_ms\": %s, \"phase2_ms\": %s, \"dual_ms\": %s, \
@@ -136,8 +135,7 @@ let solver_stats_json (s : Simplex.stats) =
     s.Simplex.phase2_iterations s.Simplex.dual_iterations
     s.Simplex.bound_flips s.Simplex.full_pricing_scans
     s.Simplex.partial_pricing_scans s.Simplex.ftran_count
-    s.Simplex.btran_count s.Simplex.hyper_sparse_ftrans
-    s.Simplex.hyper_sparse_btrans s.Simplex.basis_updates
+    s.Simplex.btran_count s.Simplex.basis_updates
     s.Simplex.basis_extensions s.Simplex.refactorisations
     s.Simplex.degenerate_pivots s.Simplex.bland_activations
     (json_float (s.Simplex.phase1_seconds *. 1e3))

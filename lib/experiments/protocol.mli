@@ -65,7 +65,9 @@ val time : (unit -> 'a) -> 'a * float
 
 type bench_entry = {
   bench_name : string;
-  ms_per_run : float;  (** OLS estimate from Bechamel *)
+  ms_per_run : float;
+      (** OLS estimate from Bechamel, or for an entry too slow to sample
+          the best of a few direct calls *)
   solver : Lubt_lp.Simplex.stats option;
       (** counters of one representative solve (not the timed runs) *)
   ebf_result : Lubt_core.Ebf.result option;

@@ -10,8 +10,6 @@ type counters = {
   mutable btrans : int;
   mutable updates : int;
   mutable factorisations : int;
-  mutable hyper_ftrans : int;
-  mutable hyper_btrans : int;
   mutable extensions : int;
 }
 
@@ -21,8 +19,6 @@ let fresh_counters () =
     btrans = 0;
     updates = 0;
     factorisations = 0;
-    hyper_ftrans = 0;
-    hyper_btrans = 0;
     extensions = 0;
   }
 
@@ -62,14 +58,6 @@ let eta_count t = t.count
 let trail_nnz t = t.tnnz
 
 let lu_nnz t = Lu.nnz t.lu
-
-(* A right-hand side whose LU-prefix has [k] nonzeros takes the
-   hyper-sparse triangular kernels below this density; unit vectors
-   (k <= 1) always qualify so the hyper path is exercised even on tiny
-   bases. *)
-let density_cutover = 0.2
-
-let hyper_ok n k = k <= 1 || float_of_int k <= density_cutover *. float_of_int n
 
 (* (G v), oldest operator already applied to v. *)
 let apply_forward v op =
@@ -114,58 +102,21 @@ let widen t sol tail_of =
     full
   end
 
-let lu_prefix_nnz t b =
-  let n = Lu.dim t.lu in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if b.(i) <> 0.0 then incr k
-  done;
-  !k
-
-let gather_prefix t b =
-  let n = Lu.dim t.lu in
-  let pairs = ref [] in
-  for i = n - 1 downto 0 do
-    if b.(i) <> 0.0 then pairs := (i, b.(i)) :: !pairs
-  done;
-  Sparse.of_assoc !pairs
-
-let lu_ftran t b =
-  let n = Lu.dim t.lu in
-  let k = lu_prefix_nnz t b in
-  if hyper_ok n k then begin
-    t.ops.hyper_ftrans <- t.ops.hyper_ftrans + 1;
-    Lu.solve_sparse t.lu (gather_prefix t b)
-  end
-  else Lu.solve t.lu (if t.extra = 0 then b else Array.sub b 0 n)
-
 let ftran t b =
   t.ops.ftrans <- t.ops.ftrans + 1;
-  let v = widen t (lu_ftran t b) (fun i -> b.(i)) in
+  let n = Lu.dim t.lu in
+  let sol = Lu.solve t.lu (if t.extra = 0 then b else Array.sub b 0 n) in
+  let v = widen t sol (fun i -> b.(i)) in
   List.iter (apply_forward v) (List.rev t.trail);
   v
 
 let ftran_sparse t sp =
   t.ops.ftrans <- t.ops.ftrans + 1;
   let n = Lu.dim t.lu in
-  let head = ref [] and tail = ref [] in
-  Sparse.iter
-    (fun i v -> if i < n then head := (i, v) :: !head else tail := (i, v) :: !tail)
-    sp;
-  let k = List.length !head in
-  let sol =
-    if hyper_ok n k then begin
-      t.ops.hyper_ftrans <- t.ops.hyper_ftrans + 1;
-      Lu.solve_sparse t.lu (Sparse.of_assoc !head)
-    end
-    else begin
-      let b = Array.make n 0.0 in
-      List.iter (fun (i, x) -> b.(i) <- x) !head;
-      Lu.solve t.lu b
-    end
-  in
-  let v = widen t sol (fun _ -> 0.0) in
-  List.iter (fun (i, x) -> v.(i) <- x) !tail;
+  let b = Array.make n 0.0 in
+  Sparse.iter (fun i x -> if i < n then b.(i) <- x) sp;
+  let v = widen t (Lu.solve t.lu b) (fun _ -> 0.0) in
+  if t.extra > 0 then Sparse.iter (fun i x -> if i >= n then v.(i) <- x) sp;
   List.iter (apply_forward v) (List.rev t.trail);
   v
 
@@ -175,13 +126,8 @@ let btran t c =
   (* adjoints newest first *)
   List.iter (apply_adjoint v) t.trail;
   let n = Lu.dim t.lu in
-  let k = lu_prefix_nnz t v in
   let sol =
-    if hyper_ok n k then begin
-      t.ops.hyper_btrans <- t.ops.hyper_btrans + 1;
-      Lu.solve_transpose_sparse t.lu (gather_prefix t v)
-    end
-    else Lu.solve_transpose t.lu (if t.extra = 0 then v else Array.sub v 0 n)
+    Lu.solve_transpose t.lu (if t.extra = 0 then v else Array.sub v 0 n)
   in
   widen t sol (fun i -> v.(i))
 

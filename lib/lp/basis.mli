@@ -5,10 +5,8 @@
 
     Replaces the explicit dense inverse: ftran/btran cost O(nnz + trail)
     instead of O(m^2), and refactorisation costs a sparse LU instead of
-    O(m^3). Right-hand sides whose density (over the LU prefix) falls
-    below a cutover take the hyper-sparse Gilbert-Peierls kernels in
-    {!Lu} instead of the dense triangular solves; the counters record how
-    often that happens. The simplex engine can run on either backend
+    O(m^3). Every solve runs the triangular passes of {!Lu} over a dense
+    vector. The simplex engine can run on either backend
     ({!Simplex.params}[.sparse_basis]); results agree to numerical
     tolerance. *)
 
@@ -17,11 +15,6 @@ type counters = {
   mutable btrans : int;
   mutable updates : int;
   mutable factorisations : int;
-  mutable hyper_ftrans : int;
-      (** ftrans whose LU-prefix right-hand side was sparse enough for
-          {!Lu.solve_sparse}. *)
-  mutable hyper_btrans : int;
-      (** btrans that took {!Lu.solve_transpose_sparse}. *)
   mutable extensions : int;
       (** rows appended via {!append_row} (warm-started basis growth). *)
 }
@@ -65,18 +58,15 @@ val lu_nnz : t -> int
 (** Nonzeros of the underlying LU factors. *)
 
 val ftran : t -> float array -> float array
-(** [ftran t b] is [B^-1 b]; [b] is unchanged. Dispatches to the
-    hyper-sparse kernel when [b]'s LU prefix is sparse enough. *)
+(** [ftran t b] is [B^-1 b]; [b] is unchanged. *)
 
 val ftran_sparse : t -> Sparse.t -> float array
 (** [ftran_sparse t b] is [B^-1 b] for a right-hand side given by its
-    nonzeros; the result is dense. Same dispatch rule as {!ftran}, but
-    avoids densifying the input first. *)
+    nonzeros; the result is dense. *)
 
 val btran : t -> float array -> float array
-(** [btran t c] is [B^-T c]. The sparsity decision happens after the
-    adjoint trail has been applied (the trail can fill in or cancel
-    entries). *)
+(** [btran t c] is [B^-T c]: the adjoint trail, newest first, then the
+    transposed LU solve. *)
 
 val btran_unit : t -> int -> float array
 (** [btran_unit t r] is row [r] of [B^-1]. *)

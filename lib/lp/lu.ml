@@ -18,14 +18,6 @@ type t = {
   u_vals : float array array;
   u_diag : float array;
   prow : int array;  (* pivot position k -> original row *)
-  pos : int array;  (* original row -> pivot position *)
-  (* reverse adjacency, for the symbolic phase of the transpose solves:
-     [u_radj.(k)] lists the columns j with U[k,j] <> 0, and [l_radj.(p)]
-     lists the columns k whose L column touches pivot position p (i.e.
-     [prow.(p)] appears in [l_rows.(k)]). Index-only: the numeric passes
-     reuse the forward storage. *)
-  u_radj : int array array;
-  l_radj : int array array;
 }
 
 exception Singular of int
@@ -102,29 +94,7 @@ let factor ?(pivot_tol = 1e-11) cols =
     u_rows.(j) <- Array.of_list !u_r;
     u_vals.(j) <- Array.of_list !u_v
   done;
-  (* reverse adjacency (two-pass counting); [pos] is complete here *)
-  let cu = Array.make n 0 and cl = Array.make n 0 in
-  for j = 0 to n - 1 do
-    Array.iter (fun k -> cu.(k) <- cu.(k) + 1) u_rows.(j);
-    Array.iter (fun i -> cl.(pos.(i)) <- cl.(pos.(i)) + 1) l_rows.(j)
-  done;
-  let u_radj = Array.init n (fun k -> Array.make cu.(k) 0) in
-  let l_radj = Array.init n (fun k -> Array.make cl.(k) 0) in
-  let fu = Array.make n 0 and fl = Array.make n 0 in
-  for j = 0 to n - 1 do
-    Array.iter
-      (fun k ->
-        u_radj.(k).(fu.(k)) <- j;
-        fu.(k) <- fu.(k) + 1)
-      u_rows.(j);
-    Array.iter
-      (fun i ->
-        let p = pos.(i) in
-        l_radj.(p).(fl.(p)) <- j;
-        fl.(p) <- fl.(p) + 1)
-      l_rows.(j)
-  done;
-  { n; l_rows; l_vals; u_rows; u_vals; u_diag; prow; pos; u_radj; l_radj }
+  { n; l_rows; l_vals; u_rows; u_vals; u_diag; prow }
 
 let dim t = t.n
 
@@ -200,116 +170,3 @@ let inverse_column t j =
   let b = Array.make t.n 0.0 in
   b.(j) <- 1.0;
   solve t b
-
-(* ---- hyper-sparse solves (Gilbert-Peierls symbolic reach) ----
-
-   All four triangular passes have dependency edges that are monotone in
-   pivot position (L spreads forward, U spreads backward, and vice versa
-   for the transposes), so the reach set sorted by position is already a
-   topological order: no postorder bookkeeping is needed. Values outside
-   the reach set are exact zeros, so the numeric passes only touch reach
-   nodes. *)
-
-(* Nodes reachable from [seeds] following [succ]; sorted ascending. *)
-let reach succ seeds =
-  let marked = Hashtbl.create 16 in
-  let out = ref [] in
-  let count = ref 0 in
-  let stack = Stack.create () in
-  let push k =
-    if not (Hashtbl.mem marked k) then begin
-      Hashtbl.add marked k ();
-      Stack.push k stack
-    end
-  in
-  List.iter push seeds;
-  while not (Stack.is_empty stack) do
-    let k = Stack.pop stack in
-    out := k :: !out;
-    incr count;
-    succ k push
-  done;
-  let arr = Array.make !count 0 in
-  List.iteri (fun i k -> arr.(i) <- k) !out;
-  Array.sort compare arr;
-  arr
-
-(* Sparse-RHS [A x = b]: [b] gives the nonzero ORIGINAL rows; the result
-   is dense (the caller typically keeps applying eta updates to it). *)
-let solve_sparse t b =
-  let n = t.n in
-  let w = Array.make n 0.0 in
-  let seeds =
-    Sparse.fold
-      (fun i v acc ->
-        w.(i) <- v;
-        t.pos.(i) :: acc)
-      b []
-  in
-  (* forward L pass: position k spreads to pos of its L-column rows *)
-  let fwd =
-    reach (fun k f -> Array.iter (fun i -> f t.pos.(i)) t.l_rows.(k)) seeds
-  in
-  Array.iter
-    (fun k ->
-      let yk = w.(t.prow.(k)) in
-      if yk <> 0.0 then begin
-        let rows = t.l_rows.(k) and vals = t.l_vals.(k) in
-        for i = 0 to Array.length rows - 1 do
-          w.(rows.(i)) <- w.(rows.(i)) -. (vals.(i) *. yk)
-        done
-      end)
-    fwd;
-  let x = Array.make n 0.0 in
-  Array.iter (fun k -> x.(k) <- w.(t.prow.(k))) fwd;
-  (* backward U pass: position j spreads to its above-diagonal rows *)
-  let bwd = reach (fun j f -> Array.iter f t.u_rows.(j)) (Array.to_list fwd) in
-  for idx = Array.length bwd - 1 downto 0 do
-    let j = bwd.(idx) in
-    let xj = x.(j) /. t.u_diag.(j) in
-    x.(j) <- xj;
-    if xj <> 0.0 then begin
-      let rows = t.u_rows.(j) and vals = t.u_vals.(j) in
-      for i = 0 to Array.length rows - 1 do
-        x.(rows.(i)) <- x.(rows.(i)) -. (vals.(i) *. xj)
-      done
-    end
-  done;
-  x
-
-(* Sparse-RHS [A^T x = c]: [c] gives the nonzero pivot positions; dense
-   result indexed by original rows, exactly like {!solve_transpose}. *)
-let solve_transpose_sparse t c =
-  let n = t.n in
-  let w = Array.make n 0.0 in
-  let seeds =
-    Sparse.fold
-      (fun j v acc ->
-        w.(j) <- v;
-        j :: acc)
-      c []
-  in
-  (* U^T pass, ascending: nonzero at k spreads to u_radj.(k) *)
-  let up = reach (fun k f -> Array.iter f t.u_radj.(k)) seeds in
-  Array.iter
-    (fun j ->
-      let rows = t.u_rows.(j) and vals = t.u_vals.(j) in
-      let acc = ref w.(j) in
-      for i = 0 to Array.length rows - 1 do
-        acc := !acc -. (vals.(i) *. w.(rows.(i)))
-      done;
-      w.(j) <- !acc /. t.u_diag.(j))
-    up;
-  (* L^T pass, descending: nonzero at p spreads to l_radj.(p) *)
-  let lp = reach (fun p f -> Array.iter f t.l_radj.(p)) (Array.to_list up) in
-  let x = Array.make n 0.0 in
-  for idx = Array.length lp - 1 downto 0 do
-    let k = lp.(idx) in
-    let rows = t.l_rows.(k) and vals = t.l_vals.(k) in
-    let acc = ref w.(k) in
-    for i = 0 to Array.length rows - 1 do
-      acc := !acc -. (vals.(i) *. x.(rows.(i)))
-    done;
-    x.(t.prow.(k)) <- !acc
-  done;
-  x

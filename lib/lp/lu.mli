@@ -2,11 +2,12 @@
     Gilbert-Peierls style with a dense accumulator column).
 
     Factors a square matrix given by its sparse columns as [P A = L U]
-    and provides the four triangular solves the revised simplex needs:
-    ftran ([A x = b]), btran ([A^T x = c]), and their dense-input
-    variants. Basis matrices of EBF programs are extremely sparse (path
-    incidence structure), so factorisation and solves run in roughly
-    O(nnz) instead of the dense O(n^3)/O(n^2). *)
+    and provides the two solves the revised simplex needs: ftran
+    ([A x = b]) and btran ([A^T x = c]), each a pair of triangular
+    passes over dense vectors. Basis matrices of EBF programs are
+    extremely sparse (path incidence structure), so factorisation and
+    solves run in roughly O(n + nnz) instead of the dense
+    O(n^3)/O(n^2). *)
 
 type t
 
@@ -35,17 +36,3 @@ val solve_transpose : t -> float array -> float array
 val inverse_column : t -> int -> float array
 (** [inverse_column t j] is the [j]-th column of [A^-1] (a unit-vector
     solve). *)
-
-val solve_sparse : t -> Sparse.t -> float array
-(** Hyper-sparse variant of {!solve}: the right-hand side is given by its
-    nonzeros (indexed by rows) and only the symbolic reach of those
-    nonzeros through [L] and [U] is visited (Gilbert-Peierls). The dense
-    result equals [solve t (densified b)] exactly — entries outside the
-    reach are exact zeros, not truncations. Pays off when the reach is a
-    small fraction of the dimension, as with unit right-hand sides on the
-    path-structured EBF bases. *)
-
-val solve_transpose_sparse : t -> Sparse.t -> float array
-(** Hyper-sparse variant of {!solve_transpose}; the right-hand side is
-    indexed by columns. Uses the reverse adjacency of [L]/[U] built at
-    factor time for the symbolic phase. *)

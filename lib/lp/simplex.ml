@@ -100,8 +100,6 @@ type stats = {
   partial_pricing_scans : int;
   ftran_count : int;
   btran_count : int;
-  hyper_sparse_ftrans : int;
-  hyper_sparse_btrans : int;
   basis_updates : int;
   basis_extensions : int;
   refactorisations : int;
@@ -250,14 +248,6 @@ let m_ftrans =
 let m_btrans =
   Metrics.counter ~help:"Transposed basis solves" "lubt_simplex_btrans_total"
 
-let m_hyper_ftrans =
-  Metrics.counter ~help:"FTRANs answered by the hyper-sparse path"
-    "lubt_simplex_hyper_sparse_ftrans_total"
-
-let m_hyper_btrans =
-  Metrics.counter ~help:"BTRANs answered by the hyper-sparse path"
-    "lubt_simplex_hyper_sparse_btrans_total"
-
 (* ------------------------------------------------------------------ *)
 (* Small accessors                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -342,8 +332,7 @@ let ftran t q =
     match t.sbasis with
     | None -> invalid_arg "ftran: basis not factorised"
     | Some sb ->
-      (* hand the column over sparse: single-entry auxiliary columns and
-         short structural columns take the hyper-sparse kernels *)
+      (* hand the column over sparse: no dense copy of it is built here *)
       let rhs =
         if q < t.n then t.cols.(q) else Sparse.singleton (q - t.n) (-1.0)
       in
@@ -1605,8 +1594,6 @@ let solve t =
   and m0_flips = t.st.s_flips
   and m0_ftrans = t.ops.Basis.ftrans
   and m0_btrans = t.ops.Basis.btrans
-  and m0_hftrans = t.ops.Basis.hyper_ftrans
-  and m0_hbtrans = t.ops.Basis.hyper_btrans
   and m0_rec = rec_total t in
   let finish status =
     t.solving <- false;
@@ -1618,8 +1605,6 @@ let solve t =
       Metrics.incr ~by:(d m0_flips t.st.s_flips) m_bound_flips;
       Metrics.incr ~by:(d m0_ftrans t.ops.Basis.ftrans) m_ftrans;
       Metrics.incr ~by:(d m0_btrans t.ops.Basis.btrans) m_btrans;
-      Metrics.incr ~by:(d m0_hftrans t.ops.Basis.hyper_ftrans) m_hyper_ftrans;
-      Metrics.incr ~by:(d m0_hbtrans t.ops.Basis.hyper_btrans) m_hyper_btrans;
       Metrics.incr ~by:(d m0_rec (rec_total t)) m_recoveries
     end;
     status
@@ -1888,8 +1873,6 @@ let stats t =
     partial_pricing_scans = t.st.s_partial_scans;
     ftran_count = t.ops.Basis.ftrans;
     btran_count = t.ops.Basis.btrans;
-    hyper_sparse_ftrans = t.ops.Basis.hyper_ftrans;
-    hyper_sparse_btrans = t.ops.Basis.hyper_btrans;
     basis_updates = t.ops.Basis.updates;
     basis_extensions = t.ops.Basis.extensions;
     refactorisations = t.ops.Basis.factorisations;
@@ -1921,8 +1904,6 @@ let zero_stats =
     partial_pricing_scans = 0;
     ftran_count = 0;
     btran_count = 0;
-    hyper_sparse_ftrans = 0;
-    hyper_sparse_btrans = 0;
     basis_updates = 0;
     basis_extensions = 0;
     refactorisations = 0;
@@ -1956,8 +1937,6 @@ let merge_stats a b =
     partial_pricing_scans = a.partial_pricing_scans + b.partial_pricing_scans;
     ftran_count = a.ftran_count + b.ftran_count;
     btran_count = a.btran_count + b.btran_count;
-    hyper_sparse_ftrans = a.hyper_sparse_ftrans + b.hyper_sparse_ftrans;
-    hyper_sparse_btrans = a.hyper_sparse_btrans + b.hyper_sparse_btrans;
     basis_updates = a.basis_updates + b.basis_updates;
     basis_extensions = a.basis_extensions + b.basis_extensions;
     refactorisations = a.refactorisations + b.refactorisations;
@@ -1973,13 +1952,13 @@ let pp_stats fmt s =
   Format.fprintf fmt
     "@[<v>iterations: %d (phase1 %d, phase2 %d, dual %d), bound flips: %d@,\
      pricing scans: %d full, %d partial@,\
-     ftran/btran: %d/%d (hyper-sparse %d/%d), basis updates: %d, \
+     ftran/btran: %d/%d, basis updates: %d, \
      extensions: %d, refactorisations: %d@,\
      degenerate pivots: %d, Bland activations: %d@,\
      time: phase1 %.3fms, phase2 %.3fms, dual %.3fms"
     s.iterations s.phase1_iterations s.phase2_iterations s.dual_iterations
     s.bound_flips s.full_pricing_scans s.partial_pricing_scans s.ftran_count
-    s.btran_count s.hyper_sparse_ftrans s.hyper_sparse_btrans s.basis_updates
+    s.btran_count s.basis_updates
     s.basis_extensions s.refactorisations s.degenerate_pivots
     s.bland_activations (s.phase1_seconds *. 1e3) (s.phase2_seconds *. 1e3)
     (s.dual_seconds *. 1e3);

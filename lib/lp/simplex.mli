@@ -164,10 +164,6 @@ type stats = {
   partial_pricing_scans : int;  (** candidate-list-only pricing passes *)
   ftran_count : int;  (** forward solves [B^-1 a] on either backend *)
   btran_count : int;  (** transpose solves [B^-T c] on either backend *)
-  hyper_sparse_ftrans : int;
-      (** ftrans that took the hyper-sparse reach-based kernel (sparse
-          backend only) *)
-  hyper_sparse_btrans : int;  (** btrans on the hyper-sparse kernel *)
   basis_updates : int;  (** rank-1 / eta updates applied *)
   basis_extensions : int;
       (** rows appended to a live factorisation by warm-started

@@ -1,5 +1,6 @@
-(* Tests for the LP extras: the sparse LU, the LP-format writer/reader,
-   and an engine cross-check on random EBF instances. *)
+(* Tests for the LP extras: the sparse LU, the product-form basis, the
+   LP-format writer/reader, and an engine cross-check on random EBF
+   instances. *)
 
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
@@ -354,6 +355,152 @@ let test_lu_permutation_matrix () =
     (fun j v -> Alcotest.(check (float 1e-12)) "perm solve" b.(perm.(j)) v)
     x
 
+(* ------------------------------------------------------------------ *)
+(* Basis: LU plus eta/border trail against a dense reference            *)
+(* ------------------------------------------------------------------ *)
+
+module Basis = Lubt_lp.Basis
+
+(* [a x = b] by dense Gaussian elimination with partial pivoting; [a] is
+   row-major and left unmodified. Shares no code with [Lu]/[Basis]. *)
+let dense_solve a b =
+  let d = Array.length b in
+  let m = Array.map Array.copy a and x = Array.copy b in
+  for k = 0 to d - 1 do
+    let p = ref k in
+    for i = k + 1 to d - 1 do
+      if abs_float m.(i).(k) > abs_float m.(!p).(k) then p := i
+    done;
+    let row = m.(k) and xk = x.(k) in
+    m.(k) <- m.(!p);
+    m.(!p) <- row;
+    x.(k) <- x.(!p);
+    x.(!p) <- xk;
+    for i = k + 1 to d - 1 do
+      let f = m.(i).(k) /. m.(k).(k) in
+      if f <> 0.0 then begin
+        for j = k to d - 1 do
+          m.(i).(j) <- m.(i).(j) -. (f *. m.(k).(j))
+        done;
+        x.(i) <- x.(i) -. (f *. x.(k))
+      end
+    done
+  done;
+  for k = d - 1 downto 0 do
+    let s = ref x.(k) in
+    for j = k + 1 to d - 1 do
+      s := !s -. (m.(k).(j) *. x.(j))
+    done;
+    x.(k) <- !s /. m.(k).(k)
+  done;
+  x
+
+let transpose a =
+  let d = Array.length a in
+  Array.init d (fun i -> Array.init d (fun j -> a.(j).(i)))
+
+(* A column over [d] rows: one time in three the unit vector [-e_j] (the
+   auxiliary columns of the [A | -I] form), else a dominant diagonal at
+   [j] with up to three entries off it. Off-diagonal magnitudes sum to at
+   most 6 < 10, so a basis of such columns is strictly column diagonally
+   dominant and hence nonsingular. *)
+let basis_column rng d j =
+  if Prng.int rng 3 = 0 then [ (j, -1.0) ]
+  else
+    (j, 10.0 +. Prng.float rng 5.0)
+    :: List.filter
+         (fun (i, _) -> i <> j)
+         (List.init (Prng.int rng 4) (fun _ ->
+              (Prng.int rng d, Prng.float_range rng (-2.0) 2.0)))
+
+(* Random sparse bases, then a mix of [update] etas (entering columns
+   that are unit vectors or random sparse) and [append_row] borders;
+   after every step each solve must match a dense solve of the matrix
+   the trail represents. The right-hand sides include unit vectors and,
+   once rows are appended, entries in the border tail. *)
+let test_basis_against_dense () =
+  let rng = Prng.create 7219 in
+  for case = 1 to 40 do
+    let n = 1 + Prng.int rng 25 in
+    let m = ref (Array.make_matrix n n 0.0) in
+    let cols =
+      Array.init n (fun j ->
+          let col = Sparse.of_assoc (basis_column rng n j) in
+          Sparse.iter (fun i v -> !m.(i).(j) <- v) col;
+          col)
+    in
+    let b = Basis.create cols in
+    let check step what got want =
+      Alcotest.(check int) (what ^ " length") (Array.length want)
+        (Array.length got);
+      Array.iteri
+        (fun i v ->
+          if not (Lubt_util.Stats.approx_eq ~eps:1e-9 v want.(i)) then
+            Alcotest.failf "case %d step %d %s: [%d] = %.15g vs %.15g" case
+              step what i v want.(i))
+        got
+    in
+    let check_solves step =
+      let d = Basis.dim b in
+      Alcotest.(check int) "dim" (Array.length !m) d;
+      let rhs =
+        Array.init d (fun _ ->
+            if Prng.int rng 3 = 0 then Prng.float_range rng (-5.0) 5.0 else 0.0)
+      in
+      if d > n then rhs.(n + Prng.int rng (d - n)) <- 1.5;
+      let u = Prng.int rng d in
+      let e = Array.init d (fun k -> if k = u then 1.0 else 0.0) in
+      let mt = transpose !m in
+      check step "ftran" (Basis.ftran b rhs) (dense_solve !m rhs);
+      check step "ftran unit" (Basis.ftran b e) (dense_solve !m e);
+      check step "ftran_sparse"
+        (Basis.ftran_sparse b (Sparse.of_dense rhs))
+        (dense_solve !m rhs);
+      check step "ftran_sparse unit"
+        (Basis.ftran_sparse b (Sparse.singleton u 1.0))
+        (dense_solve !m e);
+      check step "btran" (Basis.btran b rhs) (dense_solve mt rhs);
+      check step "btran unit" (Basis.btran b e) (dense_solve mt e);
+      check step "btran_unit" (Basis.btran_unit b u) (dense_solve mt e)
+    in
+    check_solves 0;
+    for step = 1 to 12 do
+      let d = Basis.dim b in
+      if Prng.int rng 3 = 0 then begin
+        (* border: new row [bc] over the current positions, -1 diagonal *)
+        let bc =
+          Sparse.of_assoc
+            (List.init (1 + Prng.int rng 3) (fun _ ->
+                 (Prng.int rng d, Prng.float_range rng (-2.0) 2.0)))
+        in
+        Basis.append_row b bc;
+        let grown = Array.make_matrix (d + 1) (d + 1) 0.0 in
+        Array.iteri (fun i row -> Array.blit row 0 grown.(i) 0 d) !m;
+        Sparse.iter (fun j v -> grown.(d).(j) <- v) bc;
+        grown.(d).(d) <- -1.0;
+        m := grown
+      end
+      else begin
+        (* eta: column r of the basis is replaced by [a]; r is drawn
+           among the well-conditioned pivots of w = B^-1 a *)
+        let a = Array.make d 0.0 in
+        List.iter
+          (fun (i, v) -> a.(i) <- a.(i) +. v)
+          (basis_column rng d (Prng.int rng d));
+        let w = Basis.ftran b a in
+        check step "ftran entering" w (dense_solve !m a);
+        let wmax = Array.fold_left (fun acc x -> max acc (abs_float x)) 0.0 w in
+        let cands =
+          List.filter (fun i -> abs_float w.(i) >= 0.1 *. wmax) (List.init d Fun.id)
+        in
+        let r = List.nth cands (Prng.int rng (List.length cands)) in
+        Basis.update b r w;
+        Array.iteri (fun i row -> row.(r) <- a.(i)) !m
+      end;
+      check_solves step
+    done
+  done
+
 let () =
   Alcotest.run "lp-extra"
     [
@@ -365,6 +512,11 @@ let () =
           Alcotest.test_case "detects singular" `Quick test_lu_detects_singular;
           Alcotest.test_case "permutation matrix" `Quick
             test_lu_permutation_matrix;
+        ] );
+      ( "basis",
+        [
+          Alcotest.test_case "solves vs dense reference" `Quick
+            test_basis_against_dense;
         ] );
       ( "lp-format",
         [
