@@ -44,7 +44,7 @@ let default_options =
     check = Certify.Off;
     cache = None;
     probe = None;
-    lp_params = { Simplex.default_params with Simplex.sparse_basis = true };
+    lp_params = Simplex.default_params;
   }
 
 type cache_outcome =
@@ -597,11 +597,9 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
     if options.check = Certify.Off || status <> Status.Optimal then
       (status, None)
     else begin
-      let level =
-        (* the tableau fallback carries no duals: certify what it can claim *)
-        if Simplex.used_fallback eng then Certify.Primal else options.check
+      let report =
+        Certify.check ~level:options.check prob (Simplex.solution eng)
       in
-      let report = Certify.check ~level prob (Simplex.solution eng) in
       let report =
         if not report.Certify.ok then report
         else
@@ -619,12 +617,9 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
     end
   in
   (* publish the basis for future requests: only a certified-clean optimum
-     whose engine never fell back to the tableau oracle (a fallback answer
-     leaves the engine basis untrustworthy; certification rejections have
-     already demoted the status above) *)
+     (certification rejections have already demoted the status above) *)
   (match cache_ctx with
-  | Some (c, structure, key)
-    when status = Status.Optimal && not (Simplex.used_fallback eng) ->
+  | Some (c, structure, key) when status = Status.Optimal ->
     Cache.store c
       {
         Cache.e_structure = structure;

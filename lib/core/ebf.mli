@@ -89,8 +89,8 @@ type round_stat = {
   warm_rows : int;
       (** how many of [rows_added] the engine absorbed into the live
           factorisation (warm start) rather than deferring to a
-          refactorisation; 0 on the dense backend, which extends its
-          inverse in place, and while a factorisation awaits a rebuild *)
+          refactorisation; every appended row extends the factorisation,
+          so this equals [rows_added] *)
   scan_seconds : float;  (** wall time of the all-pairs violation scan *)
   solve_seconds : float;  (** wall time of this round's LP (re-)solve *)
   solve_pivots : int;

@@ -111,13 +111,11 @@ let json_float f =
 
 let recoveries_json (r : Simplex.recoveries) =
   Printf.sprintf
-    "{\"refactor_retries\": %d, \"backend_switches\": %d, \
-     \"tolerance_escalations\": %d, \"perturbed_resolves\": %d, \
-     \"tableau_fallbacks\": %d, \"faults_injected\": %d, \
+    "{\"refactor_retries\": %d, \"tolerance_escalations\": %d, \
+     \"perturbed_resolves\": %d, \"faults_injected\": %d, \
      \"validations_rejected\": %d}"
-    r.Simplex.refactor_retries r.Simplex.backend_switches
-    r.Simplex.tolerance_escalations r.Simplex.perturbed_resolves
-    r.Simplex.tableau_fallbacks r.Simplex.faults_injected
+    r.Simplex.refactor_retries r.Simplex.tolerance_escalations
+    r.Simplex.perturbed_resolves r.Simplex.faults_injected
     r.Simplex.validations_rejected
 
 let solver_stats_json (s : Simplex.stats) =

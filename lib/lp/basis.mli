@@ -3,12 +3,9 @@
     operators — one sparse eta per pivot since the last refactorisation,
     and one border extension per row appended without refactorising.
 
-    Replaces the explicit dense inverse: ftran/btran cost O(nnz + trail)
-    instead of O(m^2), and refactorisation costs a sparse LU instead of
-    O(m^3). Every solve runs the triangular passes of {!Lu} over a dense
-    vector. The simplex engine can run on either backend
-    ({!Simplex.params}[.sparse_basis]); results agree to numerical
-    tolerance. *)
+    This is the simplex engine's only basis representation: ftran/btran
+    cost O(nnz + trail) and a refactorisation costs one sparse LU. Every
+    solve runs the triangular passes of {!Lu} over a dense vector. *)
 
 type counters = {
   mutable ftrans : int;
@@ -21,9 +18,8 @@ type counters = {
 (** Cumulative operation counters. A counters record outlives individual
     basis factorisations: pass the same record to successive {!create}
     calls (as the simplex engine does across refactorisations) to
-    accumulate a whole solve's linear-algebra traffic. The engine's dense
-    explicit-inverse backend increments the same record at its own
-    call sites, so {!Simplex.stats} reads one source of truth. *)
+    accumulate a whole solve's linear-algebra traffic; {!Simplex.stats}
+    reads it as its one source of truth. *)
 
 val fresh_counters : unit -> counters
 (** A zeroed counters record. *)

@@ -115,9 +115,9 @@ val find : t -> structure:string -> key:string -> lookup
 
 val store : t -> entry -> unit
 (** Publishes a snapshot under [entry.e_key] and marks it the latest for
-    [entry.e_structure]. Only store certified-optimal bases whose engine
-    did not fall back to the tableau oracle — the cache trusts its
-    callers on this. Disk write failures are logged and swallowed. *)
+    [entry.e_structure]. Only store certified-optimal bases — the cache
+    trusts its callers on this. Disk write failures are logged and
+    swallowed. *)
 
 val reject : t -> reason:string -> unit
 (** Records that a served snapshot was rejected by the caller after

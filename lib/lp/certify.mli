@@ -7,17 +7,16 @@
     feasibility, complementary slackness, and the weak-duality gap.
 
     It deliberately shares no state with the solvers — a corrupted basis
-    inverse (or a corrupted solution vector) cannot certify itself. Paired
-    with the {!Tableau} oracle it gives end-to-end confidence in results
+    factorisation (or a corrupted solution vector) cannot certify itself.
+    Paired with the {!Tableau} oracle it gives end-to-end confidence in results
     produced through the recovery ladder. *)
 
 type level =
   | Off  (** no checking; [check] returns a trivially-ok report *)
   | Primal
       (** primal feasibility + objective agreement only. The right level
-          when the dual vector is unavailable or meaningless (e.g. the
-          solution came from the {!Tableau} fallback, whose duals are
-          zeros). *)
+          when the dual vector is unavailable or meaningless (e.g. a
+          {!Tableau} oracle solution, whose duals are zeros). *)
   | Full
       (** [Primal] plus dual sign feasibility, complementary slackness
           and the weak-duality gap: an [ok] report at this level is an

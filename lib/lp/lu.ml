@@ -165,8 +165,3 @@ let solve_transpose t c =
     x.(t.prow.(k)) <- !acc
   done;
   x
-
-let inverse_column t j =
-  let b = Array.make t.n 0.0 in
-  b.(j) <- 1.0;
-  solve t b

@@ -32,7 +32,3 @@ val solve : t -> float array -> float array
 val solve_transpose : t -> float array -> float array
 (** [solve_transpose t c] returns [x] with [A^T x = c]; [c] is indexed by
     columns, [x] by rows. *)
-
-val inverse_column : t -> int -> float array
-(** [inverse_column t j] is the [j]-th column of [A^-1] (a unit-vector
-    solve). *)

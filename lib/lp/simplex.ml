@@ -13,27 +13,14 @@ let fault_plan ?(kinds = [ Fault_singular_refactor; Fault_perturb_ftran; Fault_z
     ?(rate = 0.25) ?(max_faults = 3) seed =
   { fault_seed = seed; fault_kinds = kinds; fault_rate = rate; max_faults }
 
-type recovery_stage =
-  | Refactor_retry
-  | Switch_backend
-  | Tighten_pivot_tol
-  | Perturb_and_resolve
-  | Tableau_fallback
+type recovery_stage = Refactor_retry | Tighten_pivot_tol | Perturb_and_resolve
 
-let default_recovery =
-  [
-    Refactor_retry;
-    Switch_backend;
-    Tighten_pivot_tol;
-    Perturb_and_resolve;
-    Tableau_fallback;
-  ]
+let default_recovery = [ Refactor_retry; Tighten_pivot_tol; Perturb_and_resolve ]
 
 type params = {
   max_iters : int;
   time_limit : float;
   refactor_every : int;
-  sparse_basis : bool;
   bland_threshold : int;
   recovery : recovery_stage list;
   fault : fault option;
@@ -44,7 +31,6 @@ let default_params =
     max_iters = 0;
     time_limit = infinity;
     refactor_every = 100;
-    sparse_basis = false;
     bland_threshold = 1000;
     recovery = default_recovery;
     fault = None;
@@ -67,10 +53,8 @@ type probe = probe_event -> unit
 
 type recoveries = {
   refactor_retries : int;
-  backend_switches : int;
   tolerance_escalations : int;
   perturbed_resolves : int;
-  tableau_fallbacks : int;
   faults_injected : int;
   validations_rejected : int;
 }
@@ -78,17 +62,14 @@ type recoveries = {
 let no_recoveries =
   {
     refactor_retries = 0;
-    backend_switches = 0;
     tolerance_escalations = 0;
     perturbed_resolves = 0;
-    tableau_fallbacks = 0;
     faults_injected = 0;
     validations_rejected = 0;
   }
 
 let recovery_attempts r =
-  r.refactor_retries + r.backend_switches + r.tolerance_escalations
-  + r.perturbed_resolves + r.tableau_fallbacks
+  r.refactor_retries + r.tolerance_escalations + r.perturbed_resolves
 
 type stats = {
   iterations : int;
@@ -127,10 +108,8 @@ type istats = {
   mutable s_phase2_secs : float;
   mutable s_dual_secs : float;
   mutable s_rec_refactor : int;
-  mutable s_rec_switch : int;
   mutable s_rec_tol : int;
   mutable s_rec_perturb : int;
-  mutable s_rec_tableau : int;
   mutable s_injected : int;
   mutable s_rejected : int;
 }
@@ -149,10 +128,8 @@ let fresh_istats () =
     s_phase2_secs = 0.0;
     s_dual_secs = 0.0;
     s_rec_refactor = 0;
-    s_rec_switch = 0;
     s_rec_tol = 0;
     s_rec_perturb = 0;
-    s_rec_tableau = 0;
     s_injected = 0;
     s_rejected = 0;
   }
@@ -168,11 +145,9 @@ type t = {
   mutable obj : float array;
   mutable basic : int array;  (* length cap: row -> basic variable *)
   mutable vstat : vstat array;  (* length n+cap *)
-  mutable binv : float array array;  (* cap rows of length cap *)
   mutable xb : float array;  (* length cap: basic values per row *)
   mutable last_status : Status.t;
-  mutable sbasis : Basis.t option;  (* product-form backend, sparse mode *)
-  mutable needs_factor : bool;
+  mutable basis : Basis.t;  (* sparse LU + eta/border trail *)
   (* warm-started rows were appended since the last solve: the incremental
      xb values must be refreshed from scratch before the next dual run, the
      same hygiene a cold start gets from [refactor]'s [recompute_xb] *)
@@ -181,10 +156,8 @@ type t = {
   mutable since_refactor : int;
   mutable degen_streak : int;
   mutable bland : bool;
-  (* resilience state: the recovery ladder may move the engine off the
-     configured backend/tolerances mid-solve, so the live values are
-     mutable copies of the corresponding params fields *)
-  mutable cur_sparse : bool;
+  (* resilience state: the recovery ladder may escalate the pivot
+     tolerance mid-solve *)
   mutable cur_tol_pivot : float;
   mutable time_budget : float;  (* seconds per solve; infinity = none *)
   mutable deadline : float;  (* absolute, set at solve entry *)
@@ -193,9 +166,8 @@ type t = {
   mutable cur_phase : string;  (* phase label for probe events *)
   mutable faults_left : int;
   frng : Lubt_util.Prng.t option;  (* fault-injection stream *)
-  mutable fallback : Status.solution option;  (* Tableau_fallback result *)
   st : istats;
-  ops : Basis.counters;  (* shared with the sparse backend *)
+  ops : Basis.counters;  (* shared with every factorisation of [basis] *)
   (* partial-pricing candidate list: nonbasic columns that priced
      attractively at the last full scan, revalidated before use *)
   cand : int array;
@@ -294,12 +266,6 @@ let feas_tol bound = tol_feas *. (1.0 +. abs_float bound)
 
 let dual_tol t j = tol_dual *. (1.0 +. abs_float t.obj.(j))
 
-(* ------------------------------------------------------------------ *)
-(* Linear algebra on the explicit basis inverse                        *)
-(* ------------------------------------------------------------------ *)
-
-let sparse_mode t = t.cur_sparse
-
 (* Monotonic by construction: a wall-clock step (NTP slew, manual reset)
    must neither fire a spurious Time_limit nor disable the budget. *)
 let out_of_time t = t.deadline < infinity && Clock.now () > t.deadline
@@ -325,39 +291,17 @@ let fault_fires t kind =
     else false
   | _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* Linear algebra on the factorised basis                              *)
+(* ------------------------------------------------------------------ *)
+
 (* w <- B^-1 A_j *)
 let ftran t q =
   let tr0 = tr_start () in
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "ftran: basis not factorised"
-    | Some sb ->
-      (* hand the column over sparse: no dense copy of it is built here *)
-      let rhs =
-        if q < t.n then t.cols.(q) else Sparse.singleton (q - t.n) (-1.0)
-      in
-      let w = Basis.ftran_sparse sb rhs in
-      Array.blit w 0 t.w 0 t.m
-  end
-  else begin
-  t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
-  let w = t.w and m = t.m in
-  if q < t.n then begin
-    let col = t.cols.(q) in
-    for r = 0 to m - 1 do
-      let br = t.binv.(r) in
-      let acc = ref 0.0 in
-      Sparse.iter (fun i a -> acc := !acc +. (a *. br.(i))) col;
-      w.(r) <- !acc
-    done
-  end
-  else begin
-    let i = q - t.n in
-    for r = 0 to m - 1 do
-      w.(r) <- -.t.binv.(r).(i)
-    done
-  end
-  end;
+  (* hand the column over sparse: no dense copy of it is built here *)
+  let rhs = if q < t.n then t.cols.(q) else Sparse.singleton (q - t.n) (-1.0) in
+  let w = Basis.ftran_sparse t.basis rhs in
+  Array.blit w 0 t.w 0 t.m;
   if t.m > 0 && fault_fires t Fault_perturb_ftran then begin
     match t.frng with
     | Some rng ->
@@ -369,30 +313,11 @@ let ftran t q =
   end;
   tr_stop tr0 "simplex.ftran"
 
-(* y <- (B^-1)^T cb, skipping zero cost rows (phase I has very few). *)
+(* y <- (B^-1)^T cb *)
 let compute_y t cb =
   let tr0 = tr_start () in
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "compute_y: basis not factorised"
-    | Some sb ->
-      let y = Basis.btran sb (Array.sub cb 0 t.m) in
-      Array.blit y 0 t.y 0 t.m
-  end
-  else begin
-  t.ops.Basis.btrans <- t.ops.Basis.btrans + 1;
-  let y = t.y and m = t.m in
-  Array.fill y 0 m 0.0;
-  for r = 0 to m - 1 do
-    let c = cb.(r) in
-    if c <> 0.0 then begin
-      let br = t.binv.(r) in
-      for i = 0 to m - 1 do
-        y.(i) <- y.(i) +. (c *. br.(i))
-      done
-    end
-  done
-  end;
+  let y = Basis.btran t.basis (Array.sub cb 0 t.m) in
+  Array.blit y 0 t.y 0 t.m;
   tr_stop tr0 "simplex.btran"
 
 let fill_cb_phase2 t =
@@ -455,7 +380,7 @@ let dual_infeasibility t =
 (* Objective of the current (possibly infeasible) point; reads variable
    values only, so it is safe even mid-recovery when the factorisation is
    suspect. *)
-let probe_objective t =
+let objective t =
   let acc = ref 0.0 in
   for j = 0 to t.n - 1 do
     if t.obj.(j) <> 0.0 then acc := !acc +. (t.obj.(j) *. value t j)
@@ -474,7 +399,7 @@ let fire_probe t ?recovery ~entering ~leaving () =
       {
         pr_iteration = t.iters;
         pr_phase = (if mid_recovery then "recovery" else t.cur_phase);
-        pr_objective = probe_objective t;
+        pr_objective = objective t;
         pr_primal_infeas = primal_infeasibility t;
         pr_dual_infeas =
           (if mid_recovery then Float.nan else dual_infeasibility t);
@@ -495,31 +420,12 @@ let recompute_xb t =
       let v = nonbasic_value t j in
       if v <> 0.0 then col_iter t j (fun i a -> s.(i) <- s.(i) +. (a *. v))
   done;
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "recompute_xb: basis not factorised"
-    | Some sb ->
-      let w = Basis.ftran sb s in
-      for r = 0 to m - 1 do
-        t.xb.(r) <- -.w.(r)
-      done
-  end
-  else begin
-    t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
-    for r = 0 to m - 1 do
-      let br = t.binv.(r) in
-      let acc = ref 0.0 in
-      for i = 0 to m - 1 do
-        acc := !acc +. (br.(i) *. s.(i))
-      done;
-      t.xb.(r) <- -. !acc
-    done
-  end
+  let w = Basis.ftran t.basis s in
+  for r = 0 to m - 1 do
+    t.xb.(r) <- -.w.(r)
+  done
 
-(* Rebuild B^-1 from the basis: sparse LU factorisation (basis matrices of
-   path-structured LPs are very sparse), then one unit solve per column of
-   the inverse. Falls back on nothing — a singular basis is a hard
-   numerical error handled by the driver. *)
+(* The current basis matrix, column by column. *)
 let basis_columns t =
   Array.init t.m (fun k ->
       let entries = ref [] in
@@ -528,7 +434,7 @@ let basis_columns t =
 
 (* LU pivot threshold scaled with the (possibly escalated) simplex pivot
    tolerance, never looser than the Lu.factor default. *)
-let lu_pivot_tol t = max 1e-11 (t.cur_tol_pivot *. 1e-2)
+let lu_pivot_tol tol = max 1e-11 (tol *. 1e-2)
 
 let refactor_run t =
   if fault_fires t Fault_singular_refactor then
@@ -539,39 +445,16 @@ let refactor_run t =
   t.degen_streak <- 0;
   t.bland <- false;
   t.xb_stale <- false;
-  if sparse_mode t then begin
-    (match Basis.create ~counters:t.ops ~pivot_tol:(lu_pivot_tol t) (basis_columns t) with
-    | sb ->
-      t.sbasis <- Some sb;
-      t.needs_factor <- false
-    | exception Lu.Singular j ->
-      raise (Numerical (Printf.sprintf "refactor: singular basis (column %d)" j)));
-    t.since_refactor <- 0;
-    recompute_xb t
-  end
-  else begin
-  t.ops.Basis.factorisations <- t.ops.Basis.factorisations + 1;
-  let m = t.m in
-  let cols = basis_columns t in
-  let lu =
-    match Lu.factor ~pivot_tol:(lu_pivot_tol t) cols with
-    | lu -> lu
-    | exception Lu.Singular j ->
-      raise (Numerical (Printf.sprintf "refactor: singular basis (column %d)" j))
-  in
-  for j = 0 to m - 1 do
-    let col = Lu.inverse_column lu j in
-    for r = 0 to m - 1 do
-      t.binv.(r).(j) <- col.(r)
-    done
-  done;
-  (* clear any stale tail beyond m (capacity area) *)
-  for r = 0 to m - 1 do
-    Array.fill t.binv.(r) m (t.cap - m) 0.0
-  done;
+  (* a singular basis is a hard numerical error handled by the driver *)
+  (match
+     Basis.create ~counters:t.ops ~pivot_tol:(lu_pivot_tol t.cur_tol_pivot)
+       (basis_columns t)
+   with
+  | b -> t.basis <- b
+  | exception Lu.Singular j ->
+    raise (Numerical (Printf.sprintf "refactor: singular basis (column %d)" j)));
   t.since_refactor <- 0;
   recompute_xb t
-  end
 
 (* [Trace.span] (rather than the complete-event idiom) so a singular
    factorisation still closes the span on the raise path. *)
@@ -583,27 +466,10 @@ let refactor t =
    trail stores as many nonzeros as the LU factors themselves, applying it
    costs more than a fresh solve would, so dragging it further is pure
    loss (and compounding rounding). *)
-let trail_heavy t =
-  sparse_mode t
-  &&
-  match t.sbasis with
-  | Some sb -> Basis.trail_nnz sb > Basis.lu_nnz sb
-  | None -> false
+let trail_heavy t = Basis.trail_nnz t.basis > Basis.lu_nnz t.basis
 
 let maybe_refactor t =
-  if
-    t.since_refactor >= t.p.refactor_every
-    || (sparse_mode t && (t.needs_factor || t.sbasis = None))
-  then refactor t
-
-let check_consistency t =
-  let saved = Array.sub t.xb 0 t.m in
-  recompute_xb t;
-  let worst = ref 0.0 in
-  for r = 0 to t.m - 1 do
-    worst := max !worst (abs_float (saved.(r) -. t.xb.(r)))
-  done;
-  !worst
+  if t.since_refactor >= t.p.refactor_every then refactor t
 
 (* ------------------------------------------------------------------ *)
 (* Pricing                                                             *)
@@ -724,39 +590,12 @@ let price t ~cost =
 (* Pivoting                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Rank-1 update of B^-1 after variable q (with ftran result in t.w)
+(* Eta update of the basis after variable q (with ftran result in t.w)
    replaces the basic variable of row r. *)
-let update_binv t r =
+let update_basis t r =
   if fault_fires t Fault_zero_pivot then
     raise (Basis.Zero_pivot { row = r; magnitude = 0.0 });
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "update_binv: basis not factorised"
-    | Some sb -> Basis.update ~tol:t.cur_tol_pivot sb r (Array.sub t.w 0 t.m)
-  end
-  else begin
-  let m = t.m and w = t.w in
-  let alpha = w.(r) in
-  if abs_float alpha < t.cur_tol_pivot then
-    raise (Basis.Zero_pivot { row = r; magnitude = abs_float alpha });
-  t.ops.Basis.updates <- t.ops.Basis.updates + 1;
-  let br = t.binv.(r) in
-  let d = 1.0 /. alpha in
-  for i = 0 to m - 1 do
-    br.(i) <- br.(i) *. d
-  done;
-  for r' = 0 to m - 1 do
-    if r' <> r then begin
-      let f = w.(r') in
-      if f <> 0.0 then begin
-        let row = t.binv.(r') in
-        for i = 0 to m - 1 do
-          row.(i) <- row.(i) -. (f *. br.(i))
-        done
-      end
-    end
-  done
-  end
+  Basis.update ~tol:t.cur_tol_pivot t.basis r (Array.sub t.w 0 t.m)
 
 type blocking = Flip | Block of { row : int; to_upper : bool }
 
@@ -781,7 +620,7 @@ let apply_primal_pivot t ~q ~sigma ~step ~blocking =
       (* update the basis representation first: it raises on a bad pivot
          before mutating anything, keeping vstat/basic/xb consistent for the
          recovery ladder *)
-      update_binv t r;
+      update_basis t r;
       for r' = 0 to t.m - 1 do
         if r' <> r then t.xb.(r') <- t.xb.(r') -. (sigma *. step *. w.(r'))
       done;
@@ -988,15 +827,7 @@ let dual_simplex t =
         let b = t.basic.(r) in
         let above = t.xb.(r) > t.up.(b) in
         let s = if above then 1.0 else -1.0 in
-        (if sparse_mode t then begin
-           match t.sbasis with
-           | None -> invalid_arg "dual: basis not factorised"
-           | Some sb -> Array.blit (Basis.btran_unit sb r) 0 t.rho 0 t.m
-         end
-         else begin
-           t.ops.Basis.btrans <- t.ops.Basis.btrans + 1;
-           Array.blit t.binv.(r) 0 t.rho 0 t.m
-         end);
+        Array.blit (Basis.btran_unit t.basis r) 0 t.rho 0 t.m;
         fill_cb_phase2 t;
         compute_y t t.cb;
         (* entering candidates: columns whose pivot sign restores primal
@@ -1096,26 +927,10 @@ let dual_simplex t =
                 col_iter t j (fun i a -> acc.(i) <- acc.(i) +. (a *. dx));
                 t.st.s_flips <- t.st.s_flips + 1)
               fs;
-            if sparse_mode t then begin
-              match t.sbasis with
-              | None -> invalid_arg "dual: basis not factorised"
-              | Some sb ->
-                let wf = Basis.ftran sb acc in
-                for r' = 0 to t.m - 1 do
-                  t.xb.(r') <- t.xb.(r') -. wf.(r')
-                done
-            end
-            else begin
-              t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
-              for r' = 0 to t.m - 1 do
-                let br = t.binv.(r') in
-                let sum = ref 0.0 in
-                for i = 0 to t.m - 1 do
-                  sum := !sum +. (br.(i) *. acc.(i))
-                done;
-                t.xb.(r') <- t.xb.(r') -. !sum
-              done
-            end);
+            let wf = Basis.ftran t.basis acc in
+            for r' = 0 to t.m - 1 do
+              t.xb.(r') <- t.xb.(r') -. wf.(r')
+            done);
           ftran t q;
           let alpha_rq = t.w.(r) in
           if abs_float alpha_rq < t.cur_tol_pivot then
@@ -1123,7 +938,7 @@ let dual_simplex t =
           let dq = (t.xb.(r) -. target) /. alpha_rq in
           let q_new = value t q +. dq in
           (* basis update first: raises before any state mutation *)
-          update_binv t r;
+          update_basis t r;
           for r' = 0 to t.m - 1 do
             if r' <> r then t.xb.(r') <- t.xb.(r') -. (dq *. t.w.(r'))
           done;
@@ -1175,15 +990,6 @@ let grow_arrays t needed_cap =
     let vs = Array.make (t.n + ncap) Free_zero in
     Array.blit t.vstat 0 vs 0 (t.n + t.m);
     t.vstat <- vs;
-    let nbinv =
-      if t.cur_sparse then [||]
-      else
-        Array.init ncap (fun r ->
-            let row = Array.make ncap 0.0 in
-            if r < t.m then Array.blit t.binv.(r) 0 row 0 t.m;
-            row)
-    in
-    t.binv <- nbinv;
     t.cap <- ncap
   end
 
@@ -1220,13 +1026,11 @@ let of_problem ?(params = default_params) prob =
     basic.(i) <- n + i;
     vstat.(n + i) <- Basic i
   done;
-  let binv =
-    if params.sparse_basis then [||]
-    else
-      Array.init cap (fun r ->
-          let row = Array.make cap 0.0 in
-          if r < m then row.(r) <- -1.0;
-          row)
+  let ops = Basis.fresh_counters () in
+  (* the all-slack start B = -I, factorised like every later basis *)
+  let basis =
+    Basis.create ~counters:ops ~pivot_tol:(lu_pivot_tol tol_pivot)
+      (Array.init m (fun i -> Sparse.singleton i (-1.0)))
   in
   let cand_cap = max 8 (min 64 ((n + m + 3) / 4)) in
   let t =
@@ -1241,17 +1045,14 @@ let of_problem ?(params = default_params) prob =
       obj;
       basic;
       vstat;
-      binv;
       xb = Array.make cap 0.0;
       last_status = Status.Iteration_limit;
-      sbasis = None;
-      needs_factor = true;
+      basis;
       xb_stale = false;
       iters = 0;
       since_refactor = 0;
       degen_streak = 0;
       bland = false;
-      cur_sparse = params.sparse_basis;
       cur_tol_pivot = tol_pivot;
       time_budget = params.time_limit;
       deadline = infinity;
@@ -1264,9 +1065,8 @@ let of_problem ?(params = default_params) prob =
         (match params.fault with
         | Some f -> Some (Lubt_util.Prng.create f.fault_seed)
         | None -> None);
-      fallback = None;
       st = fresh_istats ();
-      ops = Basis.fresh_counters ();
+      ops;
       cand = Array.make cand_cap 0;
       cand_score = Array.make cand_cap 0.0;
       ncand = 0;
@@ -1276,7 +1076,7 @@ let of_problem ?(params = default_params) prob =
       cb = Array.make cap 0.0;
     }
   in
-  if params.sparse_basis then refactor t else recompute_xb t;
+  recompute_xb t;
   t
 
 let add_row t ~lo ~up coeffs =
@@ -1296,42 +1096,21 @@ let add_row t ~lo ~up coeffs =
       let old = t.cols.(j) in
       t.cols.(j) <- Sparse.of_assoc ((r_new, v) :: Sparse.to_assoc old))
     sp;
-  (* extend B^-1: the new basis matrix is [[B, 0], [C, -1]] whose inverse is
-     [[B^-1, 0], [C B^-1, -1]], where C holds the new row's coefficients on
-     the current basic (necessarily structural) variables. In sparse mode
-     the same border is appended to a live factorisation — the next solve
-     then re-enters the dual simplex without refactorising — and a stale
-     one is rebuilt at the next solve. *)
-  if t.cur_sparse then begin
-    match t.sbasis with
-    | Some sb when not t.needs_factor ->
-      let border = ref [] in
-      Sparse.iter
-        (fun j v ->
-          match t.vstat.(j) with
-          | Basic k -> border := (k, v) :: !border
-          | At_lower | At_upper | Free_zero -> ())
-        sp;
-      Basis.append_row sb (Sparse.of_assoc !border);
-      t.since_refactor <- t.since_refactor + 1;
-      t.xb_stale <- true
-    | _ -> t.needs_factor <- true
-  end
-  else begin
-  let new_row = t.binv.(r_new) in
-  Array.fill new_row 0 t.cap 0.0;
+  (* extend the basis: the new basis matrix is [[B, 0], [C, -1]], where C
+     holds the new row's coefficients on the current basic (necessarily
+     structural) variables. This border is appended to the live
+     factorisation, so the next solve re-enters the dual simplex without
+     refactorising. *)
+  let border = ref [] in
   Sparse.iter
     (fun j v ->
       match t.vstat.(j) with
-      | Basic k ->
-        let bk = t.binv.(k) in
-        for i = 0 to t.m - 1 do
-          new_row.(i) <- new_row.(i) +. (v *. bk.(i))
-        done
+      | Basic k -> border := (k, v) :: !border
       | At_lower | At_upper | Free_zero -> ())
     sp;
-  new_row.(r_new) <- -1.0
-  end;
+  Basis.append_row t.basis (Sparse.of_assoc !border);
+  t.since_refactor <- t.since_refactor + 1;
+  t.xb_stale <- true;
   (* the new auxiliary variable enters the basis at the row's activity *)
   let activity =
     Sparse.fold (fun j v acc -> acc +. (v *. value t j)) sp 0.0
@@ -1340,7 +1119,6 @@ let add_row t ~lo ~up coeffs =
   t.vstat.(aux) <- Basic r_new;
   t.xb.(r_new) <- activity;
   t.m <- t.m + 1;
-  t.fallback <- None;  (* any fallback solution predates this row *)
   t.last_status <- Status.Iteration_limit
 
 (* ------------------------------------------------------------------ *)
@@ -1464,8 +1242,7 @@ let validate_solution t =
   end
 
 (* Reconstructs a standalone Problem.t equal to the engine's current model
-   (including rows appended with add_row), for the independent fallback
-   solver and for diagnostics. *)
+   (including rows appended with add_row), for oracles and diagnostics. *)
 let to_problem t =
   let prob = Problem.create () in
   for j = 0 to t.n - 1 do
@@ -1490,14 +1267,10 @@ let recoverable = function
     Some (Printf.sprintf "zero pivot at row %d (|pivot| = %g)" row magnitude)
   | _ -> None
 
-type stage_outcome = Retry | Final of Status.t
-
 let stage_name = function
   | Refactor_retry -> "refactor_retry"
-  | Switch_backend -> "switch_backend"
   | Tighten_pivot_tol -> "tighten_pivot_tol"
   | Perturb_and_resolve -> "perturb_and_resolve"
-  | Tableau_fallback -> "tableau_fallback"
 
 let apply_stage t stage =
   let name = stage_name stage in
@@ -1510,30 +1283,11 @@ let apply_stage t stage =
   match stage with
   | Refactor_retry ->
     t.st.s_rec_refactor <- t.st.s_rec_refactor + 1;
-    refactor t;
-    Retry
-  | Switch_backend ->
-    t.st.s_rec_switch <- t.st.s_rec_switch + 1;
-    if t.cur_sparse then begin
-      (* sparse LU + eta file -> explicit dense inverse *)
-      t.cur_sparse <- false;
-      t.sbasis <- None;
-      t.binv <- Array.init t.cap (fun _ -> Array.make t.cap 0.0)
-    end
-    else begin
-      (* dense inverse -> sparse LU *)
-      t.cur_sparse <- true;
-      t.binv <- [||];
-      t.sbasis <- None;
-      t.needs_factor <- true
-    end;
-    refactor t;
-    Retry
+    refactor t
   | Tighten_pivot_tol ->
     t.st.s_rec_tol <- t.st.s_rec_tol + 1;
     t.cur_tol_pivot <- min 1e-5 (t.cur_tol_pivot *. 100.0);
-    refactor t;
-    Retry
+    refactor t
   | Perturb_and_resolve ->
     t.st.s_rec_perturb <- t.st.s_rec_perturb + 1;
     let total = t.n + t.m in
@@ -1570,25 +1324,14 @@ let apply_stage t stage =
     | _ -> ());
     (* clean re-solve on the exact bounds happens at the next attempt; here
        only the basis bookkeeping is refreshed for the restored bounds *)
-    refactor t;
-    Retry
-  | Tableau_fallback ->
-    t.st.s_rec_tableau <- t.st.s_rec_tableau + 1;
-    let sol = Tableau.solve (to_problem t) in
-    let sol = { sol with Status.iterations = t.iters } in
-    t.fallback <- Some sol;
-    Final sol.Status.status
+    refactor t
 
 let solve t =
-  t.fallback <- None;
   t.solving <- true;
   t.deadline <-
     (if t.time_budget = infinity then infinity
      else Clock.now () +. t.time_budget);
-  let rec_total t =
-    t.st.s_rec_refactor + t.st.s_rec_switch + t.st.s_rec_tol
-    + t.st.s_rec_perturb + t.st.s_rec_tableau
-  in
+  let rec_total t = t.st.s_rec_refactor + t.st.s_rec_tol + t.st.s_rec_perturb in
   (* entry counters, so re-solves on a live engine report deltas *)
   let m0_iters = t.iters
   and m0_flips = t.st.s_flips
@@ -1610,11 +1353,9 @@ let solve t =
     status
   in
   let run () =
-    (* a stale factorisation (rows added since the last solve) must be
-       rebuilt before anything consults the basis *)
-    if sparse_mode t && (t.needs_factor || t.sbasis = None) then refactor t;
-    (* warm-started row growth skipped that rebuild; give the solve the
-       same starting hygiene a refactorisation provides — exact basic
+    (* rows appended since the last solve extended the live
+       factorisation; give the solve the same starting hygiene a
+       refactorisation provides — exact basic
        values and a fresh anti-cycling state. The live factorisation is
        kept unless its trail has grown heavier than the LU itself, in
        which case rebuilding now is cheaper than dragging the trail
@@ -1653,8 +1394,7 @@ let solve t =
     | [] -> Status.Numerical_failure
     | stage :: rest -> (
       match guard (fun () -> apply_stage t stage) with
-      | Ok Retry -> attempt rest
-      | Ok (Final s) -> s
+      | Ok () -> attempt rest
       | Error _ -> escalate rest)
   in
   let status =
@@ -1665,8 +1405,6 @@ let solve t =
   finish status
 
 let set_time_limit t seconds = t.time_budget <- seconds
-
-let used_fallback t = t.fallback <> None
 
 (* ------------------------------------------------------------------ *)
 (* Warm-basis snapshots                                                *)
@@ -1710,7 +1448,7 @@ let warm_basis t =
     wb_nonbasic = Bytes.unsafe_to_string statuses;
   }
 
-(* The always-valid fallback start: every auxiliary variable basic in its
+(* The always-valid cold start: every auxiliary variable basic in its
    own row (B = -I), structurals at their [initial_vstat] bound. This is
    exactly the basis [of_problem] builds, so reinstalling it after a failed
    warm install returns the engine to a known-good cold state. *)
@@ -1722,7 +1460,6 @@ let install_slack_basis t =
     t.basic.(i) <- t.n + i;
     t.vstat.(t.n + i) <- Basic i
   done;
-  if t.cur_sparse then t.needs_factor <- true;
   refactor t
 
 let install_warm_basis t wb =
@@ -1786,13 +1523,10 @@ let install_warm_basis t wb =
           t.basic.(r) <- b;
           t.vstat.(b) <- Basic r)
         wb.wb_basic;
-      t.fallback <- None;
       t.last_status <- Status.Iteration_limit;
-      if t.cur_sparse then t.needs_factor <- true;
-      (* factorise now: [of_problem] only auto-refactors the sparse backend,
-         and the dense path assumes the -I start otherwise. A singular warm
-         basis is the snapshot's fault, not the engine's — reinstall the
-         all-slack basis and report the mismatch. *)
+      (* factorise now, so the next solve starts from the installed basis.
+         A singular warm basis is the snapshot's fault, not the engine's —
+         reinstall the all-slack basis and report the mismatch. *)
       (match refactor t with
       | () -> Ok ()
       | exception e -> (
@@ -1807,37 +1541,14 @@ let install_warm_basis t wb =
 (* Extraction                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* When the Tableau_fallback stage produced the answer, the engine's own
-   basis is untrustworthy: every extractor reads the stored independent
-   solution instead. *)
+let primal t = Array.init t.n (fun j -> value t j)
 
-let primal t =
-  match t.fallback with
-  | Some s -> Array.copy s.Status.primal
-  | None -> Array.init t.n (fun j -> value t j)
-
-let row_activity t =
-  match t.fallback with
-  | Some s -> Array.copy s.Status.row_activity
-  | None -> Array.init t.m (fun i -> value t (t.n + i))
-
-let objective t =
-  match t.fallback with
-  | Some s -> s.Status.objective
-  | None ->
-    let acc = ref 0.0 in
-    for j = 0 to t.n - 1 do
-      if t.obj.(j) <> 0.0 then acc := !acc +. (t.obj.(j) *. value t j)
-    done;
-    !acc
+let row_activity t = Array.init t.m (fun i -> value t (t.n + i))
 
 let dual t =
-  match t.fallback with
-  | Some s -> Array.copy s.Status.dual
-  | None ->
-    fill_cb_phase2 t;
-    compute_y t t.cb;
-    Array.sub t.y 0 t.m
+  fill_cb_phase2 t;
+  compute_y t t.cb;
+  Array.sub t.y 0 t.m
 
 let reduced_cost t j =
   assert (j >= 0 && j < t.n);
@@ -1846,17 +1557,14 @@ let reduced_cost t j =
   t.obj.(j) -. col_dot t j t.y
 
 let solution t =
-  match t.fallback with
-  | Some s -> { s with Status.status = t.last_status; iterations = t.iters }
-  | None ->
-    {
-      Status.status = t.last_status;
-      objective = objective t;
-      primal = primal t;
-      row_activity = row_activity t;
-      dual = dual t;
-      iterations = t.iters;
-    }
+  {
+    Status.status = t.last_status;
+    objective = objective t;
+    primal = primal t;
+    row_activity = row_activity t;
+    dual = dual t;
+    iterations = t.iters;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
@@ -1884,10 +1592,8 @@ let stats t =
     recoveries =
       {
         refactor_retries = t.st.s_rec_refactor;
-        backend_switches = t.st.s_rec_switch;
         tolerance_escalations = t.st.s_rec_tol;
         perturbed_resolves = t.st.s_rec_perturb;
-        tableau_fallbacks = t.st.s_rec_tableau;
         faults_injected = t.st.s_injected;
         validations_rejected = t.st.s_rejected;
       };
@@ -1918,10 +1624,8 @@ let zero_stats =
 let merge_recoveries a b =
   {
     refactor_retries = a.refactor_retries + b.refactor_retries;
-    backend_switches = a.backend_switches + b.backend_switches;
     tolerance_escalations = a.tolerance_escalations + b.tolerance_escalations;
     perturbed_resolves = a.perturbed_resolves + b.perturbed_resolves;
-    tableau_fallbacks = a.tableau_fallbacks + b.tableau_fallbacks;
     faults_injected = a.faults_injected + b.faults_injected;
     validations_rejected = a.validations_rejected + b.validations_rejected;
   }
@@ -1964,9 +1668,8 @@ let pp_stats fmt s =
     (s.dual_seconds *. 1e3);
   let r = s.recoveries in
   Format.fprintf fmt
-    "@,recoveries: %d refactor, %d backend switch, %d tolerance, %d perturb, \
-     %d tableau; faults injected: %d, validations rejected: %d"
-    r.refactor_retries r.backend_switches r.tolerance_escalations
-    r.perturbed_resolves r.tableau_fallbacks r.faults_injected
-    r.validations_rejected;
+    "@,recoveries: %d refactor, %d tolerance, %d perturb; faults injected: \
+     %d, validations rejected: %d"
+    r.refactor_retries r.tolerance_escalations r.perturbed_resolves
+    r.faults_injected r.validations_rejected;
   Format.fprintf fmt "@]"

@@ -15,10 +15,15 @@
       workhorse for the EBF LPs, whose all-slack start is dual feasible,
       and for warm restarts after rows are added).
 
-    Rows can be appended between solves ([add_row]); the factorised basis is
-    extended in O(m x nnz) and stays dual feasible, so re-optimisation is a
-    short dual-simplex run. This implements the paper's Section 4.6
-    constraint-reduction strategy as exact lazy row generation.
+    The basis has one representation: a sparse LU factorisation plus a
+    trail of eta updates and border rows ({!Basis}), refactorised every
+    [refactor_every] pivots.
+
+    Rows can be appended between solves ([add_row]); the live
+    factorisation is extended by a border row and stays dual feasible, so
+    re-optimisation is a short dual-simplex run. This implements the
+    paper's Section 4.6 constraint-reduction strategy as exact lazy row
+    generation.
 
     {b Domain safety.} The engine keeps no global mutable state: every
     working array, the basis factorisation, the {!Basis.counters} record
@@ -30,7 +35,7 @@
     shared between domains without external synchronisation. *)
 
 type t
-(** A loaded LP engine: problem snapshot, current basis (either backend),
+(** A loaded LP engine: problem snapshot, current basis and its
     factorisation, and cumulative telemetry. Create with {!of_problem};
     all mutation goes through {!solve}, {!add_row} and
     {!set_time_limit}. *)
@@ -65,9 +70,6 @@ val fault_plan :
 (** One rung of the numerical-recovery ladder. *)
 type recovery_stage =
   | Refactor_retry  (** rebuild the basis factorisation and retry *)
-  | Switch_backend
-      (** swap sparse LU + eta file <-> explicit dense inverse (either
-          direction) and retry *)
   | Tighten_pivot_tol
       (** escalate the pivot tolerance by 100x (capped at 1e-5), making
           the ratio tests refuse the near-zero pivots that broke the
@@ -77,13 +79,9 @@ type recovery_stage =
           noise, drive to optimality on the perturbed problem to escape
           the degenerate vertex, then restore the exact bounds and
           re-solve cleanly *)
-  | Tableau_fallback
-      (** last resort: hand the reconstructed model to the independent
-          dense {!Tableau} oracle and serve its solution (dual values are
-          zeros; see {!used_fallback}) *)
 
 val default_recovery : recovery_stage list
-(** All five stages in the order above. *)
+(** All three stages in the order above. *)
 
 type params = {
   max_iters : int;  (** 0 means choose automatically from the size *)
@@ -92,11 +90,6 @@ type params = {
           (the default) disables it. On expiry [solve] returns
           {!Status.Time_limit} with the best basis reached so far. *)
   refactor_every : int;  (** pivots between basis refactorisations *)
-  sparse_basis : bool;
-      (** use the product-form sparse basis ({!Basis}: LU + eta file)
-          instead of the explicit dense inverse. Same results; much
-          faster and far less memory on large sparse programs (default
-          [false]) *)
   bland_threshold : int;
       (** consecutive degenerate pivots tolerated before the anti-cycling
           escape switches to Bland's rule (default 1000). The switch
@@ -112,9 +105,8 @@ type params = {
 }
 
 val default_params : params
-(** Dense explicit inverse, [refactor_every = 100], automatic iteration
-    cap, no time limit, [bland_threshold = 1000], full recovery ladder, no
-    fault injection.
+(** [refactor_every = 100], automatic iteration cap, no time limit,
+    [bland_threshold = 1000], full recovery ladder, no fault injection.
 
     The algorithm itself is not configurable. Primal pricing is partial:
     a short candidate list of columns that priced attractively at the
@@ -124,21 +116,20 @@ val default_params : params
     declared by a full scan. The dual ratio test is the long-step
     (bound-flipping) rule: boxed nonbasic columns whose breakpoint cannot
     absorb the remaining primal violation flip to their opposite bound
-    without a basis change. On the sparse backend {!add_row} extends the
-    live factorisation by a border row. The tolerances are fixed: primal
-    feasibility [1e-7] and reduced-cost optimality [1e-9], both relative
-    to [1 + |value|], and pivot magnitude [1e-9] (escalated only by the
-    {!Tighten_pivot_tol} recovery stage). *)
+    without a basis change. {!add_row} extends the live factorisation by
+    a border row. The tolerances are fixed: primal feasibility [1e-7] and
+    reduced-cost optimality [1e-9], both relative to [1 + |value|], and
+    pivot magnitude [1e-9] (escalated only by the {!Tighten_pivot_tol}
+    recovery stage). *)
 
 type recoveries = {
   refactor_retries : int;
-  backend_switches : int;
   tolerance_escalations : int;
   perturbed_resolves : int;
-  tableau_fallbacks : int;
   faults_injected : int;  (** faults actually fired (testing) *)
   validations_rejected : int;
-      (** optimal bases rejected by the binv-free post-solve check *)
+      (** optimal bases rejected by the post-solve check, which reads the
+          column data and never the factorisation *)
 }
 (** Recovery-ladder telemetry; all zero on a numerically clean solve. *)
 
@@ -146,7 +137,7 @@ val no_recoveries : recoveries
 (** The all-zero record a numerically clean solve reports. *)
 
 val recovery_attempts : recoveries -> int
-(** Total ladder stages applied (sum of the five stage counters;
+(** Total ladder stages applied (sum of the three stage counters;
     excludes [faults_injected] and [validations_rejected]). *)
 
 type stats = {
@@ -162,12 +153,12 @@ type stats = {
           Bland's rule engaged) plus dual ratio scans (each inspects all
           [n + m] columns) *)
   partial_pricing_scans : int;  (** candidate-list-only pricing passes *)
-  ftran_count : int;  (** forward solves [B^-1 a] on either backend *)
-  btran_count : int;  (** transpose solves [B^-T c] on either backend *)
-  basis_updates : int;  (** rank-1 / eta updates applied *)
+  ftran_count : int;  (** forward solves [B^-1 a] *)
+  btran_count : int;  (** transpose solves [B^-T c] *)
+  basis_updates : int;  (** eta updates applied *)
   basis_extensions : int;
       (** rows appended to a live factorisation by warm-started
-          {!add_row} (sparse backend) *)
+          {!add_row} *)
   refactorisations : int;  (** basis factorisations from scratch *)
   degenerate_pivots : int;  (** pivots with (numerically) zero step *)
   bland_activations : int;  (** times the anti-cycling escape engaged *)
@@ -215,11 +206,6 @@ val set_time_limit : t -> float -> unit
     {!Status.Time_limit} immediately. Used by callers that spread one
     budget over several warm restarts. *)
 
-val used_fallback : t -> bool
-(** Whether the last [solve] was answered by the {!Tableau_fallback} stage.
-    If so, {!dual} returns zeros (the oracle does not produce multipliers)
-    and callers should not demand dual certificates. *)
-
 val to_problem : t -> Problem.t
 (** Reconstructs a standalone model equal to the engine's current one,
     including rows appended with [add_row] (diagnostics / oracles). *)
@@ -227,9 +213,8 @@ val to_problem : t -> Problem.t
 val add_row : t -> lo:float -> up:float -> (int * float) list -> unit
 (** Appends a constraint row over structural variables. The engine stays
     dual feasible; call [solve] to re-optimise (it will run the dual
-    simplex). On the sparse backend a live factorisation is extended by a
-    border row (counted in [basis_extensions]) so the re-solve skips the
-    refactorisation; a stale one is refactorised at the next [solve]. *)
+    simplex). The live factorisation is extended by a border row (counted
+    in [basis_extensions]), so the re-solve skips the refactorisation. *)
 
 type warm_basis = {
   wb_nvars : int;  (** structural variable count of the source engine *)
@@ -265,9 +250,8 @@ val pp_basis_mismatch : Format.formatter -> basis_mismatch -> unit
 
 val warm_basis : t -> warm_basis
 (** Snapshots the engine's current basis. Callers that intend to reuse the
-    snapshot should take it only after [solve] returned {!Status.Optimal}
-    with {!used_fallback}[ = false] — a fallback answer leaves the engine
-    basis untrustworthy. *)
+    snapshot should take it only after [solve] returned
+    {!Status.Optimal}. *)
 
 val install_warm_basis : t -> warm_basis -> (unit, basis_mismatch) result
 (** Installs a snapshot taken from an engine of identical shape (same
@@ -360,7 +344,3 @@ val set_probe : t -> probe option -> unit
 
 val solution : t -> Status.solution
 (** Packages the current state (status as of the last [solve]). *)
-
-val check_consistency : t -> float
-(** Recomputes basic values from scratch and returns the largest absolute
-    discrepancy with the incrementally maintained ones (diagnostics). *)

@@ -52,10 +52,16 @@ let solve ?params ?(check = Certify.Off) ?cache prob =
   in
   let status = Simplex.solve eng in
   let sol = Simplex.solution eng in
-  let publish () =
-    match cache_ctx with
-    | Some (c, structure, key)
-      when status = Status.Optimal && not (Simplex.used_fallback eng) ->
+  if
+    status = Status.Optimal && check <> Certify.Off
+    && not (Certify.check ~level:check prob sol).Certify.ok
+  then
+    (* the answer failed certification: nothing is published — the cache
+       only ever holds bases whose solves certified clean *)
+    { sol with Status.status = Status.Numerical_failure }
+  else begin
+    (match cache_ctx with
+    | Some (c, structure, key) when status = Status.Optimal ->
       Basis_cache.store c
         {
           Basis_cache.e_structure = structure;
@@ -65,32 +71,8 @@ let solve ?params ?(check = Certify.Off) ?cache prob =
           e_pairs = [||];
           e_objective = sol.Status.objective;
         }
-    | _ -> ()
-  in
-  if status <> Status.Optimal || check = Certify.Off then begin
-    publish ();
+    | _ -> ());
     sol
-  end
-  else begin
-    (* the tableau fallback produces no multipliers, so a Full check would
-       reject an honest answer: demote to Primal there *)
-    let level = if Simplex.used_fallback eng then Certify.Primal else check in
-    let report = Certify.check ~level prob sol in
-    if report.Certify.ok then begin
-      publish ();
-      sol
-    end
-    else begin
-      (* the engine's answer failed certification: re-derive it with the
-         independent oracle and certify what the oracle can guarantee.
-         Nothing is published — the cache only ever holds bases whose
-         solves certified clean. *)
-      let osol = Tableau.solve prob in
-      let oreport = Certify.check ~level:Certify.Primal prob osol in
-      if osol.Status.status = Status.Optimal && oreport.Certify.ok then
-        { osol with Status.iterations = sol.Status.iterations }
-      else { sol with Status.status = Status.Numerical_failure }
-    end
   end
 
 let solve_exn ?params ?check ?cache prob =

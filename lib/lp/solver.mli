@@ -9,19 +9,16 @@ val solve :
   Status.solution
 (** [solve prob] solves and packages the model. With [check] (default
     {!Certify.Off}) an [Optimal] claim is certified a posteriori by
-    {!Certify.check}; if certification rejects it, the independent
-    {!Tableau} oracle is consulted, and only when the oracle's answer also
-    fails does the status degrade to [Numerical_failure]. A solution served
-    by the engine's own tableau fallback is certified at [Primal] level
-    (it carries no duals).
+    {!Certify.check} at that level; if certification rejects it, the
+    status degrades to [Numerical_failure] (the EBF driver does the same).
 
     With [cache], the model is content-addressed (coefficients fix the
     structure fingerprint, bounds complete the key — see {!Basis_cache})
     and a cached basis of the identical or bounds-edited model
     warm-restarts the solve; snapshots failing validation are rejected
     with a typed {!Simplex.basis_mismatch} and the solve runs cold. The
-    final basis is stored back only when the solve ended [Optimal] without
-    the tableau fallback and (when [check] is on) certified clean. *)
+    final basis is stored back only when the solve ended [Optimal] and
+    (when [check] is on) certified clean. *)
 
 val solve_exn :
   ?params:Simplex.params ->

@@ -3,7 +3,8 @@
 
     Deliberately shares no code with {!Simplex}; tests cross-check the two
     implementations against each other on randomly generated problems. Only
-    suitable for small instances (dense O(rows x cols) per pivot).
+    suitable for small instances (dense O(rows x cols) per pivot). It is a
+    test oracle: no library or executable code calls it (CI checks this).
 
     The [dual] field of the returned solution is left as zeros. *)
 

@@ -223,33 +223,22 @@ let test_dual_values () =
   check_float "strong duality" sol.objective dual_obj
 
 
-(* Sparse product-form backend must agree with the dense inverse. *)
-let test_sparse_backend_agreement () =
+(* A second, independently seeded stream of 300 LPs against the oracle. *)
+let test_random_cross_check_second_seed () =
   let rng = Prng.create 321 in
-  let sparse = { Simplex.default_params with Simplex.sparse_basis = true } in
   for id = 1 to 300 do
-    let p = random_problem rng in
-    let a = Solver.solve p in
-    let b = Solver.solve ~params:sparse p in
-    match (a.Status.status, b.Status.status) with
-    | Status.Optimal, Status.Optimal ->
-      if not (Lubt_util.Stats.approx_eq ~eps:1e-5 a.objective b.objective) then
-        Alcotest.failf "case %d: dense %.9g vs sparse %.9g" id a.objective
-          b.objective
-    | sa, sb when sa = sb -> ()
-    | sa, sb ->
-      Alcotest.failf "case %d: status dense=%s sparse=%s" id
-        (Status.to_string sa) (Status.to_string sb)
+    same_outcome id (random_problem rng)
   done
 
-let test_sparse_backend_incremental () =
-  (* warm-restart row generation on the sparse backend *)
+let test_warm_row_appends () =
+  (* warm-restart row generation: every appended row extends the live
+     factorisation by a border, and the result matches the oracle on the
+     complete model *)
   let p = Problem.create () in
   let n = 30 in
   let vars = Array.init n (fun _ -> Problem.add_var ~obj:1.0 p) in
   ignore (Problem.add_row p ~lo:1.0 ~up:infinity [ (vars.(0), 1.0) ]);
-  let sparse = { Simplex.default_params with Simplex.sparse_basis = true } in
-  let eng = Simplex.of_problem ~params:sparse p in
+  let eng = Simplex.of_problem p in
   Alcotest.check status_testable "first" Status.Optimal (Simplex.solve eng);
   for i = 0 to n - 2 do
     Simplex.add_row eng ~lo:(float_of_int i) ~up:infinity
@@ -264,25 +253,26 @@ let test_sparse_backend_incremental () =
       (Problem.add_row q ~lo:(float_of_int i) ~up:infinity
          [ (qvars.(i), 1.0); (qvars.(i + 1), 1.0) ])
   done;
-  let fresh = Solver.solve q in
-  check_float "same objective" fresh.objective (Simplex.objective eng)
+  let oracle = Tableau.solve q in
+  check_float "oracle objective" oracle.objective (Simplex.objective eng);
+  Alcotest.(check bool) "rows absorbed warm" true
+    ((Simplex.stats eng).Simplex.basis_extensions > 0)
 
 
-(* Parameter fuzz: aggressive refactorisation and both backends must not
-   change any outcome. refactor_every = 1 exercises the LU refactor path
-   on every single pivot. *)
+(* Parameter fuzz: aggressive refactorisation must not change any
+   outcome. refactor_every = 1 exercises the LU refactor path on every
+   single pivot. *)
 let test_param_fuzz () =
   let rng = Prng.create 777 in
   let param_sets =
     [
       { Simplex.default_params with Simplex.refactor_every = 1 };
-      { Simplex.default_params with Simplex.refactor_every = 1; sparse_basis = true };
-      { Simplex.default_params with Simplex.refactor_every = 3; sparse_basis = true };
+      { Simplex.default_params with Simplex.refactor_every = 3 };
       { Simplex.default_params with Simplex.max_iters = 100_000 };
       (* a tiny Bland threshold forces the anti-cycling path onto
          ordinary problems *)
       { Simplex.default_params with Simplex.bland_threshold = 0 };
-      { Simplex.default_params with Simplex.bland_threshold = 1; sparse_basis = true };
+      { Simplex.default_params with Simplex.bland_threshold = 1 };
     ]
   in
   for id = 1 to 80 do
@@ -335,10 +325,10 @@ let () =
         [
           Alcotest.test_case "400 random LPs vs tableau" `Slow
             test_random_cross_check;
-          Alcotest.test_case "sparse backend agreement" `Slow
-            test_sparse_backend_agreement;
+          Alcotest.test_case "second 300 random LPs vs tableau" `Slow
+            test_random_cross_check_second_seed;
           Alcotest.test_case "sparse backend incremental" `Quick
-            test_sparse_backend_incremental;
+            test_warm_row_appends;
           Alcotest.test_case "parameter fuzz" `Slow test_param_fuzz;
           Alcotest.test_case "dual values" `Quick test_dual_values;
         ] );

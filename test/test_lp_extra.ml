@@ -183,74 +183,57 @@ module Instance = Lubt_core.Instance
 module Topogen = Lubt_topo.Topogen
 module Point = Lubt_geom.Point
 
-(* Four engine runs per instance — {dense inverse, sparse LU} basis x
-   {eager formulation (primal phases), lazy row-generation loop
-   (dual-simplex warm restarts after add_row)} — must agree with the
-   independent two-phase tableau oracle. A fifth of the instances get an
-   upper bound below the radius so the infeasibility verdict is
-   cross-checked too. *)
-let test_ebf_four_way_crosscheck () =
+(* Two engine runs per instance — the eager formulation (primal phases)
+   and the lazy row-generation loop (dual-simplex warm restarts after
+   add_row) — must agree with the independent two-phase tableau oracle. A
+   fifth of the instances get an upper bound below the radius so the
+   infeasibility verdict is cross-checked too. *)
+let test_ebf_engine_vs_oracle () =
   let rng = Prng.create 8086 in
-  let engine_params =
-    [
-      ("dense", { Simplex.default_params with Simplex.sparse_basis = false });
-      ("sparse", { Simplex.default_params with Simplex.sparse_basis = true });
-    ]
-  in
   for case = 1 to 50 do
     (* every fifth case gets an upper bound below the radius: provably
        no LUBT exists, so the infeasibility verdict is cross-checked *)
     let inst, tree = Lp_gen.random_ebf ~infeasible:(case mod 5 = 0) rng in
     let oracle = Tableau.solve (Ebf.formulate inst tree) in
-    List.iter
-      (fun (label, params) ->
-        let eager = Solver.solve ~params (Ebf.formulate inst tree) in
-        if eager.Status.status <> oracle.Status.status then
-          Alcotest.failf "case %d (%s, eager): status %s vs oracle %s" case
-            label
-            (Status.to_string eager.Status.status)
-            (Status.to_string oracle.Status.status);
-        if
-          oracle.Status.status = Status.Optimal
-          && not
-               (Lubt_util.Stats.approx_eq ~eps:1e-6 eager.Status.objective
-                  oracle.Status.objective)
-        then
-          Alcotest.failf "case %d (%s, eager): %.9g vs oracle %.9g" case label
-            eager.Status.objective oracle.Status.objective;
-        let lazy_r =
-          Ebf.solve
-            ~options:{ Ebf.default_options with Ebf.lp_params = params }
-            inst tree
-        in
-        if lazy_r.Ebf.status <> oracle.Status.status then
-          Alcotest.failf "case %d (%s, lazy): status %s vs oracle %s" case
-            label
-            (Status.to_string lazy_r.Ebf.status)
-            (Status.to_string oracle.Status.status);
-        if oracle.Status.status = Status.Optimal then begin
-          if
-            not
-              (Lubt_util.Stats.approx_eq ~eps:1e-6 lazy_r.Ebf.objective
-                 oracle.Status.objective)
-          then
-            Alcotest.failf "case %d (%s, lazy): %.9g vs oracle %.9g" case
-              label lazy_r.Ebf.objective oracle.Status.objective;
-          match Ebf.check_lengths inst tree lazy_r.Ebf.lengths with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "case %d (%s, lazy): %s" case label msg
-        end;
-        (* telemetry sanity on the lazy run *)
-        let st = lazy_r.Ebf.lp_stats in
-        if st.Simplex.iterations <> lazy_r.Ebf.lp_iterations then
-          Alcotest.failf "case %d (%s): stats iterations %d vs result %d" case
-            label st.Simplex.iterations lazy_r.Ebf.lp_iterations;
-        if List.length lazy_r.Ebf.round_stats <> lazy_r.Ebf.rounds then
-          Alcotest.failf "case %d (%s): %d round stats for %d rounds" case
-            label
-            (List.length lazy_r.Ebf.round_stats)
-            lazy_r.Ebf.rounds)
-      engine_params
+    let eager = Solver.solve (Ebf.formulate inst tree) in
+    if eager.Status.status <> oracle.Status.status then
+      Alcotest.failf "case %d (eager): status %s vs oracle %s" case
+        (Status.to_string eager.Status.status)
+        (Status.to_string oracle.Status.status);
+    if
+      oracle.Status.status = Status.Optimal
+      && not
+           (Lubt_util.Stats.approx_eq ~eps:1e-6 eager.Status.objective
+              oracle.Status.objective)
+    then
+      Alcotest.failf "case %d (eager): %.9g vs oracle %.9g" case
+        eager.Status.objective oracle.Status.objective;
+    let lazy_r = Ebf.solve inst tree in
+    if lazy_r.Ebf.status <> oracle.Status.status then
+      Alcotest.failf "case %d (lazy): status %s vs oracle %s" case
+        (Status.to_string lazy_r.Ebf.status)
+        (Status.to_string oracle.Status.status);
+    if oracle.Status.status = Status.Optimal then begin
+      if
+        not
+          (Lubt_util.Stats.approx_eq ~eps:1e-6 lazy_r.Ebf.objective
+             oracle.Status.objective)
+      then
+        Alcotest.failf "case %d (lazy): %.9g vs oracle %.9g" case
+          lazy_r.Ebf.objective oracle.Status.objective;
+      match Ebf.check_lengths inst tree lazy_r.Ebf.lengths with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "case %d (lazy): %s" case msg
+    end;
+    (* telemetry sanity on the lazy run *)
+    let st = lazy_r.Ebf.lp_stats in
+    if st.Simplex.iterations <> lazy_r.Ebf.lp_iterations then
+      Alcotest.failf "case %d: stats iterations %d vs result %d" case
+        st.Simplex.iterations lazy_r.Ebf.lp_iterations;
+    if List.length lazy_r.Ebf.round_stats <> lazy_r.Ebf.rounds then
+      Alcotest.failf "case %d: %d round stats for %d rounds" case
+        (List.length lazy_r.Ebf.round_stats)
+        lazy_r.Ebf.rounds
   done
 
 (* ------------------------------------------------------------------ *)
@@ -311,23 +294,6 @@ let test_lu_transpose_solve () =
           Alcotest.failf "case %d: btran x[%d] = %.12g vs %.12g" case i v
             x_true.(i))
       x
-  done
-
-let test_lu_inverse_columns () =
-  let rng = Prng.create 4027 in
-  let n = 12 in
-  let cols = random_nonsingular rng n in
-  let lu = Lu.factor cols in
-  (* A * (column j of A^-1) = e_j *)
-  for j = 0 to n - 1 do
-    let inv_j = Lu.inverse_column lu j in
-    let e = mat_vec cols inv_j in
-    Array.iteri
-      (fun i v ->
-        let want = if i = j then 1.0 else 0.0 in
-        if not (Lubt_util.Stats.approx_eq ~eps:1e-8 v want) then
-          Alcotest.failf "inverse column %d row %d: %.12g vs %.12g" j i v want)
-      e
   done
 
 let test_lu_detects_singular () =
@@ -508,7 +474,6 @@ let () =
         [
           Alcotest.test_case "solve roundtrip" `Quick test_lu_solve_roundtrip;
           Alcotest.test_case "transpose solve" `Quick test_lu_transpose_solve;
-          Alcotest.test_case "inverse columns" `Quick test_lu_inverse_columns;
           Alcotest.test_case "detects singular" `Quick test_lu_detects_singular;
           Alcotest.test_case "permutation matrix" `Quick
             test_lu_permutation_matrix;
@@ -532,7 +497,7 @@ let () =
         ] );
       ( "ebf-cross-check",
         [
-          Alcotest.test_case "four-way engine agreement, 50 instances" `Slow
-            test_ebf_four_way_crosscheck;
+          Alcotest.test_case "engine vs oracle, 50 instances" `Slow
+            test_ebf_engine_vs_oracle;
         ] );
     ]

@@ -1,9 +1,10 @@
 (* Fast-path equivalence layer: partial pricing, the bound-flipping dual
    ratio test and the EBF warm start are pure accelerations — they may
    change no verdict or optimal value.
-   Each instance gets five verdicts that must agree: the dense and the
-   sparse basis backend, the independent two-phase tableau oracle (to
-   1e-7), the a-posteriori certifier, and a primal feasibility check.
+   Each instance gets five verdicts that must agree: the engine with its
+   eta file and the engine refactorising at every pivot, the independent
+   two-phase tableau oracle (to 1e-7), the a-posteriori certifier, and a
+   primal feasibility check.
    They run on a fixed 50-instance corpus, on fresh QCheck-generated
    instances, on LPs whose optimum is known exactly by construction, and
    under injected numerical faults driven through the recovery ladder. *)
@@ -19,14 +20,15 @@ module Prng = Lubt_util.Prng
 
 let approx = Lubt_util.Stats.approx_eq
 
-(* The engine's one algorithm on both basis backends. *)
+(* The engine's one algorithm, with the eta file that carries the basis
+   between refactorisations and without it (a fresh LU at every pivot). *)
 let configs =
   [
-    ("dense", { Simplex.default_params with Simplex.sparse_basis = false });
-    ("sparse", { Simplex.default_params with Simplex.sparse_basis = true });
+    ("eta file", Simplex.default_params);
+    ("refactor every pivot", { Simplex.default_params with Simplex.refactor_every = 1 });
   ]
 
-(* Solve [p] on both backends and compare with the tableau
+(* Solve [p] in both configurations and compare with the tableau
    oracle: identical status; optimal objectives within 1e-7; primal
    point feasible; the packaged solution accepted by the certifier. *)
 let check_all_configs ctx p =
@@ -141,8 +143,8 @@ let test_bound_flips_fire () =
 (* EBF warm start: equivalence and uptake                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Warm lazy EBF (the default: sparse backend, appended rows extend the
-   live factorisation) against the tableau oracle on the complete
+(* Warm lazy EBF (the default: appended rows extend the live
+   factorisation) against the tableau oracle on the complete
    formulation, with the materialised final LP certified a posteriori. *)
 let test_ebf_warm_start_equivalence () =
   let rng = Prng.create 61803 in
@@ -199,8 +201,7 @@ let test_fastpath_under_faults () =
     let params =
       {
         Simplex.default_params with
-        Simplex.sparse_basis = true;
-        fault = Some (Simplex.fault_plan (1000 + case));
+        Simplex.fault = Some (Simplex.fault_plan (1000 + case));
       }
     in
     let sol = Solver.solve ~params p in

@@ -130,33 +130,27 @@ let ebf_problem () =
 
 let test_fault_recovery_deterministic () =
   (* a guaranteed zero-pivot fault on the first basis update: the ladder's
-     first rung (refactorise-and-retry) must absorb it on both backends *)
-  List.iter
-    (fun sparse ->
-      let params =
-        {
-          Simplex.default_params with
-          Simplex.sparse_basis = sparse;
-          fault =
-            Some
-              (Simplex.fault_plan ~kinds:[ Simplex.Fault_zero_pivot ]
-                 ~rate:1.0 ~max_faults:1 42);
-        }
-      in
-      let clean = Solver.solve (ebf_problem ()) in
-      let eng = Simplex.of_problem ~params (ebf_problem ()) in
-      let status = Simplex.solve eng in
-      Alcotest.(check bool) "recovers to optimal" true
-        (status = Status.Optimal);
-      let recov = (Simplex.stats eng).Simplex.recoveries in
-      Alcotest.(check int) "one fault fired" 1 recov.Simplex.faults_injected;
-      Alcotest.(check bool) "ladder engaged" true
-        (Simplex.recovery_attempts recov >= 1);
-      if not (approx ~eps:1e-6 (Simplex.objective eng) clean.Status.objective)
-      then
-        Alcotest.failf "recovered objective %.9g vs clean %.9g (sparse=%b)"
-          (Simplex.objective eng) clean.Status.objective sparse)
-    [ false; true ]
+     first rung (refactorise-and-retry) must absorb it *)
+  let params =
+    {
+      Simplex.default_params with
+      Simplex.fault =
+        Some
+          (Simplex.fault_plan ~kinds:[ Simplex.Fault_zero_pivot ] ~rate:1.0
+             ~max_faults:1 42);
+    }
+  in
+  let clean = Solver.solve (ebf_problem ()) in
+  let eng = Simplex.of_problem ~params (ebf_problem ()) in
+  let status = Simplex.solve eng in
+  Alcotest.(check bool) "recovers to optimal" true (status = Status.Optimal);
+  let recov = (Simplex.stats eng).Simplex.recoveries in
+  Alcotest.(check int) "one fault fired" 1 recov.Simplex.faults_injected;
+  Alcotest.(check bool) "ladder engaged" true
+    (Simplex.recovery_attempts recov >= 1);
+  if not (approx ~eps:1e-6 (Simplex.objective eng) clean.Status.objective) then
+    Alcotest.failf "recovered objective %.9g vs clean %.9g"
+      (Simplex.objective eng) clean.Status.objective
 
 let test_empty_ladder_fails_hard () =
   let params =
@@ -258,7 +252,7 @@ let test_ebf_time_limit () =
   | None -> Alcotest.fail "expected a certificate")
 
 (* ------------------------------------------------------------------ *)
-(* Fault matrix: every kind x both backends on the cross-check corpus   *)
+(* Fault matrix: every kind on the cross-check corpus                   *)
 (* ------------------------------------------------------------------ *)
 
 let random_ebf_instance rng =
@@ -274,92 +268,113 @@ let random_ebf_instance rng =
   in
   (m, with_source, sinks, source, Instance.radius base)
 
-(* Mirrors the four-way cross-check corpus: 50 seeded instances, a fifth
-   of them provably infeasible. Under forced faults (every kind, both
-   backends) the lazy row-generation pipeline must still reach the
-   tableau oracle's verdict, and optimal answers must carry an [ok]
-   certificate. *)
+(* Mirrors the engine-vs-oracle cross-check corpus: 50 seeded instances, a
+   fifth of them provably infeasible, each solved by the lazy
+   row-generation pipeline with [check = Full] under every fault kind.
+   Yields (label, oracle solution, EBF result) per run; computed once and
+   shared by the tests below. *)
+let fault_matrix =
+  lazy
+    (let rng = Prng.create 8086 in
+     let kinds =
+       [
+         ("singular-refactor", Simplex.Fault_singular_refactor);
+         ("perturb-ftran", Simplex.Fault_perturb_ftran);
+         ("zero-pivot", Simplex.Fault_zero_pivot);
+       ]
+     in
+     List.concat_map
+       (fun case ->
+         let m, with_source, sinks, source, r = random_ebf_instance rng in
+         let l, u =
+           if case mod 5 = 0 then (0.0, r *. (0.1 +. Prng.float rng 0.8))
+           else
+             let u = r *. (1.0 +. Prng.float rng 1.0) in
+             (Prng.float rng u, u)
+         in
+         let inst = Instance.uniform_bounds ?source ~sinks ~lower:l ~upper:u () in
+         let tree =
+           Topogen.random_binary rng ~num_sinks:m ~source_edge:with_source
+         in
+         let oracle = Tableau.solve (Ebf.formulate inst tree) in
+         List.mapi
+           (fun ki (klabel, kind) ->
+             let params =
+               {
+                 Simplex.default_params with
+                 Simplex.fault =
+                   Some
+                     (Simplex.fault_plan ~kinds:[ kind ] ~rate:1.0
+                        ~max_faults:2
+                        ((case * 31) + ki));
+               }
+             in
+             let res =
+               Ebf.solve
+                 ~options:
+                   {
+                     Ebf.default_options with
+                     Ebf.lp_params = params;
+                     check = Certify.Full;
+                   }
+                 inst tree
+             in
+             (Printf.sprintf "case %d (%s)" case klabel, oracle, res))
+           kinds)
+       (List.init 50 (fun i -> i + 1)))
+
+(* Under forced faults the recovery ladder must still reach the tableau
+   oracle's verdict, and optimal answers must carry an [ok] certificate. *)
 let test_fault_matrix_crosscheck () =
-  let rng = Prng.create 8086 in
-  let kinds =
-    [
-      ("singular-refactor", Simplex.Fault_singular_refactor);
-      ("perturb-ftran", Simplex.Fault_perturb_ftran);
-      ("zero-pivot", Simplex.Fault_zero_pivot);
-    ]
-  in
   let total_faults = ref 0 and total_recoveries = ref 0 in
-  for case = 1 to 50 do
-    let m, with_source, sinks, source, r = random_ebf_instance rng in
-    let l, u =
-      if case mod 5 = 0 then (0.0, r *. (0.1 +. Prng.float rng 0.8))
-      else
-        let u = r *. (1.0 +. Prng.float rng 1.0) in
-        (Prng.float rng u, u)
-    in
-    let inst = Instance.uniform_bounds ?source ~sinks ~lower:l ~upper:u () in
-    let tree = Topogen.random_binary rng ~num_sinks:m ~source_edge:with_source in
-    let oracle = Tableau.solve (Ebf.formulate inst tree) in
-    List.iter
-      (fun sparse ->
-        List.iteri
-          (fun ki (klabel, kind) ->
-            let label =
-              Printf.sprintf "case %d (%s, %s)" case
-                (if sparse then "sparse" else "dense")
-                klabel
-            in
-            let params =
-              {
-                Simplex.default_params with
-                Simplex.sparse_basis = sparse;
-                fault =
-                  Some
-                    (Simplex.fault_plan ~kinds:[ kind ] ~rate:1.0
-                       ~max_faults:2
-                       ((case * 31) + ki));
-              }
-            in
-            let res =
-              Ebf.solve
-                ~options:
-                  {
-                    Ebf.default_options with
-                    Ebf.lp_params = params;
-                    check = Certify.Full;
-                  }
-                inst tree
-            in
-            if res.Ebf.status <> oracle.Status.status then
-              Alcotest.failf "%s: status %s vs oracle %s" label
-                (Status.to_string res.Ebf.status)
-                (Status.to_string oracle.Status.status);
-            if oracle.Status.status = Status.Optimal then begin
-              if
-                not
-                  (approx ~eps:1e-6 res.Ebf.objective oracle.Status.objective)
-              then
-                Alcotest.failf "%s: objective %.9g vs oracle %.9g" label
-                  res.Ebf.objective oracle.Status.objective;
-              match res.Ebf.certificate with
-              | None -> Alcotest.failf "%s: missing certificate" label
-              | Some c ->
-                if not c.Certify.ok then
-                  Alcotest.failf "%s: certificate rejected: %s" label
-                    (match c.Certify.failure with Some e -> e | None -> "?")
-            end;
-            let recov = res.Ebf.lp_stats.Simplex.recoveries in
-            total_faults := !total_faults + recov.Simplex.faults_injected;
-            total_recoveries :=
-              !total_recoveries + Simplex.recovery_attempts recov)
-          kinds)
-      [ false; true ]
-  done;
+  List.iter
+    (fun (label, oracle, res) ->
+      if res.Ebf.status <> oracle.Status.status then
+        Alcotest.failf "%s: status %s vs oracle %s" label
+          (Status.to_string res.Ebf.status)
+          (Status.to_string oracle.Status.status);
+      if oracle.Status.status = Status.Optimal then begin
+        if not (approx ~eps:1e-6 res.Ebf.objective oracle.Status.objective)
+        then
+          Alcotest.failf "%s: objective %.9g vs oracle %.9g" label
+            res.Ebf.objective oracle.Status.objective;
+        match res.Ebf.certificate with
+        | None -> Alcotest.failf "%s: missing certificate" label
+        | Some c ->
+          if not c.Certify.ok then
+            Alcotest.failf "%s: certificate rejected: %s" label
+              (match c.Certify.failure with Some e -> e | None -> "?")
+      end;
+      let recov = res.Ebf.lp_stats.Simplex.recoveries in
+      total_faults := !total_faults + recov.Simplex.faults_injected;
+      total_recoveries := !total_recoveries + Simplex.recovery_attempts recov)
+    (Lazy.force fault_matrix);
   (* the sweep must actually have exercised the ladder *)
   Alcotest.(check bool) "faults fired across the sweep" true
     (!total_faults > 0);
   Alcotest.(check bool) "recoveries happened across the sweep" true
     (!total_recoveries > 0)
+
+(* The ladder's second rung is exercised by the sweep, and every optimal
+   answer is certified at [Full] level: duals included, never demoted to
+   a primal-only check. *)
+let test_fault_matrix_full_certificates () =
+  let escalations = ref 0 in
+  List.iter
+    (fun (label, _, res) ->
+      let recov = res.Ebf.lp_stats.Simplex.recoveries in
+      escalations := !escalations + recov.Simplex.tolerance_escalations;
+      if res.Ebf.status = Status.Optimal then
+        match res.Ebf.certificate with
+        | Some { Certify.ok = true; level = Certify.Full; _ } -> ()
+        | Some c ->
+          Alcotest.failf "%s: certificate at %s, ok=%b" label
+            (Certify.level_to_string c.Certify.level)
+            c.Certify.ok
+        | None -> Alcotest.failf "%s: optimal without a certificate" label)
+    (Lazy.force fault_matrix);
+  Alcotest.(check bool) "tolerance escalations across the sweep" true
+    (!escalations > 0)
 
 (* control: the identical corpus with no fault plan shows a silent ladder
    and certified-optimal answers *)
@@ -436,9 +451,11 @@ let () =
         ] );
       ( "fault-matrix",
         [
-          Alcotest.test_case "kind x backend sweep, 50 instances" `Slow
+          Alcotest.test_case "kind sweep, 50 instances" `Slow
             test_fault_matrix_crosscheck;
           Alcotest.test_case "zero-fault control, 15 instances" `Slow
             test_zero_fault_control;
+          Alcotest.test_case "escalation + Full certificates" `Slow
+            test_fault_matrix_full_certificates;
         ] );
     ]
