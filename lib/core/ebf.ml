@@ -65,7 +65,6 @@ type round_stat = {
   round : int;
   rows_added : int;
   violations_found : int;
-  warm_rows : int;
   scan_seconds : float;
   solve_seconds : float;
   solve_pivots : int;
@@ -454,7 +453,6 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
           round = rounds;
           rows_added = 0;
           violations_found = 0;
-          warm_rows = 0;
           scan_seconds = 0.0;
           solve_seconds = 0.0;
           solve_pivots = 0;
@@ -475,13 +473,12 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
       Trace.complete ~t0:solve_t0 "ebf.solve"
         ~args:
           [ ("round", Trace.Int rounds); ("pivots", Trace.Int solve_pivots) ];
-    let record ?(warm_rows = 0) ~rows_added ~violations_found ~scan_seconds () =
+    let record ~rows_added ~violations_found ~scan_seconds () =
       round_stats :=
         {
           round = rounds;
           rows_added;
           violations_found;
-          warm_rows;
           scan_seconds;
           solve_seconds;
           solve_pivots;
@@ -553,7 +550,6 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
           let sorted = List.sort (fun (a, _) (b, _) -> compare b a) vs in
           let take = ref 0 in
           let append_t0 = if Trace.enabled () then Clock.now () else 0.0 in
-          let ext0 = (Simplex.stats eng).Simplex.basis_extensions in
           List.iter
             (fun (_, key) ->
               if !take < options.batch then begin
@@ -567,20 +563,10 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
                 ignore (Problem.add_row prob ~lo:dist ~up:infinity coeffs)
               end)
             sorted;
-          (* rows the engine absorbed into the live factorisation rather
-             than deferring to a refactorisation *)
-          let warm_rows =
-            (Simplex.stats eng).Simplex.basis_extensions - ext0
-          in
           if Trace.enabled () then
             Trace.complete ~t0:append_t0 "ebf.append_rows"
-              ~args:
-                [
-                  ("round", Trace.Int rounds);
-                  ("rows", Trace.Int !take);
-                  ("warm_rows", Trace.Int warm_rows);
-                ];
-          record ~warm_rows ~rows_added:!take ~violations_found:(List.length vs)
+              ~args:[ ("round", Trace.Int rounds); ("rows", Trace.Int !take) ];
+          record ~rows_added:!take ~violations_found:(List.length vs)
             ~scan_seconds ();
           loop (rounds + 1)
         end

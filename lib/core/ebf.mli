@@ -86,11 +86,6 @@ type round_stat = {
   round : int;  (** 1-based row-generation round *)
   rows_added : int;  (** violated Steiner rows appended after this round *)
   violations_found : int;  (** violated pairs seen by the scan (>= rows_added) *)
-  warm_rows : int;
-      (** how many of [rows_added] the engine absorbed into the live
-          factorisation (warm start) rather than deferring to a
-          refactorisation; every appended row extends the factorisation,
-          so this equals [rows_added] *)
   scan_seconds : float;  (** wall time of the all-pairs violation scan *)
   solve_seconds : float;  (** wall time of this round's LP (re-)solve *)
   solve_pivots : int;

@@ -49,7 +49,11 @@ let run_baseline spec ~skew_rel =
     bst_seconds;
   }
 
-let run_lubt ?options (b : baseline_run) ~lower_rel ~upper_rel =
+let achieved_window (b : baseline_run) =
+  if b.skew_rel = infinity then (0.0, infinity)
+  else (b.shortest_rel, b.longest_rel)
+
+let window_instance (b : baseline_run) ~lower_rel ~upper_rel =
   let inst0 = b.bst.Bst_dme.routed.Lubt_core.Routed.instance in
   let m = Instance.num_sinks inst0 in
   let lower = Array.make m (lower_rel *. b.radius) in
@@ -57,7 +61,10 @@ let run_lubt ?options (b : baseline_run) ~lower_rel ~upper_rel =
     Array.make m
       (if upper_rel = infinity then infinity else upper_rel *. b.radius)
   in
-  let inst = Instance.with_bounds inst0 ~lower ~upper in
+  Instance.with_bounds inst0 ~lower ~upper
+
+let run_lubt ?options (b : baseline_run) ~lower_rel ~upper_rel =
+  let inst = window_instance b ~lower_rel ~upper_rel in
   let ebf, lubt_seconds =
     time (fun () -> Ebf.solve ?options inst b.bst.Bst_dme.topology)
   in
@@ -75,9 +82,8 @@ let run_lubt ?options (b : baseline_run) ~lower_rel ~upper_rel =
   }
 
 let run_lubt_from_baseline ?options (b : baseline_run) =
-  if b.skew_rel = infinity then
-    run_lubt ?options b ~lower_rel:0.0 ~upper_rel:infinity
-  else run_lubt ?options b ~lower_rel:b.shortest_rel ~upper_rel:b.longest_rel
+  let lower_rel, upper_rel = achieved_window b in
+  run_lubt ?options b ~lower_rel ~upper_rel
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable benchmark records (BENCH_lp.json)                   *)
@@ -144,9 +150,8 @@ let solver_stats_json (s : Simplex.stats) =
 let round_stat_json (r : Ebf.round_stat) =
   Printf.sprintf
     "{\"round\": %d, \"rows_added\": %d, \"violations_found\": %d, \
-     \"warm_rows\": %d, \"scan_ms\": %s, \"solve_ms\": %s, \
-     \"solve_pivots\": %d}"
-    r.Ebf.round r.Ebf.rows_added r.Ebf.violations_found r.Ebf.warm_rows
+     \"scan_ms\": %s, \"solve_ms\": %s, \"solve_pivots\": %d}"
+    r.Ebf.round r.Ebf.rows_added r.Ebf.violations_found
     (json_float (r.Ebf.scan_seconds *. 1e3))
     (json_float (r.Ebf.solve_seconds *. 1e3))
     r.Ebf.solve_pivots

@@ -19,6 +19,16 @@ type baseline_run = {
 
 val run_baseline : Lubt_data.Benchmarks.spec -> skew_rel:float -> baseline_run
 
+val achieved_window : baseline_run -> float * float
+(** The baseline's achieved [(shortest_rel, longest_rel)] window, or
+    [(0, infinity)] for the unbounded-skew row. *)
+
+val window_instance :
+  baseline_run -> lower_rel:float -> upper_rel:float -> Lubt_core.Instance.t
+(** The baseline's sinks with every sink bounded by
+    [lower_rel * radius, upper_rel * radius]: the LP instance of the
+    protocol. *)
+
 type lubt_run = {
   lower_rel : float;
   upper_rel : float;
@@ -38,9 +48,7 @@ val run_lubt :
     @raise Failure if the LP does not reach optimality. *)
 
 val run_lubt_from_baseline : ?options:Lubt_core.Ebf.options -> baseline_run -> lubt_run
-(** The Table 1 protocol: bounds = the baseline's achieved
-    [shortest, longest] delays ([0, infinity] for the unbounded-skew
-    row). *)
+(** The Table 1 protocol: {!run_lubt} over {!achieved_window}. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** Wall-clock timing helper. *)

@@ -2,9 +2,10 @@
 
     The paper's LUBT formulation is a per-instance LP, but the workload
     it models — repeated delay-bounded routing queries over engineering
-    iterations — is a service. This module is the request/session layer
-    over the solver engine: a concurrent JSON-lines protocol served
-    over a Unix socket and/or TCP, scheduled onto a persistent
+    iterations — is a service. This module is the session layer over
+    the solver engine ({!Serve_request} decodes, executes and renders
+    each request): a concurrent JSON-lines protocol served over a Unix
+    socket and/or TCP, scheduled onto a persistent
     {!Lubt_util.Pool.Executor} worker pool with bounded-queue
     backpressure and per-request deadlines.
 
@@ -39,7 +40,10 @@
     - [certify] — a-posteriori certification (default [true]: serve
       answers are certified unless the client opts out);
     - [time_limit] — per-request wall-clock budget in seconds,
-      overriding the daemon's [--default-time-limit];
+      overriding the daemon's [--default-time-limit]. It is counted
+      from dispatch, so queue wait and workload materialisation spend
+      it too; a request whose budget ran out before its LP started
+      answers [time_limit];
     - [degrade] — opt into the {!Ladder} (default [false]): under
       deadline pressure or a saturated pool the request is answered by
       the best rung that still fits (certified → uncertified →
@@ -130,8 +134,10 @@
     daemon runs. Two exports render the same registry snapshot: the
     ["metrics"] protocol op (JSON), and — with [metrics_port] set — a
     Prometheus text-exposition endpoint ([GET /metrics]) on a plain
-    HTTP listener handled entirely on the accept loop, so a scraper can
-    never occupy a worker. The circuit breaker reads its p95 from the
+    HTTP listener. Its sessions are one more session kind in the
+    daemon's one select loop and are answered there, so a scraper can
+    never occupy a worker; they are not counted as sessions, requests
+    or bytes. The circuit breaker reads its p95 from the
     latency histograms as well: the difference between the current
     read and one taken two window marks ago, a mark moving forward
     every 128 completed requests (O(buckets) per admission check).

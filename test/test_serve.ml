@@ -333,7 +333,7 @@ let temp_socket () =
 
 let with_daemon ?(jobs = 2) ?(max_pending = 64) ?(watchdog = infinity)
     ?(breaker_p95_ms = infinity) ?(breaker_queue = 0) ?(breaker_cooldown = 1.0)
-    ?chaos f =
+    ?chaos ?metrics_port f =
   let path = temp_socket () in
   let cfg =
     {
@@ -346,6 +346,7 @@ let with_daemon ?(jobs = 2) ?(max_pending = 64) ?(watchdog = infinity)
       breaker_queue;
       breaker_cooldown;
       chaos;
+      metrics_port;
     }
   in
   match Serve.spawn cfg with
@@ -694,6 +695,132 @@ let test_socket_counts_agree () =
   Alcotest.(check int) "stats: degraded" degraded stats.Serve.degraded;
   Alcotest.(check int) "stats: connections" 2 stats.Serve.connections
 
+(* the deadline of a request's [time_limit] starts when the daemon
+   dispatches it, not when a worker picks it up: a solve that waited
+   out its whole budget behind a sleep on the one worker answers
+   time_limit instead of starting late *)
+let test_socket_deadline_from_dispatch () =
+  let _, _ =
+    with_daemon ~jobs:1 (fun path ->
+        let fd = connect path in
+        send fd {|{"id": "slow", "op": "sleep", "ms": 300}|};
+        send fd
+          {|{"id": "tl", "bench": "prim1s", "size": "tiny", "time_limit": 0.1}|};
+        let lines = List.map parse_response (read_lines fd 2) in
+        (match List.find_opt (fun j -> response_id j = "tl") lines with
+        | Some j ->
+          Alcotest.(check bool) "not ok" false (is_ok j);
+          Alcotest.(check string) "time_limit" "time_limit" (error_code j)
+        | None -> Alcotest.fail "the solve was not answered");
+        Unix.close fd)
+  in
+  ()
+
+(* a TCP port nobody listens on: bind port 0, read the kernel's pick *)
+let free_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname s with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> Alcotest.fail "port 0 bound a unix address")
+
+let http_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* a daemon that never answers fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  fd
+
+(* send [request] raw and read the reply to EOF; "" when the daemon
+   closed the session without one (a reset counts as a close) *)
+let scrape port request =
+  let fd = http_connect port in
+  let n = String.length request in
+  let rec write off =
+    if off < n then write (off + Unix.write_substring fd request off (n - off))
+  in
+  write 0;
+  let reply = Buffer.create 4096 and b = Bytes.create 4096 in
+  let rec read () =
+    match Unix.read fd b 0 (Bytes.length b) with
+    | 0 -> ()
+    | k ->
+      Buffer.add_subbytes reply b 0 k;
+      read ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "the metrics endpoint neither answered nor closed"
+  in
+  read ();
+  Unix.close fd;
+  Buffer.contents reply
+
+let status_line reply =
+  match String.index_opt reply '\r' with
+  | Some i -> String.sub reply 0 i
+  | None -> reply
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* the Prometheus endpoint: one GET per session, answered and closed;
+   CRLF and bare-LF headers alike; a header flood closed unanswered; an
+   idle scraper never holds up the protocol; and scrapes stay out of
+   the protocol accounting *)
+let test_metrics_endpoint () =
+  let port = free_port () in
+  let _, stats =
+    with_daemon ~metrics_port:port (fun path ->
+        let fd = connect path in
+        (* a loop stuck on a scraper fails the probes below, not hangs *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        let h0 = probe fd {|{"id": "h0", "op": "ping"}|} in
+        let r = scrape port "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n" in
+        Alcotest.(check string) "GET /metrics" "HTTP/1.1 200 OK"
+          (status_line r);
+        Alcotest.(check bool) "exposition names lubt_requests_total" true
+          (contains r "lubt_requests_total");
+        Alcotest.(check bool) "Connection: close" true
+          (contains r "Connection: close\r\n");
+        Alcotest.(check string) "bare-LF header" "HTTP/1.1 200 OK"
+          (status_line (scrape port "GET /metrics HTTP/1.0\nHost: x\n\n"));
+        Alcotest.(check string) "GET / is the exposition too"
+          "HTTP/1.1 200 OK"
+          (status_line (scrape port "GET / HTTP/1.1\r\n\r\n"));
+        Alcotest.(check string) "other paths" "HTTP/1.1 404 Not Found"
+          (status_line (scrape port "GET /nope HTTP/1.1\r\n\r\n"));
+        Alcotest.(check string) "other methods"
+          "HTTP/1.1 405 Method Not Allowed"
+          (status_line (scrape port "POST /metrics HTTP/1.1\r\n\r\n"));
+        Alcotest.(check string) "a 9 KiB header is closed unanswered" ""
+          (scrape port
+             ("GET /metrics HTTP/1.1\r\nX-Pad: " ^ String.make 9216 'a'));
+        let idle = http_connect port in
+        let t0 = Unix.gettimeofday () in
+        let pong = probe fd {|{"id": "p", "op": "ping"}|} in
+        Alcotest.(check bool) "ping answered beside an idle scraper" true
+          (is_ok pong);
+        Alcotest.(check bool) "without delay" true
+          (Unix.gettimeofday () -. t0 < 1.0);
+        Unix.close idle;
+        let h1 = probe fd {|{"id": "h1", "op": "ping"}|} in
+        Unix.close fd;
+        Alcotest.(check int) "scrapes are not sessions"
+          (health_count h0 "connections")
+          (health_count h1 "connections");
+        (* h0 and p were answered after h0 rendered *)
+        Alcotest.(check int) "scrapes are not requests"
+          (health_count h0 "served" + 2)
+          (health_count h1 "served"))
+  in
+  Alcotest.(check int) "stats: one protocol session" 1 stats.Serve.connections;
+  Alcotest.(check int) "stats: three pings" 3 stats.Serve.served
+
 (* ------------------------------------------------------------------ *)
 (* Fault tolerance: health, degradation, breaker, watchdog, chaos      *)
 (* ------------------------------------------------------------------ *)
@@ -939,6 +1066,9 @@ let () =
           Alcotest.test_case "line length bound" `Quick test_socket_line_bound;
           Alcotest.test_case "health, dump and stats agree" `Quick
             test_socket_counts_agree;
+          Alcotest.test_case "deadline starts at dispatch" `Quick
+            test_socket_deadline_from_dispatch;
+          Alcotest.test_case "metrics endpoint" `Quick test_metrics_endpoint;
         ] );
       ( "faults",
         [
