@@ -132,6 +132,7 @@ let solver_stats_json (s : Simplex.stats) =
      \"partial_pricing_scans\": %d, \"ftran_count\": %d, \
      \"btran_count\": %d, \"basis_updates\": %d, \
      \"basis_extensions\": %d, \"refactorisations\": %d, \
+     \"factor_nnz\": %d, \"basis_nnz\": %d, \
      \"degenerate_pivots\": %d, \"bland_activations\": %d, \
      \"phase1_ms\": %s, \"phase2_ms\": %s, \"dual_ms\": %s, \
      \"recoveries\": %s}"
@@ -141,6 +142,7 @@ let solver_stats_json (s : Simplex.stats) =
     s.Simplex.partial_pricing_scans s.Simplex.ftran_count
     s.Simplex.btran_count s.Simplex.basis_updates
     s.Simplex.basis_extensions s.Simplex.refactorisations
+    s.Simplex.factor_nnz s.Simplex.basis_nnz
     s.Simplex.degenerate_pivots s.Simplex.bland_activations
     (json_float (s.Simplex.phase1_seconds *. 1e3))
     (json_float (s.Simplex.phase2_seconds *. 1e3))

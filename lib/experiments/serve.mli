@@ -49,7 +49,10 @@
       the best rung that still fits (certified → uncertified →
       reduced-round → BRBC heuristic) instead of failing. A degraded
       success carries ["degraded": true] and ["quality"] naming the
-      rung; non-degrade successes carry ["degraded": false].
+      rung; non-degrade successes carry ["degraded": false]. A tree
+      that fails validation (the heuristic ignores the delay window)
+      keeps these members but answers ["ok": false] with a
+      [bounds_violated] error.
 
     An ["eco"] request carries every solve field plus a non-empty
     [edits] array describing an engineering change order against the
@@ -102,8 +105,12 @@
     [watchdog_timeout] (the request overran the [--watchdog] hard
     deadline; its worker was deposed and replaced), [dropped] (shutdown
     cancelled the queued request), [breaker_open] (admission control —
-    the error object additionally carries [retry_after_ms]) or
-    [internal]. A malformed or failing request never terminates the
+    the error object additionally carries [retry_after_ms]),
+    [bounds_violated] (a tree was built but some sink delays miss their
+    window; the reply also carries the solve report members, and the
+    error object [violations] and [worst_violation]),
+    [verification_failed] (the same for a tree that keeps its window but
+    fails another check) or [internal]. A malformed or failing request never terminates the
     daemon or its connection: every line gets a reply, in completion
     order (responses are matched to requests by [id], not by
     position — concurrent requests on one connection may complete out
@@ -208,7 +215,8 @@ type stats = {
   rejected : int;
       (** requests refused by backpressure or the circuit breaker *)
   failed : int;  (** requests answered with [ok: false] *)
-  degraded : int;  (** successes answered by a rung below the top one *)
+  degraded : int;
+      (** answers from a rung below the top one, ok or [bounds_violated] *)
   restarts : int;  (** worker domains respawned (crash or watchdog) *)
   watchdog_fires : int;  (** requests failed by the watchdog deadline *)
   breaker_trips : int;  (** times the circuit breaker opened *)

@@ -295,6 +295,51 @@ let ok_envelope ~id ~status ~wall_ms fields =
     (Protocol.json_float wall_ms)
     fields
 
+(* The sink delays of [r] outside their [l, u] window: how many, and
+   the largest distance by which one misses it. *)
+let bound_violations (r : Routed.t) =
+  let inst = r.Routed.instance in
+  let count = ref 0 and worst = ref 0.0 in
+  Array.iteri
+    (fun k d ->
+      let v =
+        max (inst.Instance.lower.(k) -. d) (d -. inst.Instance.upper.(k))
+      in
+      if v > 0.0 then begin
+        incr count;
+        worst := max !worst v
+      end)
+    (Routed.sink_delays r);
+  (!count, !worst)
+
+(* The reply for a tree that failed verification: the members an ok
+   reply would carry, but ["ok": false] and an error with the count and
+   worst size of the bound violations, so that a client reading only
+   ["ok"] never takes the tree as valid. The code is [bounds_violated]
+   when some sink delay misses its window, else [verification_failed].
+   The daemon counts such a reply as failed. *)
+let failed_envelope ~id ~status ~wall_ms ~reason (r : Routed.t) fields =
+  let count, worst = bound_violations r in
+  Printf.sprintf
+    "{\"id\": %s, \"ok\": false, \"status\": \"%s\", \"wall_ms\": %s, %s, \
+     \"error\": {\"code\": \"%s\", \"message\": \"%s\", \
+     \"violations\": %d, \"worst_violation\": %s}}"
+    id
+    (Protocol.json_escape status)
+    (Protocol.json_float wall_ms)
+    fields
+    (if count > 0 then "bounds_violated" else "verification_failed")
+    (Protocol.json_escape reason)
+    count
+    (Protocol.json_float worst)
+
+(* The first reason [r] fails Routed.validate, or [None]. *)
+let validation_failure r =
+  match Routed.validate r with
+  | Ok () -> None
+  | Error (e :: _) -> Some e
+  | Error [] -> Some "tree failed validation"
+
 (* topology for an inline instance that came without one: the baseline
    router, guided by the skew window the bounds imply (the same rule as
    [lubt solve] without --topology) *)
@@ -317,8 +362,7 @@ let bench_workload spec skew_rel =
 (* The degraded-response members: which rung answered, plus the usual
    report when the rung produced one (the heuristic rung has no LP
    report; it renders cost/validated directly). *)
-let ladder_fields (o : Ladder.outcome) =
-  let validated = Result.is_ok (Routed.validate o.Ladder.routed) in
+let ladder_fields ~validated (o : Ladder.outcome) =
   let prefix =
     Printf.sprintf "\"degraded\": %b, \"quality\": \"%s\"" o.Ladder.degraded
       (Ladder.rung_to_string o.Ladder.rung)
@@ -333,11 +377,20 @@ let ladder_fields (o : Ladder.outcome) =
 
 let ladder_response ~id ~t0 (o : Ladder.outcome) =
   let wall_ms = (Clock.now () -. t0) *. 1e3 in
-  ( not o.Ladder.verified,
-    o.Ladder.degraded,
-    ok_envelope ~id
-      ~status:(if o.Ladder.degraded then "degraded" else "optimal")
-      ~wall_ms (ladder_fields o) )
+  let status = if o.Ladder.degraded then "degraded" else "optimal" in
+  let invalid = validation_failure o.Ladder.routed in
+  let fields = ladder_fields ~validated:(invalid = None) o in
+  let failure =
+    match invalid with
+    | None when not o.Ladder.verified -> Some "embedding failed verification"
+    | f -> f
+  in
+  match failure with
+  | None -> (false, o.Ladder.degraded, ok_envelope ~id ~status ~wall_ms fields)
+  | Some reason ->
+    ( true,
+      o.Ladder.degraded,
+      failed_envelope ~id ~status ~wall_ms ~reason o.Ladder.routed fields )
 
 (* A solve request's instance and topology; shared by the full solve
    path and the inline degraded path. *)
@@ -395,15 +448,22 @@ let execute_solve ~deadline ~cache ~id (q : solve_req) =
   end
   else
     match Lubt.solve ~options inst tree with
-    | Ok report ->
-      let validated = Result.is_ok (Routed.validate report.Lubt.routed) in
+    | Ok report -> (
+      let failure = validation_failure report.Lubt.routed in
+      let validated = failure = None in
       let wall_ms = (Clock.now () -. t0) *. 1e3 in
       Log.debug ~fields:[ ("wall_ms", Trace.Float wall_ms) ] "request solved";
-      ( not validated,
-        false,
-        ok_envelope ~id ~status:"optimal" ~wall_ms
-          (Printf.sprintf "\"degraded\": false, %s"
-             (solve_report_fields report ~validated)) )
+      let fields =
+        Printf.sprintf "\"degraded\": false, %s"
+          (solve_report_fields report ~validated)
+      in
+      match failure with
+      | None -> (false, false, ok_envelope ~id ~status:"optimal" ~wall_ms fields)
+      | Some reason ->
+        ( true,
+          false,
+          failed_envelope ~id ~status:"optimal" ~wall_ms ~reason
+            report.Lubt.routed fields ))
     | Error Lubt.No_solution ->
       ( true,
         false,

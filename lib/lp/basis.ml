@@ -11,6 +11,8 @@ type counters = {
   mutable updates : int;
   mutable factorisations : int;
   mutable extensions : int;
+  mutable factor_nnz : int;
+  mutable basis_nnz : int;
 }
 
 let fresh_counters () =
@@ -20,6 +22,8 @@ let fresh_counters () =
     updates = 0;
     factorisations = 0;
     extensions = 0;
+    factor_nnz = 0;
+    basis_nnz = 0;
   }
 
 exception Zero_pivot of { row : int; magnitude : float }
@@ -32,24 +36,41 @@ type op =
 
 type t = {
   mutable lu : Lu.t;
-  mutable trail : op list;  (* newest first *)
+  mutable trail : op array;  (* oldest first; [len] entries are live *)
+  mutable len : int;
   mutable count : int;  (* etas in the trail *)
   mutable extra : int;  (* borders in the trail *)
   mutable tnnz : int;  (* nonzeros stored across the trail *)
+  mutable ws : float array;  (* all-zero between solves, length >= dim *)
   ops : counters;
 }
 
 let create ?counters ?pivot_tol cols =
   let ops = match counters with Some c -> c | None -> fresh_counters () in
+  let lu = Lu.factor ?pivot_tol cols in
   ops.factorisations <- ops.factorisations + 1;
+  ops.factor_nnz <- ops.factor_nnz + Lu.nnz lu;
+  ops.basis_nnz <-
+    ops.basis_nnz + Array.fold_left (fun acc c -> acc + Sparse.nnz c) 0 cols;
   {
-    lu = Lu.factor ?pivot_tol cols;
-    trail = [];
+    lu;
+    trail = [||];
+    len = 0;
     count = 0;
     extra = 0;
     tnnz = 0;
+    ws = Array.make (Lu.dim lu) 0.0;
     ops;
   }
+
+let push t op =
+  if t.len = Array.length t.trail then begin
+    let grown = Array.make (max 16 (2 * t.len)) op in
+    Array.blit t.trail 0 grown 0 t.len;
+    t.trail <- grown
+  end;
+  t.trail.(t.len) <- op;
+  t.len <- t.len + 1
 
 let dim t = Lu.dim t.lu + t.extra
 
@@ -87,6 +108,12 @@ let apply_adjoint v op =
       v.(b.bd) <- -.vd;
       if vd <> 0.0 then Sparse.add_scaled_into v vd b.bc
 
+(* The whole trail, oldest operator first. *)
+let forward t v =
+  for k = 0 to t.len - 1 do
+    apply_forward v t.trail.(k)
+  done
+
 (* Extend an LU-dimension solution to full dimension, filling the border
    tail from [tail_of]. *)
 let widen t sol tail_of =
@@ -102,57 +129,73 @@ let widen t sol tail_of =
     full
   end
 
+(* The zeroed workspace of length >= dim. The per-pivot solves build
+   their right-hand sides in it rather than in fresh arrays, which at
+   basis dimensions are allocated on the major heap. *)
+let workspace t =
+  if Array.length t.ws < dim t then t.ws <- Array.make (dim t) 0.0;
+  t.ws
+
+(* Lu.solve and Lu.solve_transpose read only the first [Lu.dim] entries,
+   so the head of a full-dimension vector is passed as it is. *)
 let ftran t b =
   t.ops.ftrans <- t.ops.ftrans + 1;
-  let n = Lu.dim t.lu in
-  let sol = Lu.solve t.lu (if t.extra = 0 then b else Array.sub b 0 n) in
-  let v = widen t sol (fun i -> b.(i)) in
-  List.iter (apply_forward v) (List.rev t.trail);
+  let v = widen t (Lu.solve t.lu b) (fun i -> b.(i)) in
+  forward t v;
   v
 
 let ftran_sparse t sp =
   t.ops.ftrans <- t.ops.ftrans + 1;
   let n = Lu.dim t.lu in
-  let b = Array.make n 0.0 in
+  let b = workspace t in
   Sparse.iter (fun i x -> if i < n then b.(i) <- x) sp;
-  let v = widen t (Lu.solve t.lu b) (fun _ -> 0.0) in
+  let sol = Lu.solve t.lu b in
+  Sparse.iter (fun i _ -> if i < n then b.(i) <- 0.0) sp;
+  let v = widen t sol (fun _ -> 0.0) in
   if t.extra > 0 then Sparse.iter (fun i x -> if i >= n then v.(i) <- x) sp;
-  List.iter (apply_forward v) (List.rev t.trail);
+  forward t v;
   v
 
-let btran t c =
+(* B^-T v for the right-hand side the caller placed in [workspace t]:
+   adjoints newest first, then the transposed LU solve; leaves the
+   workspace zeroed. *)
+let btran_ws t =
   t.ops.btrans <- t.ops.btrans + 1;
-  let v = Array.copy c in
-  (* adjoints newest first *)
-  List.iter (apply_adjoint v) t.trail;
-  let n = Lu.dim t.lu in
-  let sol =
-    Lu.solve_transpose t.lu (if t.extra = 0 then v else Array.sub v 0 n)
-  in
-  widen t sol (fun i -> v.(i))
+  let v = t.ws in
+  for k = t.len - 1 downto 0 do
+    apply_adjoint v t.trail.(k)
+  done;
+  let x = widen t (Lu.solve_transpose t.lu v) (fun i -> v.(i)) in
+  Array.fill v 0 (dim t) 0.0;
+  x
+
+let btran t c =
+  Array.blit c 0 (workspace t) 0 (dim t);
+  btran_ws t
 
 let btran_unit t r =
-  let c = Array.make (dim t) 0.0 in
-  c.(r) <- 1.0;
-  btran t c
+  (workspace t).(r) <- 1.0;
+  btran_ws t
 
 let update ?(tol = 1e-12) t r w =
   if abs_float w.(r) < tol then
     raise (Zero_pivot { row = r; magnitude = abs_float w.(r) });
   t.ops.updates <- t.ops.updates + 1;
+  let d = dim t in
   let nz = ref 0 in
-  Array.iteri (fun i x -> if i <> r && x <> 0.0 then incr nz) w;
+  for i = 0 to d - 1 do
+    if i <> r && w.(i) <> 0.0 then incr nz
+  done;
   let nz_idx = Array.make !nz 0 and nz_val = Array.make !nz 0.0 in
   let p = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if i <> r && x <> 0.0 then begin
-        nz_idx.(!p) <- i;
-        nz_val.(!p) <- x;
-        incr p
-      end)
-    w;
-  t.trail <- Eta { r; wr = w.(r); nz_idx; nz_val } :: t.trail;
+  for i = 0 to d - 1 do
+    if i <> r && w.(i) <> 0.0 then begin
+      nz_idx.(!p) <- i;
+      nz_val.(!p) <- w.(i);
+      incr p
+    end
+  done;
+  push t (Eta { r; wr = w.(r); nz_idx; nz_val });
   t.count <- t.count + 1;
   t.tnnz <- t.tnnz + !nz + 1
 
@@ -160,6 +203,6 @@ let append_row t bc =
   if Sparse.max_index bc >= dim t then
     invalid_arg "Basis.append_row: row index out of range";
   t.ops.extensions <- t.ops.extensions + 1;
-  t.trail <- Border { bd = dim t; bc } :: t.trail;
+  push t (Border { bd = dim t; bc });
   t.extra <- t.extra + 1;
   t.tnnz <- t.tnnz + Sparse.nnz bc + 1

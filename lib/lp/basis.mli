@@ -14,6 +14,11 @@ type counters = {
   mutable factorisations : int;
   mutable extensions : int;
       (** rows appended via {!append_row} (warm-started basis growth). *)
+  mutable factor_nnz : int;
+      (** {!Lu.nnz} summed over every factorisation. *)
+  mutable basis_nnz : int;
+      (** Nonzeros of the factored basis matrices, summed the same way:
+          [factor_nnz / basis_nnz] is the mean LU fill ratio. *)
 }
 (** Cumulative operation counters. A counters record outlives individual
     basis factorisations: pass the same record to successive {!create}
@@ -70,7 +75,7 @@ val btran_unit : t -> int -> float array
 val update : ?tol:float -> t -> int -> float array -> unit
 (** [update t r w] records a pivot: the basic variable at position [r] is
     replaced; [w] must be the ftran of the entering column (its nonzeros
-    are copied into a sparse eta). [tol] is the smallest acceptable pivot
+    among the first {!dim} entries are copied into a sparse eta). [tol] is the smallest acceptable pivot
     magnitude (default [1e-12]; the simplex engine passes its current —
     possibly escalated — pivot tolerance).
     @raise Zero_pivot if [w.(r)] is (numerically) zero. *)

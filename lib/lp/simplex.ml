@@ -84,6 +84,8 @@ type stats = {
   basis_updates : int;
   basis_extensions : int;
   refactorisations : int;
+  factor_nnz : int;
+  basis_nnz : int;
   degenerate_pivots : int;
   bland_activations : int;
   phase1_seconds : float;
@@ -178,6 +180,15 @@ type t = {
   mutable y : float array;
   mutable rho : float array;
   mutable cb : float array;
+  (* dual simplex state, length n+cap: reduced costs [d], kept by the
+     dual step between from-scratch recomputations (valid while
+     [d_fresh]), and the pivot row [alpha] = rho . A_j at the nonbasic
+     columns listed in [arow.(0 .. narow-1)] *)
+  mutable d : float array;
+  mutable d_fresh : bool;
+  mutable alpha : float array;
+  mutable arow : int array;
+  mutable narow : int;
 }
 
 exception Numerical of string
@@ -325,6 +336,18 @@ let fill_cb_phase2 t =
     t.cb.(r) <- t.obj.(t.basic.(r))
   done
 
+(* d <- c - A^T y from scratch, with y the phase-II multipliers. *)
+let compute_d t =
+  fill_cb_phase2 t;
+  compute_y t t.cb;
+  for j = 0 to t.n + t.m - 1 do
+    t.d.(j) <-
+      (match t.vstat.(j) with
+      | Basic _ -> 0.0
+      | _ -> t.obj.(j) -. col_dot t j t.y)
+  done;
+  t.d_fresh <- true
+
 (* Phase-I cost: gradient of the total bound violation of basic variables. *)
 let fill_cb_phase1 t =
   for r = 0 to t.m - 1 do
@@ -428,9 +451,8 @@ let recompute_xb t =
 (* The current basis matrix, column by column. *)
 let basis_columns t =
   Array.init t.m (fun k ->
-      let entries = ref [] in
-      col_iter t t.basic.(k) (fun i a -> entries := (i, a) :: !entries);
-      Sparse.of_assoc !entries)
+      let j = t.basic.(k) in
+      if j < t.n then t.cols.(j) else Sparse.singleton (j - t.n) (-1.0))
 
 (* LU pivot threshold scaled with the (possibly escalated) simplex pivot
    tolerance, never looser than the Lu.factor default. *)
@@ -445,6 +467,8 @@ let refactor_run t =
   t.degen_streak <- 0;
   t.bland <- false;
   t.xb_stale <- false;
+  (* the dual step's reduced costs restart from scratch with the factors *)
+  t.d_fresh <- false;
   (* a singular basis is a hard numerical error handled by the driver *)
   (match
      Basis.create ~counters:t.ops ~pivot_tol:(lu_pivot_tol t.cur_tol_pivot)
@@ -595,13 +619,14 @@ let price t ~cost =
 let update_basis t r =
   if fault_fires t Fault_zero_pivot then
     raise (Basis.Zero_pivot { row = r; magnitude = 0.0 });
-  Basis.update ~tol:t.cur_tol_pivot t.basis r (Array.sub t.w 0 t.m)
+  Basis.update ~tol:t.cur_tol_pivot t.basis r t.w
 
 type blocking = Flip | Block of { row : int; to_upper : bool }
 
 (* Applies a primal step: entering q moves by sigma*step, the blocking
    constraint decides who leaves the basis. t.w holds ftran(q). *)
 let apply_primal_pivot t ~q ~sigma ~step ~blocking =
+  t.d_fresh <- false;
   let w = t.w in
   let q_new = value t q +. (sigma *. step) in
   let left =
@@ -828,15 +853,26 @@ let dual_simplex t =
         let above = t.xb.(r) > t.up.(b) in
         let s = if above then 1.0 else -1.0 in
         Array.blit (Basis.btran_unit t.basis r) 0 t.rho 0 t.m;
-        fill_cb_phase2 t;
-        compute_y t t.cb;
-        (* entering candidates: columns whose pivot sign restores primal
-           feasibility, with their dual ratio |d_j| / |alpha_j| *)
+        if not t.d_fresh then compute_d t;
+        (* pivot row and entering candidates: columns whose pivot sign
+           restores primal feasibility, with their dual ratio
+           |d_j| / |alpha_j| *)
         let tr0 = tr_start () in
         t.st.s_full_scans <- t.st.s_full_scans + 1;
         let cands = ref [] in
         let consider j ratio alpha =
           cands := (j, ratio, abs_float alpha) :: !cands
+        in
+        (* records rho . A_j for the dual step; returns it signed by s *)
+        t.narow <- 0;
+        let row_alpha j =
+          let a = col_dot t j t.rho in
+          if a <> 0.0 then begin
+            t.alpha.(j) <- a;
+            t.arow.(t.narow) <- j;
+            t.narow <- t.narow + 1
+          end;
+          s *. a
         in
         let total = t.n + t.m in
         for j = 0 to total - 1 do
@@ -844,19 +880,15 @@ let dual_simplex t =
           | Basic _ -> ()
           | _ when is_fixed t j -> ()
           | At_lower ->
-            let alpha = s *. col_dot t j t.rho in
-            if alpha > t.cur_tol_pivot then begin
-              let d = max 0.0 (t.obj.(j) -. col_dot t j t.y) in
-              consider j (d /. alpha) alpha
-            end
+            let alpha = row_alpha j in
+            if alpha > t.cur_tol_pivot then
+              consider j (max 0.0 t.d.(j) /. alpha) alpha
           | At_upper ->
-            let alpha = s *. col_dot t j t.rho in
-            if alpha < -.t.cur_tol_pivot then begin
-              let d = min 0.0 (t.obj.(j) -. col_dot t j t.y) in
-              consider j (d /. alpha) alpha
-            end
+            let alpha = row_alpha j in
+            if alpha < -.t.cur_tol_pivot then
+              consider j (min 0.0 t.d.(j) /. alpha) alpha
           | Free_zero ->
-            let alpha = s *. col_dot t j t.rho in
+            let alpha = row_alpha j in
             if abs_float alpha > t.cur_tol_pivot then consider j 0.0 alpha
         done;
         let target = if above then t.up.(b) else t.lo.(b) in
@@ -942,6 +974,16 @@ let dual_simplex t =
           for r' = 0 to t.m - 1 do
             if r' <> r then t.xb.(r') <- t.xb.(r') -. (dq *. t.w.(r'))
           done;
+          (* dual step (Koberstein 2005): y moves along rho by theta, so
+             d_j -= theta alpha_j over the pivot row; q becomes basic and
+             the leaving column, with alpha = 1, takes -theta *)
+          let theta = t.d.(q) /. t.alpha.(q) in
+          for k = 0 to t.narow - 1 do
+            let j = t.arow.(k) in
+            t.d.(j) <- t.d.(j) -. (theta *. t.alpha.(j))
+          done;
+          t.d.(q) <- 0.0;
+          t.d.(b) <- -.theta;
           t.vstat.(b) <- (if above then At_upper else At_lower);
           t.basic.(r) <- q;
           t.vstat.(q) <- Basic r;
@@ -987,6 +1029,10 @@ let grow_arrays t needed_cap =
     t.y <- Array.make ncap 0.0;
     t.rho <- Array.make ncap 0.0;
     t.cb <- Array.make ncap 0.0;
+    t.d <- Array.make (t.n + ncap) 0.0;
+    t.d_fresh <- false;
+    t.alpha <- Array.make (t.n + ncap) 0.0;
+    t.arow <- Array.make (t.n + ncap) 0;
     let vs = Array.make (t.n + ncap) Free_zero in
     Array.blit t.vstat 0 vs 0 (t.n + t.m);
     t.vstat <- vs;
@@ -1074,6 +1120,11 @@ let of_problem ?(params = default_params) prob =
       y = Array.make cap 0.0;
       rho = Array.make cap 0.0;
       cb = Array.make cap 0.0;
+      d = Array.make (n + cap) 0.0;
+      d_fresh = false;
+      alpha = Array.make (n + cap) 0.0;
+      arow = Array.make (n + cap) 0;
+      narow = 0;
     }
   in
   recompute_xb t;
@@ -1111,6 +1162,7 @@ let add_row t ~lo ~up coeffs =
   Basis.append_row t.basis (Sparse.of_assoc !border);
   t.since_refactor <- t.since_refactor + 1;
   t.xb_stale <- true;
+  t.d_fresh <- false;
   (* the new auxiliary variable enters the basis at the row's activity *)
   let activity =
     Sparse.fold (fun j v acc -> acc +. (v *. value t j)) sp 0.0
@@ -1125,24 +1177,21 @@ let add_row t ~lo ~up coeffs =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Recomputes the reduced costs from scratch, so the dual simplex
+   entered next starts from exact ones. *)
 let dual_feasible t =
-  fill_cb_phase2 t;
-  compute_y t t.cb;
+  compute_d t;
   let ok = ref true in
   let total = t.n + t.m in
   let j = ref 0 in
   while !ok && !j < total do
+    let d = t.d.(!j) in
     (match t.vstat.(!j) with
     | Basic _ -> ()
     | _ when is_fixed t !j -> ()
-    | At_lower ->
-      if t.obj.(!j) -. col_dot t !j t.y < -.(10.0 *. dual_tol t !j) then
-        ok := false
-    | At_upper ->
-      if t.obj.(!j) -. col_dot t !j t.y > 10.0 *. dual_tol t !j then ok := false
-    | Free_zero ->
-      if abs_float (t.obj.(!j) -. col_dot t !j t.y) > 10.0 *. dual_tol t !j
-      then ok := false);
+    | At_lower -> if d < -.(10.0 *. dual_tol t !j) then ok := false
+    | At_upper -> if d > 10.0 *. dual_tol t !j then ok := false
+    | Free_zero -> if abs_float d > 10.0 *. dual_tol t !j then ok := false);
     incr j
   done;
   !ok
@@ -1185,9 +1234,19 @@ let run_dual t =
       ~args:[ ("iterations", Trace.Int (t.iters - it0)) ];
   r
 
-(* Algorithm selection for one clean run from the current basis. *)
-let drive t =
-  if dual_feasible t then run_dual t
+(* Algorithm selection for one clean run from the current basis. The
+   dual simplex keeps its reduced costs by updates, so its Optimal exit
+   is re-checked from scratch; a basis that fails the check is
+   refactorised and driven again (by the primal simplex, if it is still
+   dual infeasible then). *)
+let rec drive t =
+  if dual_feasible t then begin
+    match run_dual t with
+    | Status.Optimal when not (dual_feasible t) ->
+      refactor t;
+      drive t
+    | s -> s
+  end
   else begin
     let inf = primal_infeasibility t in
     if inf <= tol_feas *. float_of_int (1 + t.m) then run_phase2 t
@@ -1584,6 +1643,8 @@ let stats t =
     basis_updates = t.ops.Basis.updates;
     basis_extensions = t.ops.Basis.extensions;
     refactorisations = t.ops.Basis.factorisations;
+    factor_nnz = t.ops.Basis.factor_nnz;
+    basis_nnz = t.ops.Basis.basis_nnz;
     degenerate_pivots = t.st.s_degen;
     bland_activations = t.st.s_bland;
     phase1_seconds = t.st.s_phase1_secs;
@@ -1613,6 +1674,8 @@ let zero_stats =
     basis_updates = 0;
     basis_extensions = 0;
     refactorisations = 0;
+    factor_nnz = 0;
+    basis_nnz = 0;
     degenerate_pivots = 0;
     bland_activations = 0;
     phase1_seconds = 0.0;
@@ -1644,6 +1707,8 @@ let merge_stats a b =
     basis_updates = a.basis_updates + b.basis_updates;
     basis_extensions = a.basis_extensions + b.basis_extensions;
     refactorisations = a.refactorisations + b.refactorisations;
+    factor_nnz = a.factor_nnz + b.factor_nnz;
+    basis_nnz = a.basis_nnz + b.basis_nnz;
     degenerate_pivots = a.degenerate_pivots + b.degenerate_pivots;
     bland_activations = a.bland_activations + b.bland_activations;
     phase1_seconds = a.phase1_seconds +. b.phase1_seconds;
@@ -1658,12 +1723,15 @@ let pp_stats fmt s =
      pricing scans: %d full, %d partial@,\
      ftran/btran: %d/%d, basis updates: %d, \
      extensions: %d, refactorisations: %d@,\
+     LU fill: %.2f (%d LU / %d basis nonzeros)@,\
      degenerate pivots: %d, Bland activations: %d@,\
      time: phase1 %.3fms, phase2 %.3fms, dual %.3fms"
     s.iterations s.phase1_iterations s.phase2_iterations s.dual_iterations
     s.bound_flips s.full_pricing_scans s.partial_pricing_scans s.ftran_count
     s.btran_count s.basis_updates
-    s.basis_extensions s.refactorisations s.degenerate_pivots
+    s.basis_extensions s.refactorisations
+    (float_of_int s.factor_nnz /. float_of_int (max 1 s.basis_nnz))
+    s.factor_nnz s.basis_nnz s.degenerate_pivots
     s.bland_activations (s.phase1_seconds *. 1e3) (s.phase2_seconds *. 1e3)
     (s.dual_seconds *. 1e3);
   let r = s.recoveries in

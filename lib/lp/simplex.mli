@@ -160,6 +160,11 @@ type stats = {
       (** rows appended to a live factorisation by warm-started
           {!add_row} *)
   refactorisations : int;  (** basis factorisations from scratch *)
+  factor_nnz : int;
+      (** nonzeros of the LU factors, summed over the factorisations *)
+  basis_nnz : int;
+      (** nonzeros of the factored basis matrices, summed the same way;
+          [factor_nnz / basis_nnz] is the mean LU fill ratio *)
   degenerate_pivots : int;  (** pivots with (numerically) zero step *)
   bland_activations : int;  (** times the anti-cycling escape engaged *)
   phase1_seconds : float;  (** wall time spent in primal phase I *)

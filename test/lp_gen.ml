@@ -22,7 +22,6 @@ module Problem = Lubt_lp.Problem
 module Lp_format = Lubt_lp.Lp_format
 module Prng = Lubt_util.Prng
 module Instance = Lubt_core.Instance
-module Topogen = Lubt_topo.Topogen
 module Point = Lubt_geom.Point
 
 (* ------------------------------------------------------------------ *)

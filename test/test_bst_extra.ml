@@ -13,7 +13,6 @@ module Steiner = Lubt_bst.Steiner
 module Bst = Lubt_bst.Bst_dme
 module Status = Lubt_lp.Status
 module Prng = Lubt_util.Prng
-module Union_find = Lubt_util.Union_find
 
 let pt = Point.make
 
@@ -23,6 +22,18 @@ let random_points rng n extent =
 (* ------------------------------------------------------------------ *)
 (* Rectilinear MST                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* Disjoint sets over [0, n) for the MST checks: [union] joins the sets
+   of a and b, false when they were already one. *)
+let rec find parent i = if parent.(i) = i then i else find parent parent.(i)
+
+let union parent a b =
+  let ra = find parent a and rb = find parent b in
+  ra <> rb
+  && begin
+       parent.(ra) <- rb;
+       true
+     end
 
 let brute_force_mst_length points =
   (* Kruskal over all pairs *)
@@ -34,9 +45,9 @@ let brute_force_mst_length points =
     done
   done;
   let sorted = List.sort compare !edges in
-  let uf = Union_find.create n in
+  let uf = Array.init n Fun.id in
   List.fold_left
-    (fun acc (d, i, j) -> if Union_find.union uf i j then acc +. d else acc)
+    (fun acc (d, i, j) -> if union uf i j then acc +. d else acc)
     0.0 sorted
 
 let test_rmst_is_spanning_tree () =
@@ -46,12 +57,12 @@ let test_rmst_is_spanning_tree () =
     let points = random_points rng n 100.0 in
     let edges = Steiner.rmst points in
     Alcotest.(check int) "n-1 edges" (n - 1) (List.length edges);
-    let uf = Union_find.create n in
+    let uf = Array.init n Fun.id in
     List.iter
-      (fun (a, b) ->
-        Alcotest.(check bool) "acyclic" true (Union_find.union uf a b))
+      (fun (a, b) -> Alcotest.(check bool) "acyclic" true (union uf a b))
       edges;
-    Alcotest.(check int) "connected" 1 (Union_find.count uf)
+    let roots = List.filter (fun i -> uf.(i) = i) (List.init n Fun.id) in
+    Alcotest.(check int) "connected" 1 (List.length roots)
   done
 
 let test_rmst_matches_kruskal () =

@@ -142,7 +142,7 @@ let run_chain ~topology_preserving seed =
     let tree' =
       if Instance.num_sinks edited = Instance.num_sinks inst then tree
       else
-        Lubt_topo.Topogen.random_binary rng
+        Topogen.random_binary rng
           ~num_sinks:(Instance.num_sinks edited)
           ~source_edge:(inst.Instance.source <> None)
     in

@@ -6,7 +6,6 @@
 module Point = Lubt_geom.Point
 module Trr = Lubt_geom.Trr
 module Tree = Lubt_topo.Tree
-module Topogen = Lubt_topo.Topogen
 module Instance = Lubt_core.Instance
 module Ebf = Lubt_core.Ebf
 module Embed = Lubt_core.Embed

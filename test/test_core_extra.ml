@@ -3,7 +3,6 @@
 
 module Point = Lubt_geom.Point
 module Tree = Lubt_topo.Tree
-module Topogen = Lubt_topo.Topogen
 module Instance = Lubt_core.Instance
 module Ebf = Lubt_core.Ebf
 module Routed = Lubt_core.Routed

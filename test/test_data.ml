@@ -8,7 +8,6 @@ module Instance = Lubt_core.Instance
 module Benchmarks = Lubt_data.Benchmarks
 module Examples = Lubt_data.Examples
 module Io = Lubt_data.Io
-module Topogen = Lubt_topo.Topogen
 module Prng = Lubt_util.Prng
 
 let test_specs_present () =

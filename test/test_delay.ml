@@ -3,7 +3,6 @@
    differences. *)
 
 module Tree = Lubt_topo.Tree
-module Topogen = Lubt_topo.Topogen
 module Linear = Lubt_delay.Linear
 module Elmore = Lubt_delay.Elmore
 module Prng = Lubt_util.Prng

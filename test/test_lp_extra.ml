@@ -180,7 +180,6 @@ module Simplex = Lubt_lp.Simplex
 module Tableau = Lubt_lp.Tableau
 module Ebf = Lubt_core.Ebf
 module Instance = Lubt_core.Instance
-module Topogen = Lubt_topo.Topogen
 module Point = Lubt_geom.Point
 
 (* Two engine runs per instance — the eager formulation (primal phases)
@@ -235,6 +234,35 @@ let test_ebf_engine_vs_oracle () =
         (List.length lazy_r.Ebf.round_stats)
         lazy_r.Ebf.rounds
   done
+
+(* The dual simplex keeps its reduced costs by updating them with each
+   dual step, between from-scratch recomputations. The convergence
+   probe recomputes the dual infeasibility from scratch after every
+   pivot; on the lp_gen EBF corpus it must stay within ten times the
+   engine's dual tolerance at every dual event, so the updated costs
+   never steer the ratio test off dual feasibility. *)
+let test_dual_probe_feasible () =
+  let tol_dual = 1e-9 (* the engine's dual feasibility tolerance *) in
+  let rng = Prng.create 5150 in
+  let events = ref 0 in
+  for case = 1 to 30 do
+    (* every third instance is large enough for several lazy rounds *)
+    let min_sinks = if case mod 3 = 0 then 25 else 3 in
+    let inst, tree = Lp_gen.random_ebf ~min_sinks rng in
+    let probe (e : Simplex.probe_event) =
+      if e.Simplex.pr_phase = "dual" then begin
+        incr events;
+        if not (e.Simplex.pr_dual_infeas <= 10.0 *. tol_dual) then
+          Alcotest.failf "case %d iteration %d: dual infeasibility %.3g" case
+            e.Simplex.pr_iteration e.Simplex.pr_dual_infeas
+      end
+    in
+    ignore
+      (Ebf.solve
+         ~options:{ Ebf.default_options with Ebf.probe = Some probe }
+         inst tree)
+  done;
+  Alcotest.(check bool) "dual events seen" true (!events > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU                                                            *)
@@ -365,6 +393,77 @@ let transpose a =
   let d = Array.length a in
   Array.init d (fun i -> Array.init d (fun j -> a.(j).(i)))
 
+(* A simplex-shaped basis over [d] rows: [k] structural columns first,
+   then the slack columns [-e_i] of the other [d - k] rows. Structural
+   column j has a dominant entry on its own row t_j, small entries on
+   other structural rows (so the k x k kernel on those rows is column
+   diagonally dominant, hence nonsingular), and entries on slack rows,
+   some larger than the dominant one. Factored in the caller's order,
+   such a column pivots on a slack row whose slack column comes later,
+   which then fills in. Returns the columns, the dense matrix
+   (row-major) and [k]. *)
+let slack_late_basis rng d k =
+  let trows = Array.init k (fun j -> j * (d / k)) in
+  let is_t = Array.make d false in
+  Array.iter (fun i -> is_t.(i) <- true) trows;
+  let m = Array.make_matrix d d 0.0 in
+  let structural =
+    Array.init k (fun j ->
+        let entries = ref [ (trows.(j), 10.0 +. Prng.float rng 5.0) ] in
+        for i = 0 to d - 1 do
+          if i <> trows.(j) && Prng.int rng 2 = 0 then
+            if is_t.(i) then
+              entries := (i, Prng.float_range rng (-1.0) 1.0) :: !entries
+            else entries := (i, Prng.float_range rng (-40.0) 40.0) :: !entries
+        done;
+        Sparse.of_assoc !entries)
+  in
+  let slacks =
+    List.filter (fun i -> not is_t.(i)) (List.init d Fun.id)
+    |> List.map (fun i -> Sparse.singleton i (-1.0))
+  in
+  let cols = Array.append structural (Array.of_list slacks) in
+  Array.iteri (fun j col -> Sparse.iter (fun i v -> m.(i).(j) <- v) col) cols;
+  (cols, m, k)
+
+let slack_late_cases f =
+  let rng = Prng.create 4242 in
+  for case = 1 to 30 do
+    let d = 8 + Prng.int rng 40 in
+    let k = 1 + Prng.int rng (min 6 (d / 4)) in
+    let cols, m, k = slack_late_basis rng d k in
+    f rng case cols m k (Lu.factor cols)
+  done
+
+(* Solves against the dense reference on such bases, with unit
+   right-hand sides for the transpose solve (the simplex's pivot row
+   is B^-T e_r). *)
+let test_lu_slack_late () =
+  slack_late_cases (fun rng case cols m _ lu ->
+    let d = Array.length cols in
+    let near what i got want =
+      if not (Lubt_util.Stats.approx_eq ~eps:1e-9 got want) then
+        Alcotest.failf "case %d %s [%d]: %.15g vs %.15g" case what i got want
+    in
+    let b = Array.init d (fun _ -> Prng.float_range rng (-5.0) 5.0) in
+    Array.iteri (fun i v -> near "solve" i v (dense_solve m b).(i)) (Lu.solve lu b);
+    let mt = transpose m in
+    for u = 0 to d - 1 do
+      let e = Array.init d (fun i -> if i = u then 1.0 else 0.0) in
+      let want = dense_solve mt e in
+      Array.iteri (fun i v -> near "solve_transpose unit" i v want.(i))
+        (Lu.solve_transpose lu e)
+    done)
+
+(* The fill bound of slack-first ordering: every slack pivots on its
+   own row, so fill is confined to the k x k structural kernel. *)
+let test_lu_slack_first_fill () =
+  slack_late_cases (fun _ case cols _ k lu ->
+    let nnz_b = Array.fold_left (fun acc c -> acc + Sparse.nnz c) 0 cols in
+    if Lu.nnz lu > nnz_b + (k * k) then
+      Alcotest.failf "case %d: LU holds %d nonzeros, basis %d + kernel %d^2"
+        case (Lu.nnz lu) nnz_b k)
+
 (* A column over [d] rows: one time in three the unit vector [-e_j] (the
    auxiliary columns of the [A | -I] form), else a dominant diagonal at
    [j] with up to three entries off it. Off-diagonal magnitudes sum to at
@@ -477,6 +576,10 @@ let () =
           Alcotest.test_case "detects singular" `Quick test_lu_detects_singular;
           Alcotest.test_case "permutation matrix" `Quick
             test_lu_permutation_matrix;
+          Alcotest.test_case "slacks after structurals" `Quick
+            test_lu_slack_late;
+          Alcotest.test_case "fill confined to the kernel" `Quick
+            test_lu_slack_first_fill;
         ] );
       ( "basis",
         [
@@ -499,5 +602,7 @@ let () =
         [
           Alcotest.test_case "engine vs oracle, 50 instances" `Slow
             test_ebf_engine_vs_oracle;
+          Alcotest.test_case "dual feasible at every dual pivot" `Quick
+            test_dual_probe_feasible;
         ] );
     ]

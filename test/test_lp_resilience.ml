@@ -10,7 +10,6 @@ module Certify = Lubt_lp.Certify
 module Status = Lubt_lp.Status
 module Ebf = Lubt_core.Ebf
 module Instance = Lubt_core.Instance
-module Topogen = Lubt_topo.Topogen
 module Point = Lubt_geom.Point
 module Prng = Lubt_util.Prng
 

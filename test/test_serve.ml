@@ -855,7 +855,8 @@ let test_socket_ping_health () =
   ()
 
 (* a degrade-opted request under a vanishing deadline is answered by a
-   lower rung instead of failing, and says so *)
+   lower rung and says so; the heuristic tree misses the request's delay
+   window, so the reply is not ok and names the bounds it breaks *)
 let test_socket_degraded () =
   let _, stats =
     with_daemon (fun path ->
@@ -865,7 +866,15 @@ let test_socket_degraded () =
         (match read_lines fd 1 with
         | [ line ] ->
           let j = parse_response line in
-          Alcotest.(check bool) "ok despite the dead deadline" true (is_ok j);
+          Alcotest.(check bool) "not ok: the tree breaks its bounds" false
+            (is_ok j);
+          Alcotest.(check string) "error code" "bounds_violated" (error_code j);
+          Alcotest.(check bool) "violations counted" true
+            (match
+               Json.num (member_exn "violations" (member_exn "error" j))
+             with
+            | Some n -> n >= 1.0
+            | None -> false);
           Alcotest.(check bool) "marked degraded" true
             (member_exn "degraded" j = Json.Bool true);
           Alcotest.(check bool) "status degraded" true

@@ -3,7 +3,6 @@
    structural topology generators. *)
 
 module Tree = Lubt_topo.Tree
-module Topogen = Lubt_topo.Topogen
 module Prng = Lubt_util.Prng
 
 (* the 9-node topology of the paper's Section 4.5 example:

@@ -1,9 +1,7 @@
-(* Tests for the utility substrate: PRNG determinism, heap ordering,
-   union-find invariants, numerical helpers. *)
+(* Tests for the utility substrate: PRNG determinism and numerical
+   helpers. *)
 
 module Prng = Lubt_util.Prng
-module Heap = Lubt_util.Heap
-module Union_find = Lubt_util.Union_find
 module Stats = Lubt_util.Stats
 
 let test_prng_deterministic () =
@@ -43,49 +41,6 @@ let test_prng_distribution () =
       let frac = float_of_int c /. float_of_int draws in
       Alcotest.(check bool) "bucket reasonable" true (frac > 0.05 && frac < 0.15))
     buckets
-
-let test_heap_sorts () =
-  let h = Heap.create () in
-  let rng = Prng.create 3 in
-  let keys = Array.init 500 (fun _ -> Prng.float rng 100.0) in
-  Array.iter (fun k -> Heap.push h k k) keys;
-  Alcotest.(check int) "length" 500 (Heap.length h);
-  let last = ref neg_infinity in
-  for _ = 1 to 500 do
-    match Heap.pop h with
-    | None -> Alcotest.fail "premature empty"
-    | Some (k, _) ->
-      Alcotest.(check bool) "nondecreasing" true (k >= !last);
-      last := k
-  done;
-  Alcotest.(check bool) "empty at end" true (Heap.is_empty h)
-
-let test_heap_peek_pop () =
-  let h = Heap.create () in
-  Heap.push h 2.0 "b";
-  Heap.push h 1.0 "a";
-  Heap.push h 3.0 "c";
-  (match Heap.peek h with
-  | Some (k, v) ->
-    Alcotest.(check (float 0.0)) "peek key" 1.0 k;
-    Alcotest.(check string) "peek value" "a" v
-  | None -> Alcotest.fail "peek");
-  (match Heap.pop h with
-  | Some (_, v) -> Alcotest.(check string) "pop value" "a" v
-  | None -> Alcotest.fail "pop");
-  Alcotest.(check int) "length after pop" 2 (Heap.length h)
-
-let test_union_find () =
-  let uf = Union_find.create 10 in
-  Alcotest.(check int) "initial count" 10 (Union_find.count uf);
-  Alcotest.(check bool) "union works" true (Union_find.union uf 0 1);
-  Alcotest.(check bool) "re-union is false" false (Union_find.union uf 1 0);
-  Alcotest.(check bool) "same" true (Union_find.same uf 0 1);
-  Alcotest.(check bool) "not same" false (Union_find.same uf 0 2);
-  ignore (Union_find.union uf 2 3);
-  ignore (Union_find.union uf 1 3);
-  Alcotest.(check bool) "transitively same" true (Union_find.same uf 0 2);
-  Alcotest.(check int) "count" 7 (Union_find.count uf)
 
 let test_stats () =
   Alcotest.(check (float 1e-12)) "sum" 6.0 (Stats.sum [| 1.0; 2.0; 3.0 |]);
@@ -127,12 +82,6 @@ let () =
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "distribution" `Quick test_prng_distribution;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "heapsort" `Quick test_heap_sorts;
-          Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop;
-        ] );
-      ("union-find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
       ( "stats",
         [
           Alcotest.test_case "basics" `Quick test_stats;
