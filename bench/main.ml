@@ -147,15 +147,15 @@ let run_extensions size =
 (* ------------------------------------------------------------------ *)
 
 (* One Table 1 LUBT call per paper benchmark at skew 0.5: its wall
-   clock, pivots and rounds, the violation-scan and simplex-solve times
-   summed over the rounds, the linear-algebra counts and the mean LU
-   fill (LU over basis nonzeros). It reads only the stats the solve
-   already returns. *)
+   clock, pivots and rounds, the violation-scan, row-append and
+   simplex-solve times summed over the rounds, the linear-algebra
+   counts and the mean LU fill (LU over basis nonzeros). It reads only
+   the stats the solve already returns. *)
 let run_lp_sweep size =
   Printf.printf "=== LP sweep (skew 0.5, one LUBT call each) ===\n";
-  Printf.printf "%-8s %6s %9s %7s %6s %10s %10s %8s %8s %7s %6s\n%!" "bench"
-    "sinks" "lubt_s" "iters" "rounds" "scan_ms" "solve_ms" "ftran" "btran"
-    "refact" "fill";
+  Printf.printf "%-8s %6s %9s %7s %6s %10s %10s %10s %8s %8s %7s %6s\n%!"
+    "bench" "sinks" "lubt_s" "iters" "rounds" "scan_ms" "append_ms" "solve_ms"
+    "ftran" "btran" "refact" "fill";
   List.iter
     (fun spec ->
       let r =
@@ -167,10 +167,11 @@ let run_lp_sweep size =
         List.fold_left (fun acc rs -> acc +. (f rs *. 1e3)) 0.0 e.Ebf.round_stats
       in
       Printf.printf
-        "%-8s %6d %9.3f %7d %6d %10.1f %10.1f %8d %8d %7d %6.2f\n%!"
+        "%-8s %6d %9.3f %7d %6d %10.1f %10.1f %10.1f %8d %8d %7d %6.2f\n%!"
         spec.Benchmarks.name spec.Benchmarks.num_sinks r.Protocol.lubt_seconds
         s.Simplex.iterations e.Ebf.rounds
         (sum_ms (fun rs -> rs.Ebf.scan_seconds))
+        (sum_ms (fun rs -> rs.Ebf.append_seconds))
         (sum_ms (fun rs -> rs.Ebf.solve_seconds))
         s.Simplex.ftran_count s.Simplex.btran_count s.Simplex.refactorisations
         (float_of_int s.Simplex.factor_nnz

@@ -253,10 +253,11 @@ let print_solver_stats (ebf : Ebf.result) =
   List.iter
     (fun (r : Ebf.round_stat) ->
       Printf.eprintf
-        "  round %d: %d violations, %d rows added, scan %.3f ms, solve %.3f \
-         ms (%d pivots)\n"
+        "  round %d: %d violations, %d rows added, scan %.3f ms, append \
+         %.3f ms, solve %.3f ms (%d pivots)\n"
         r.Ebf.round r.Ebf.violations_found r.Ebf.rows_added
         (r.Ebf.scan_seconds *. 1e3)
+        (r.Ebf.append_seconds *. 1e3)
         (r.Ebf.solve_seconds *. 1e3)
         r.Ebf.solve_pivots)
     ebf.Ebf.round_stats

@@ -66,6 +66,7 @@ type round_stat = {
   rows_added : int;
   violations_found : int;
   scan_seconds : float;
+  append_seconds : float;
   solve_seconds : float;
   solve_pivots : int;
 }
@@ -95,14 +96,12 @@ let check_tree_matches inst tree =
 (* Terminals: every node whose location is fixed; the source (node 0)
    participates when its location is given. *)
 let terminals (inst : Instance.t) tree =
-  let sink_nodes = Tree.sinks tree in
-  let base =
-    Array.to_list
-      (Array.mapi (fun k node -> (node, inst.Instance.sinks.(k))) sink_nodes)
+  let sinks =
+    Array.mapi (fun k node -> (node, inst.Instance.sinks.(k))) (Tree.sinks tree)
   in
   match inst.Instance.source with
-  | Some src -> (Tree.root, src) :: base
-  | None -> base
+  | Some src -> Array.append [| (Tree.root, src) |] sinks
+  | None -> sinks
 
 let edge_var i = i - 1
 
@@ -144,7 +143,7 @@ let formulate ?weights inst tree =
   check_tree_matches inst tree;
   let prob = Problem.create () in
   add_edge_vars ?weights tree prob;
-  let terms = Array.of_list (terminals inst tree) in
+  let terms = terminals inst tree in
   let t = Array.length terms in
   for i = 0 to t - 1 do
     for j = i + 1 to t - 1 do
@@ -166,7 +165,7 @@ let formulate ?weights inst tree =
 
 let check_lengths ?(tol = 1e-6) (inst : Instance.t) tree lengths =
   check_tree_matches inst tree;
-  let terms = Array.of_list (terminals inst tree) in
+  let terms = terminals inst tree in
   let t = Array.length terms in
   let d = Tree.delays tree lengths in
   let scale = max 1.0 (Instance.diameter inst +. Instance.radius inst) in
@@ -203,36 +202,6 @@ let check_lengths ?(tol = 1e-6) (inst : Instance.t) tree lengths =
              inst.Instance.upper.(k)))
     (Tree.sinks tree);
   match !error with None -> Ok () | Some msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Lazy row generation (Section 4.6 as exact lazy constraints)         *)
-(* ------------------------------------------------------------------ *)
-
-(* k nearest terminals of each terminal, by Manhattan distance *)
-let knn_pairs terms k =
-  let t = Array.length terms in
-  let pairs = Hashtbl.create (t * k) in
-  for i = 0 to t - 1 do
-    let _, pi = terms.(i) in
-    let dists =
-      Array.init t (fun j ->
-          let _, pj = terms.(j) in
-          (Point.dist pi pj, j))
-    in
-    Array.sort compare dists;
-    let added = ref 0 in
-    let idx = ref 0 in
-    while !added < k && !idx < t do
-      let _, j = dists.(!idx) in
-      incr idx;
-      if j <> i then begin
-        let key = (min i j, max i j) in
-        if not (Hashtbl.mem pairs key) then Hashtbl.replace pairs key ();
-        incr added
-      end
-    done
-  done;
-  pairs
 
 (* ------------------------------------------------------------------ *)
 (* Cross-request warm-start fingerprints                               *)
@@ -296,12 +265,12 @@ let delay_row_sinks (inst : Instance.t) =
 
 let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
   check_tree_matches inst tree;
-  let terms = Array.of_list (terminals inst tree) in
+  let terms = terminals inst tree in
   let t = Array.length terms in
   let prob = Problem.create () in
   add_edge_vars ?weights tree prob;
   add_delay_rows inst tree prob;
-  let added = Hashtbl.create 256 in
+  let added = Steiner_pairs.create t in
   let scale =
     max 1.0 (Instance.diameter inst +. Instance.radius inst)
   in
@@ -362,8 +331,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
        edited distance degenerates to zero, because dropping one would
        shift every later row index under the cached basis. *)
     Array.iter
-      (fun key ->
-        Hashtbl.replace added key ();
+      (fun ((i, j) as key) ->
+        Steiner_pairs.add added i j;
         row_log := key :: !row_log;
         let coeffs, d = row_of_pair key in
         ignore (Problem.add_row prob ~lo:d ~up:infinity coeffs))
@@ -380,7 +349,10 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
         all
       end
       else begin
-        let pairs = knn_pairs terms options.knn in
+        let pairs = Hashtbl.create (t * options.knn) in
+        Steiner_pairs.nearest terms options.knn (fun i j ->
+            let key = (min i j, max i j) in
+            if not (Hashtbl.mem pairs key) then Hashtbl.replace pairs key ());
         (* all source-sink rows: cheap and almost always binding *)
         (match inst.Instance.source with
         | Some _ ->
@@ -392,8 +364,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
       end
     in
     Hashtbl.iter
-      (fun key () ->
-        Hashtbl.replace added key ();
+      (fun ((i, j) as key) () ->
+        Steiner_pairs.add added i j;
         let coeffs, d = row_of_pair key in
         if d > 0.0 then begin
           row_log := key :: !row_log;
@@ -444,20 +416,22 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
   let rec loop rounds =
     Metrics.incr m_rounds;
     let solve_t0 = Clock.now () in
+    let idle =
+      {
+        round = rounds;
+        rows_added = 0;
+        violations_found = 0;
+        scan_seconds = 0.0;
+        append_seconds = 0.0;
+        solve_seconds = 0.0;
+        solve_pivots = 0;
+      }
+    in
     if expired () then begin
       (* budget gone before this round's solve: report the expiry with
          the stats of the rounds that did run instead of starting more
          work *)
-      round_stats :=
-        {
-          round = rounds;
-          rows_added = 0;
-          violations_found = 0;
-          scan_seconds = 0.0;
-          solve_seconds = 0.0;
-          solve_pivots = 0;
-        }
-        :: !round_stats;
+      round_stats := idle :: !round_stats;
       (Status.Time_limit, rounds)
     end
     else begin
@@ -473,101 +447,78 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
       Trace.complete ~t0:solve_t0 "ebf.solve"
         ~args:
           [ ("round", Trace.Int rounds); ("pivots", Trace.Int solve_pivots) ];
-    let record ~rows_added ~violations_found ~scan_seconds () =
+    let record ?(rows_added = 0) ?(violations_found = 0) ?(scan_seconds = 0.0)
+        ?(append_seconds = 0.0) () =
       round_stats :=
-        {
-          round = rounds;
-          rows_added;
-          violations_found;
-          scan_seconds;
-          solve_seconds;
-          solve_pivots;
-        }
+        { idle with rows_added; violations_found; scan_seconds; append_seconds;
+          solve_seconds; solve_pivots }
         :: !round_stats
     in
     if status <> Status.Optimal then begin
-      record ~rows_added:0 ~violations_found:0 ~scan_seconds:0.0 ();
+      record ();
       (status, rounds)
     end
     else begin
       let scan_t0 = Clock.now () in
       let lengths = lengths_of_primal (Simplex.primal eng) in
       let d = Tree.delays tree lengths in
-      let violations = ref [] in
-      let scan_cut = ref false in
       (* the scan is the Theta(t^2) phase: poll the deadline once per
          outer row (t clock reads against t^2 pair work) and abandon
          the sweep when the budget runs out mid-scan *)
-      (try
-         for i = 0 to t - 1 do
-           if deadline < infinity && expired () then begin
-             scan_cut := true;
-             raise Exit
-           end;
-           for j = i + 1 to t - 1 do
-             if not (Hashtbl.mem added (i, j)) then begin
-               let a, pa = terms.(i) and b, pb = terms.(j) in
-               let need = Point.dist pa pb in
-               if need > 0.0 then begin
-                 let have = d.(a) +. d.(b) -. (2.0 *. d.(Tree.lca tree a b)) in
-                 let viol = need -. have in
-                 if viol > options.violation_tol *. scale then
-                   violations := (viol, (i, j)) :: !violations
-               end
-             end
-           done
-         done
-       with Exit -> ());
+      let violations, scan_cut =
+        Steiner_pairs.violations ~stop:expired added terms tree d
+          ~threshold:(options.violation_tol *. scale)
+      in
       let scan_seconds = Clock.now () -. scan_t0 in
       if Metrics.enabled () then
         Metrics.observe m_scan_violations
-          (float_of_int (List.length !violations));
+          (float_of_int (List.length violations));
       if Trace.enabled () then
         Trace.complete ~t0:scan_t0 "ebf.scan"
           ~args:
             [
               ("round", Trace.Int rounds);
-              ("violations", Trace.Int (List.length !violations));
+              ("violations", Trace.Int (List.length violations));
             ];
-      if !scan_cut then begin
+      if scan_cut then begin
         (* a truncated scan proves nothing about the unseen pairs: the
            incumbent lengths are a partial answer, not an optimum *)
-        record ~rows_added:0 ~violations_found:(List.length !violations)
-          ~scan_seconds ();
+        record ~violations_found:(List.length violations) ~scan_seconds ();
         (Status.Time_limit, rounds)
       end
       else
-      match !violations with
+      match violations with
       | [] ->
-        record ~rows_added:0 ~violations_found:0 ~scan_seconds ();
+        record ~scan_seconds ();
         (Status.Optimal, rounds)
       | vs ->
         if rounds >= options.max_rounds then begin
-          record ~rows_added:0 ~violations_found:(List.length vs) ~scan_seconds ();
+          record ~violations_found:(List.length vs) ~scan_seconds ();
           (Status.Iteration_limit, rounds)
         end
         else begin
-          let sorted = List.sort (fun (a, _) (b, _) -> compare b a) vs in
-          let take = ref 0 in
-          let append_t0 = if Trace.enabled () then Clock.now () else 0.0 in
+          let append_t0 = Clock.now () in
+          let rows =
+            Steiner_pairs.worst options.batch vs
+            |> List.map (fun ((i, j) as key) ->
+                   Steiner_pairs.add added i j;
+                   row_log := key :: !row_log;
+                   let coeffs, dist = row_of_pair key in
+                   (dist, infinity, coeffs))
+          in
+          Simplex.add_rows eng rows;
+          (* mirror the rows into the model so the materialised LP is
+             available for a-posteriori certification *)
           List.iter
-            (fun (_, key) ->
-              if !take < options.batch then begin
-                incr take;
-                Hashtbl.replace added key ();
-                row_log := key :: !row_log;
-                let coeffs, dist = row_of_pair key in
-                Simplex.add_row eng ~lo:dist ~up:infinity coeffs;
-                (* mirror the row into the model so the materialised LP is
-                   available for a-posteriori certification *)
-                ignore (Problem.add_row prob ~lo:dist ~up:infinity coeffs)
-              end)
-            sorted;
+            (fun (lo, up, coeffs) -> ignore (Problem.add_row prob ~lo ~up coeffs))
+            rows;
+          let append_seconds = Clock.now () -. append_t0 in
+          let take = List.length rows in
           if Trace.enabled () then
             Trace.complete ~t0:append_t0 "ebf.append_rows"
-              ~args:[ ("round", Trace.Int rounds); ("rows", Trace.Int !take) ];
-          record ~rows_added:!take ~violations_found:(List.length vs)
-            ~scan_seconds ();
+              ~args:[ ("round", Trace.Int rounds); ("rows", Trace.Int take) ];
+          record ~append_seconds ~rows_added:take
+            ~violations_found:(List.length vs) ~scan_seconds ();
           loop (rounds + 1)
         end
     end

@@ -87,6 +87,10 @@ type round_stat = {
   rows_added : int;  (** violated Steiner rows appended after this round *)
   violations_found : int;  (** violated pairs seen by the scan (>= rows_added) *)
   scan_seconds : float;  (** wall time of the all-pairs violation scan *)
+  append_seconds : float;
+      (** wall time of appending the round's rows: the sort of the
+          violations, the row build, {!Lubt_lp.Simplex.add_rows} and the
+          mirror into the materialised model *)
   solve_seconds : float;  (** wall time of this round's LP (re-)solve *)
   solve_pivots : int;
       (** simplex pivots of this round's solve; from round 2 on these are
@@ -138,6 +142,10 @@ val solve :
 
     @raise Invalid_argument when the tree's sink count differs from the
     instance's. *)
+
+val terminals : Instance.t -> Lubt_topo.Tree.t -> (int * Lubt_geom.Point.t) array
+(** The terminals, as (node, location): the source first when its location
+    is given (node 0), then the [k]-th sink at [(Tree.sinks tree).(k)]. *)
 
 val check_lengths :
   ?tol:float -> Instance.t -> Lubt_topo.Tree.t -> float array -> (unit, string) Stdlib.result

@@ -140,8 +140,3 @@ module Edit = struct
     | Set_bounds _ | Move_sink _ -> true
     | Add_sink _ | Remove_sink _ -> false
 end
-
-let pp fmt t =
-  Format.fprintf fmt "instance(%d sinks%s, radius %g)" (num_sinks t)
-    (match t.source with Some _ -> ", source fixed" | None -> "")
-    (radius t)

@@ -51,8 +51,6 @@ val bounds_admissible : t -> bool
 (** Checks condition (3)/(4): [0 <= l_i <= u_i] and [u_i >= dist(s_0,s_i)]
     (source given) or [u_i >= radius] (source free). *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Engineering change orders: the small instance edits (a bound tightened
     or relaxed, a sink nudged, a sink added or removed) that arrive between
     re-solves of the same design. Edits are pure — every application

@@ -15,8 +15,9 @@ type result = {
 }
 
 (* Mirrors Ebf.solve's lazy row generation, with one extra free variable t
-   and the delay rows 0 <= path(s_0, s_i) - t <= B. The Steiner machinery
-   is identical; kept separate because the variable layout differs. *)
+   and the delay rows 0 <= path(s_0, s_i) - t <= B. The Steiner-pair
+   machinery is shared (Steiner_pairs); the loop is kept separate because
+   the variable layout differs. *)
 let solve ?(options = Ebf.default_options) ?weights ~skew_bound
     (inst : Instance.t) tree =
   if Tree.num_sinks tree <> Instance.num_sinks inst then
@@ -41,58 +42,35 @@ let solve ?(options = Ebf.default_options) ?weights ~skew_bound
         (Problem.add_row prob ~lo:0.0 ~up:skew_bound
            ((t_var, -1.0) :: path_coeffs Tree.root node)))
     (Tree.sinks tree);
-  let terms =
-    let sink_nodes = Tree.sinks tree in
-    let base =
-      Array.to_list
-        (Array.mapi (fun k node -> (node, inst.Instance.sinks.(k))) sink_nodes)
-    in
-    match inst.Instance.source with
-    | Some src -> Array.of_list ((Tree.root, src) :: base)
-    | None -> Array.of_list base
-  in
+  let terms = Ebf.terminals inst tree in
   let nt = Array.length terms in
-  let added = Hashtbl.create 256 in
+  let added = Steiner_pairs.create nt in
   let scale = max 1.0 (Instance.diameter inst +. Instance.radius inst) in
   let eager = (not options.Ebf.lazy_steiner) || nt <= 12 in
-  let add_pair_row key =
-    Hashtbl.replace added key ();
-    let i, j = key in
+  let pair_row i j =
+    Steiner_pairs.add added i j;
     let a, pa = terms.(i) and b, pb = terms.(j) in
-    let d = Point.dist pa pb in
-    if d > 0.0 then ignore (Problem.add_row prob ~lo:d ~up:infinity (path_coeffs a b))
+    (Point.dist pa pb, path_coeffs a b)
   in
+  let add_pair_row i j =
+    let d, coeffs = pair_row i j in
+    if d > 0.0 then ignore (Problem.add_row prob ~lo:d ~up:infinity coeffs)
+  in
+  let add_new i j = if not (Steiner_pairs.mem added i j) then add_pair_row i j in
   if eager then
     for i = 0 to nt - 1 do
       for j = i + 1 to nt - 1 do
-        add_pair_row (i, j)
+        add_pair_row i j
       done
     done
   else begin
     (* nearest-neighbour seeding as in Ebf *)
-    for i = 0 to nt - 1 do
-      let _, pi = terms.(i) in
-      let dists =
-        Array.init nt (fun j ->
-            let _, pj = terms.(j) in
-            (Point.dist pi pj, j))
-      in
-      Array.sort compare dists;
-      let count = ref 0 and idx = ref 0 in
-      while !count < options.Ebf.knn && !idx < nt do
-        let _, j = dists.(!idx) in
-        incr idx;
-        if j <> i then begin
-          let key = (min i j, max i j) in
-          if not (Hashtbl.mem added key) then add_pair_row key;
-          incr count
-        end
-      done
-    done;
+    Steiner_pairs.nearest terms options.Ebf.knn (fun i j ->
+        add_new (min i j) (max i j));
     match inst.Instance.source with
     | Some _ ->
       for j = 1 to nt - 1 do
-        if not (Hashtbl.mem added (0, j)) then add_pair_row (0, j)
+        add_new 0 j
       done
     | None -> ()
   end;
@@ -110,38 +88,20 @@ let solve ?(options = Ebf.default_options) ?weights ~skew_bound
     else begin
       let lengths = lengths_of_primal (Simplex.primal eng) in
       let d = Tree.delays tree lengths in
-      let violations = ref [] in
-      for i = 0 to nt - 1 do
-        for j = i + 1 to nt - 1 do
-          if not (Hashtbl.mem added (i, j)) then begin
-            let a, pa = terms.(i) and b, pb = terms.(j) in
-            let need = Point.dist pa pb in
-            if need > 0.0 then begin
-              let have = d.(a) +. d.(b) -. (2.0 *. d.(Tree.lca tree a b)) in
-              let viol = need -. have in
-              if viol > options.Ebf.violation_tol *. scale then
-                violations := (viol, (i, j)) :: !violations
-            end
-          end
-        done
-      done;
-      match !violations with
+      match
+        fst
+          (Steiner_pairs.violations added terms tree d
+             ~threshold:(options.Ebf.violation_tol *. scale))
+      with
       | [] -> (Status.Optimal, rounds)
       | vs ->
         if rounds >= options.Ebf.max_rounds then (Status.Iteration_limit, rounds)
         else begin
-          let sorted = List.sort (fun (a, _) (b, _) -> compare b a) vs in
-          let take = ref 0 in
-          List.iter
-            (fun (_, (i, j)) ->
-              if !take < options.Ebf.batch then begin
-                incr take;
-                Hashtbl.replace added (i, j) ();
-                let a, pa = terms.(i) and b, pb = terms.(j) in
-                let dist = Point.dist pa pb in
-                Simplex.add_row eng ~lo:dist ~up:infinity (path_coeffs a b)
-              end)
-            sorted;
+          Steiner_pairs.worst options.Ebf.batch vs
+          |> List.map (fun (i, j) ->
+                 let dist, coeffs = pair_row i j in
+                 (dist, infinity, coeffs))
+          |> Simplex.add_rows eng;
           loop (rounds + 1)
         end
     end

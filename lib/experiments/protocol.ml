@@ -152,9 +152,11 @@ let solver_stats_json (s : Simplex.stats) =
 let round_stat_json (r : Ebf.round_stat) =
   Printf.sprintf
     "{\"round\": %d, \"rows_added\": %d, \"violations_found\": %d, \
-     \"scan_ms\": %s, \"solve_ms\": %s, \"solve_pivots\": %d}"
+     \"scan_ms\": %s, \"append_ms\": %s, \"solve_ms\": %s, \
+     \"solve_pivots\": %d}"
     r.Ebf.round r.Ebf.rows_added r.Ebf.violations_found
     (json_float (r.Ebf.scan_seconds *. 1e3))
+    (json_float (r.Ebf.append_seconds *. 1e3))
     (json_float (r.Ebf.solve_seconds *. 1e3))
     r.Ebf.solve_pivots
 

@@ -74,8 +74,6 @@ let push t op =
 
 let dim t = Lu.dim t.lu + t.extra
 
-let eta_count t = t.count
-
 let trail_nnz t = t.tnnz
 
 let lu_nnz t = Lu.nnz t.lu

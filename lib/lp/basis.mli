@@ -45,10 +45,6 @@ val create : ?counters:counters -> ?pivot_tol:float -> Sparse.t array -> t
 val dim : t -> int
 (** Current dimension: LU dimension plus appended rows. *)
 
-val eta_count : t -> int
-(** Pivots recorded since the last factorisation (length of the eta
-    trail, border extensions not included). *)
-
 val trail_nnz : t -> int
 (** Nonzeros stored across the eta/border trail. Applying the trail to a
     vector costs O([trail_nnz]); once it rivals {!lu_nnz} a fresh
@@ -86,6 +82,7 @@ val append_row : t -> Sparse.t -> unit
     [[B, 0]; [bc^T, -1]], i.e. the appended row has entries [bc] over the
     existing basis positions and the new diagonal belongs to an auxiliary
     variable with coefficient [-1] (the [A | -I] computational form).
-    This is exactly the shape {!Simplex.add_row} produces, so EBF lazy
-    row generation can keep a factorised basis alive across rounds.
+    This is exactly the shape {!Simplex.add_rows} produces, one border
+    per row, so EBF lazy row generation can keep a factorised basis
+    alive across rounds.
     @raise Invalid_argument if [bc] has entries at or beyond {!dim}. *)

@@ -101,22 +101,3 @@ let is_feasible ?(tol = 1e-6) t x =
     if a < r.rlo -. tol || a > r.rup +. tol then ok := false
   done;
   !ok
-
-let pp fmt t =
-  Format.fprintf fmt "minimize";
-  for j = 0 to t.ncols - 1 do
-    let c = t.cols.(j).obj in
-    if c <> 0.0 then Format.fprintf fmt " %+g %s" c (var_name t j)
-  done;
-  Format.fprintf fmt "@\nsubject to@\n";
-  for i = 0 to t.nrows - 1 do
-    let r = t.rows.(i) in
-    Format.fprintf fmt "  %s: %g <=" (row_name t i) r.rlo;
-    Sparse.iter (fun j v -> Format.fprintf fmt " %+g %s" v (var_name t j)) r.coeffs;
-    Format.fprintf fmt " <= %g@\n" r.rup
-  done;
-  Format.fprintf fmt "bounds@\n";
-  for j = 0 to t.ncols - 1 do
-    Format.fprintf fmt "  %g <= %s <= %g@\n" t.cols.(j).lo (var_name t j)
-      t.cols.(j).up
-  done

@@ -49,6 +49,3 @@ val row_activity : t -> int -> float array -> float
 val is_feasible : ?tol:float -> t -> float array -> bool
 (** Checks all row and column bounds at a point (absolute tolerance,
     default 1e-6). *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump of the whole model (for debugging small LPs). *)

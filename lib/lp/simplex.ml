@@ -237,8 +237,6 @@ let m_btrans =
 
 let nrows t = t.m
 
-let nvars t = t.n
-
 let iterations t = t.iters
 
 let is_fixed t j = t.up.(j) -. t.lo.(j) <= 0.0
@@ -286,7 +284,7 @@ let out_of_time t = t.deadline < infinity && Clock.now () > t.deadline
 (* ------------------------------------------------------------------ *)
 
 (* Whether a configured fault of [kind] fires at this call site. Fires only
-   while a solve is running (never during [of_problem] or [add_row]) and at
+   while a solve is running (never during [of_problem] or [add_rows]) and at
    most [max_faults] times per engine, so recovery retries eventually see a
    clean run. The stream is seeded, so a given (problem, seed) pair fails in
    exactly the same way every time. *)
@@ -1130,48 +1128,67 @@ let of_problem ?(params = default_params) prob =
   recompute_xb t;
   t
 
-let add_row t ~lo ~up coeffs =
-  if not (lo <= up) then invalid_arg "Simplex.add_row: lo > up";
-  let sp = Sparse.of_assoc coeffs in
-  if Sparse.max_index sp >= t.n then
-    invalid_arg "Simplex.add_row: unknown structural variable";
-  grow_arrays t (t.m + 1);
-  let r_new = t.m in
-  let aux = t.n + r_new in
-  t.lo.(aux) <- lo;
-  t.up.(aux) <- up;
-  t.obj.(aux) <- 0.0;
-  (* extend the columns of the referenced structural variables *)
-  Sparse.iter
-    (fun j v ->
-      let old = t.cols.(j) in
-      t.cols.(j) <- Sparse.of_assoc ((r_new, v) :: Sparse.to_assoc old))
-    sp;
-  (* extend the basis: the new basis matrix is [[B, 0], [C, -1]], where C
-     holds the new row's coefficients on the current basic (necessarily
-     structural) variables. This border is appended to the live
-     factorisation, so the next solve re-enters the dual simplex without
-     refactorising. *)
-  let border = ref [] in
-  Sparse.iter
-    (fun j v ->
-      match t.vstat.(j) with
-      | Basic k -> border := (k, v) :: !border
-      | At_lower | At_upper | Free_zero -> ())
-    sp;
-  Basis.append_row t.basis (Sparse.of_assoc !border);
-  t.since_refactor <- t.since_refactor + 1;
-  t.xb_stale <- true;
-  t.d_fresh <- false;
-  (* the new auxiliary variable enters the basis at the row's activity *)
-  let activity =
-    Sparse.fold (fun j v acc -> acc +. (v *. value t j)) sp 0.0
+let add_rows t rows =
+  (* validate every row before anything is mutated *)
+  let rows =
+    List.map
+      (fun (lo, up, coeffs) ->
+        if not (lo <= up) then invalid_arg "Simplex.add_rows: lo > up";
+        List.iter
+          (fun (j, _) ->
+            if j < 0 || j >= t.n then
+              invalid_arg "Simplex.add_rows: unknown structural variable")
+          coeffs;
+        (lo, up, Sparse.of_assoc coeffs))
+      rows
   in
-  t.basic.(r_new) <- aux;
-  t.vstat.(aux) <- Basic r_new;
-  t.xb.(r_new) <- activity;
-  t.m <- t.m + 1;
-  t.last_status <- Status.Iteration_limit
+  (* extend each referenced structural column once per batch: the new row
+     indices are the largest in every column, so the new entries go at the
+     end, in row order *)
+  let fresh = Array.make t.n [] in
+  List.iteri
+    (fun q (_, _, sp) ->
+      Sparse.iter (fun j v -> fresh.(j) <- (t.m + q, v) :: fresh.(j)) sp)
+    rows;
+  Array.iteri
+    (fun j entries ->
+      if entries <> [] then
+        t.cols.(j) <- Sparse.append t.cols.(j) (List.rev entries))
+    fresh;
+  List.iter
+    (fun (lo, up, sp) ->
+      grow_arrays t (t.m + 1);
+      let r_new = t.m in
+      let aux = t.n + r_new in
+      t.lo.(aux) <- lo;
+      t.up.(aux) <- up;
+      t.obj.(aux) <- 0.0;
+      (* extend the basis: the new basis matrix is [[B, 0], [C, -1]], where
+         C holds the new row's coefficients on the current basic
+         (necessarily structural) variables. This border is appended to
+         the live factorisation, so the next solve re-enters the dual
+         simplex without refactorising. *)
+      let border = ref [] in
+      Sparse.iter
+        (fun j v ->
+          match t.vstat.(j) with
+          | Basic k -> border := (k, v) :: !border
+          | At_lower | At_upper | Free_zero -> ())
+        sp;
+      Basis.append_row t.basis (Sparse.of_assoc !border);
+      t.since_refactor <- t.since_refactor + 1;
+      t.xb_stale <- true;
+      t.d_fresh <- false;
+      (* the new auxiliary variable enters the basis at the row's activity *)
+      let activity =
+        Sparse.fold (fun j v acc -> acc +. (v *. value t j)) sp 0.0
+      in
+      t.basic.(r_new) <- aux;
+      t.vstat.(aux) <- Basic r_new;
+      t.xb.(r_new) <- activity;
+      t.m <- t.m + 1;
+      t.last_status <- Status.Iteration_limit)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1301,7 +1318,7 @@ let validate_solution t =
   end
 
 (* Reconstructs a standalone Problem.t equal to the engine's current model
-   (including rows appended with add_row), for oracles and diagnostics. *)
+   (including rows appended with add_rows), for oracles and diagnostics. *)
 let to_problem t =
   let prob = Problem.create () in
   for j = 0 to t.n - 1 do
@@ -1608,12 +1625,6 @@ let dual t =
   fill_cb_phase2 t;
   compute_y t t.cb;
   Array.sub t.y 0 t.m
-
-let reduced_cost t j =
-  assert (j >= 0 && j < t.n);
-  fill_cb_phase2 t;
-  compute_y t t.cb;
-  t.obj.(j) -. col_dot t j t.y
 
 let solution t =
   {

@@ -19,7 +19,7 @@
     trail of eta updates and border rows ({!Basis}), refactorised every
     [refactor_every] pivots.
 
-    Rows can be appended between solves ([add_row]); the live
+    Rows can be appended between solves ([add_rows]); the live
     factorisation is extended by a border row and stays dual feasible, so
     re-optimisation is a short dual-simplex run. This implements the
     paper's Section 4.6 constraint-reduction strategy as exact lazy row
@@ -37,7 +37,7 @@
 type t
 (** A loaded LP engine: problem snapshot, current basis and its
     factorisation, and cumulative telemetry. Create with {!of_problem};
-    all mutation goes through {!solve}, {!add_row} and
+    all mutation goes through {!solve}, {!add_rows} and
     {!set_time_limit}. *)
 
 (** Where a deterministic fault is injected (testing only). *)
@@ -116,7 +116,7 @@ val default_params : params
     declared by a full scan. The dual ratio test is the long-step
     (bound-flipping) rule: boxed nonbasic columns whose breakpoint cannot
     absorb the remaining primal violation flip to their opposite bound
-    without a basis change. {!add_row} extends the live factorisation by
+    without a basis change. {!add_rows} extends the live factorisation by
     a border row. The tolerances are fixed: primal feasibility [1e-7] and
     reduced-cost optimality [1e-9], both relative to [1 + |value|], and
     pivot magnitude [1e-9] (escalated only by the {!Tighten_pivot_tol}
@@ -158,7 +158,7 @@ type stats = {
   basis_updates : int;  (** eta updates applied *)
   basis_extensions : int;
       (** rows appended to a live factorisation by warm-started
-          {!add_row} *)
+          {!add_rows} *)
   refactorisations : int;  (** basis factorisations from scratch *)
   factor_nnz : int;
       (** nonzeros of the LU factors, summed over the factorisations *)
@@ -172,7 +172,7 @@ type stats = {
   dual_seconds : float;
   recoveries : recoveries;  (** numerical-recovery telemetry *)
 }
-(** Cumulative solver counters, preserved across warm restarts ([add_row] +
+(** Cumulative solver counters, preserved across warm restarts ([add_rows] +
     re-[solve]); read them with {!stats} at any point. Counter fields are
     valid from engine creation onwards (all zero before the first
     [solve]); the [*_seconds] fields only cover completed phase runs, so
@@ -193,7 +193,7 @@ val merge_stats : stats -> stats -> stats
 
 val of_problem : ?params:params -> Problem.t -> t
 (** Loads a model. The engine takes a snapshot: later changes to the
-    [Problem.t] are not seen (use [add_row] to grow the engine itself). *)
+    [Problem.t] are not seen (use [add_rows] to grow the engine itself). *)
 
 val solve : t -> Status.t
 (** Runs the appropriate algorithm(s) from the current basis and returns the
@@ -213,13 +213,20 @@ val set_time_limit : t -> float -> unit
 
 val to_problem : t -> Problem.t
 (** Reconstructs a standalone model equal to the engine's current one,
-    including rows appended with [add_row] (diagnostics / oracles). *)
+    including rows appended with [add_rows] (diagnostics / oracles). *)
 
-val add_row : t -> lo:float -> up:float -> (int * float) list -> unit
-(** Appends a constraint row over structural variables. The engine stays
+val add_rows : t -> (float * float * (int * float) list) list -> unit
+(** [add_rows t rows] appends the constraint rows [(lo, up, coeffs)] over
+    structural variables, in list order. Every row is validated before
+    anything is mutated, so a rejected batch leaves the engine unchanged.
+    Each touched column is extended once per batch, and each row appends
+    one border to the live factorisation (counted in [basis_extensions]),
+    exactly as appending the rows one at a time would: the re-solve
+    skips the refactorisation and takes the same pivots. The engine stays
     dual feasible; call [solve] to re-optimise (it will run the dual
-    simplex). The live factorisation is extended by a border row (counted
-    in [basis_extensions]), so the re-solve skips the refactorisation. *)
+    simplex).
+    @raise Invalid_argument if a row has [lo > up] or references an
+    unknown structural variable. *)
 
 type warm_basis = {
   wb_nvars : int;  (** structural variable count of the source engine *)
@@ -274,10 +281,7 @@ val install_warm_basis : t -> warm_basis -> (unit, basis_mismatch) result
 
 val nrows : t -> int
 (** Number of constraint rows currently loaded (including rows appended
-    with {!add_row}). *)
-
-val nvars : t -> int
-(** Number of structural variables. *)
+    with {!add_rows}). *)
 
 val objective : t -> float
 (** Objective value of the current basis. Only a certified optimum after
@@ -292,9 +296,6 @@ val row_activity : t -> float array
 
 val dual : t -> float array
 (** Simplex multipliers [y] (one per row) of the current basis. *)
-
-val reduced_cost : t -> int -> float
-(** Reduced cost of a structural variable in the current basis. *)
 
 val iterations : t -> int
 (** Total simplex pivots over the engine's lifetime (equals

@@ -2,15 +2,6 @@ type t = { idx : int array; value : float array }
 
 let empty = { idx = [||]; value = [||] }
 
-let check t =
-  let k = Array.length t.idx in
-  assert (Array.length t.value = k);
-  for i = 0 to k - 1 do
-    assert (t.value.(i) <> 0.0);
-    assert (t.idx.(i) >= 0);
-    if i > 0 then assert (t.idx.(i) > t.idx.(i - 1))
-  done
-
 let of_assoc pairs =
   let sorted = List.sort (fun (i, _) (j, _) -> compare i j) pairs in
   let merged =
@@ -32,10 +23,21 @@ let of_assoc pairs =
     nonzero;
   { idx; value }
 
-let of_arrays idx value =
-  let t = { idx; value } in
-  check t;
-  t
+let append t entries =
+  let k = Array.length t.idx in
+  let extra = List.length entries in
+  let idx = Array.make (k + extra) 0 and value = Array.make (k + extra) 0.0 in
+  Array.blit t.idx 0 idx 0 k;
+  Array.blit t.value 0 value 0 k;
+  List.iteri
+    (fun pos (i, v) ->
+      let p = k + pos in
+      assert (v <> 0.0);
+      assert (if p = 0 then i >= 0 else i > idx.(p - 1));
+      idx.(p) <- i;
+      value.(p) <- v)
+    entries;
+  { idx; value }
 
 let singleton i v =
   assert (i >= 0);
@@ -70,17 +72,6 @@ let fold f t init =
   done;
   !acc
 
-let get t i =
-  let rec search lo hi =
-    if lo > hi then 0.0
-    else
-      let mid = (lo + hi) / 2 in
-      if t.idx.(mid) = i then t.value.(mid)
-      else if t.idx.(mid) < i then search (mid + 1) hi
-      else search lo (mid - 1)
-  in
-  search 0 (Array.length t.idx - 1)
-
 let dot_dense t dense =
   let acc = ref 0.0 in
   for i = 0 to Array.length t.idx - 1 do
@@ -99,15 +90,3 @@ let to_assoc t = fold (fun i v acc -> (i, v) :: acc) t [] |> List.rev
 let max_index t =
   let k = Array.length t.idx in
   if k = 0 then -1 else t.idx.(k - 1)
-
-let scale k t =
-  if k = 0.0 then empty
-  else { idx = Array.copy t.idx; value = Array.map (fun v -> k *. v) t.value }
-
-let map_values f t =
-  of_assoc (to_assoc t |> List.map (fun (i, v) -> (i, f v)))
-
-let pp fmt t =
-  Format.fprintf fmt "[";
-  iter (fun i v -> Format.fprintf fmt " %d:%g" i v) t;
-  Format.fprintf fmt " ]"

@@ -9,9 +9,10 @@ val of_assoc : (int * float) list -> t
 (** Builds a sparse vector from (index, value) pairs. Duplicate indices are
     summed; zero results are dropped. Indices must be nonnegative. *)
 
-val of_arrays : int array -> float array -> t
-(** Unsafe fast path: indices must already be strictly increasing and values
-    nonzero (checked by assertions). Arrays are not copied. *)
+val append : t -> (int * float) list -> t
+(** [append t entries] is [t] followed by [entries], built by one blit.
+    The appended indices must be strictly increasing and above
+    [max_index t], and their values nonzero (checked by assertions). *)
 
 val singleton : int -> float -> t
 (** [singleton i v] is the vector with the single entry [v] at index [i]
@@ -26,9 +27,6 @@ val iter : (int -> float -> unit) -> t -> unit
 
 val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 
-val get : t -> int -> float
-(** Value at an index ([0.] when absent); O(log nnz). *)
-
 val dot_dense : t -> float array -> float
 (** Dot product with a dense vector; indices must be within bounds. *)
 
@@ -40,9 +38,3 @@ val to_assoc : t -> (int * float) list
 
 val max_index : t -> int
 (** Largest index present; [-1] for the empty vector. *)
-
-val scale : float -> t -> t
-
-val map_values : (float -> float) -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -24,5 +24,3 @@ let to_string = function
   | Numerical_failure -> "numerical-failure"
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let is_optimal s = s.status = Optimal

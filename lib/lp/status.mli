@@ -26,8 +26,3 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** Same rendering as {!pp}, as a string; stable across versions, so it
     is safe to key machine-readable output on it. *)
-
-val is_optimal : solution -> bool
-(** [is_optimal s] is [s.status = Optimal]. Callers should gate on this
-    before trusting [objective]/[primal]: for every other status those
-    fields describe the last basis visited, not a proven optimum. *)

@@ -188,6 +188,153 @@ let test_svg_write_file () =
   Sys.remove path;
   Alcotest.(check bool) "nonempty file" true (len > 200)
 
+(* ------------------------------------------------------------------ *)
+(* Steiner pairs: seeding, pair set, violation scan                      *)
+(* ------------------------------------------------------------------ *)
+
+module Pairs = Lubt_core.Steiner_pairs
+
+(* Terminals on a coarse grid, so duplicate points and equal distances
+   are common. With a source, the root is terminal 0, as in Ebf. *)
+let grid_terminals rng =
+  let m = 1 + Prng.int rng 30 in
+  let with_source = m = 1 || Prng.bool rng in
+  let tree = Topogen.random_binary rng ~num_sinks:m ~source_edge:with_source in
+  let cell () = float_of_int (10 * Prng.int rng 6) in
+  let point () = pt (cell ()) (cell ()) in
+  let sinks = Array.map (fun node -> (node, point ())) (Tree.sinks tree) in
+  let terms =
+    if with_source then Array.append [| (Tree.root, point ()) |] sinks else sinks
+  in
+  (tree, terms)
+
+(* the sort-based seeding the selection replaced *)
+let reference_nearest terms k =
+  let t = Array.length terms in
+  let calls = ref [] in
+  for i = 0 to t - 1 do
+    let _, pi = terms.(i) in
+    let dists = Array.init t (fun j -> (Point.dist pi (snd terms.(j)), j)) in
+    Array.sort compare dists;
+    let added = ref 0 and idx = ref 0 in
+    while !added < k && !idx < t do
+      let _, j = dists.(!idx) in
+      incr idx;
+      if j <> i then begin
+        calls := (i, j) :: !calls;
+        incr added
+      end
+    done
+  done;
+  List.rev !calls
+
+let test_nearest_matches_sort () =
+  let rng = Prng.create 404 in
+  for case = 1 to 200 do
+    let _, terms = grid_terminals rng in
+    let k = Prng.int rng 8 in
+    let calls = ref [] in
+    Pairs.nearest terms k (fun i j -> calls := (i, j) :: !calls);
+    if List.rev !calls <> reference_nearest terms k then
+      Alcotest.failf "case %d (t = %d, k = %d): neighbours differ" case
+        (Array.length terms) k
+  done
+
+(* the Hashtbl scan the bitset replaced, with the same deadline poll *)
+let reference_scan ~stop added terms tree d ~threshold =
+  let t = Array.length terms in
+  let found = ref [] and cut = ref false in
+  (try
+     for i = 0 to t - 1 do
+       if stop () then begin
+         cut := true;
+         raise Exit
+       end;
+       for j = i + 1 to t - 1 do
+         if not (Hashtbl.mem added (i, j)) then begin
+           let a, pa = terms.(i) and b, pb = terms.(j) in
+           let need = Point.dist pa pb in
+           if need > 0.0 then begin
+             let have = d.(a) +. d.(b) -. (2.0 *. d.(Tree.lca tree a b)) in
+             let viol = need -. have in
+             if viol > threshold then found := (viol, (i, j)) :: !found
+           end
+         end
+       done
+     done
+   with Exit -> ());
+  (!found, !cut)
+
+let test_scan_matches_hashtbl () =
+  let rng = Prng.create 405 in
+  for case = 1 to 200 do
+    let tree, terms = grid_terminals rng in
+    let t = Array.length terms in
+    let lengths =
+      Array.init (Tree.num_nodes tree) (fun i ->
+          if i = Tree.root || Prng.int rng 4 = 0 then 0.0 else Prng.float rng 30.0)
+    in
+    let d = Tree.delays tree lengths in
+    let set = Pairs.create t and table = Hashtbl.create 16 in
+    for i = 0 to t - 1 do
+      for j = i + 1 to t - 1 do
+        if Prng.int rng 3 = 0 then begin
+          Pairs.add set i j;
+          Hashtbl.replace table (i, j) ()
+        end
+      done
+    done;
+    for i = 0 to t - 1 do
+      for j = i + 1 to t - 1 do
+        if Pairs.mem set i j <> Hashtbl.mem table (i, j) then
+          Alcotest.failf "case %d: membership of (%d, %d) differs" case i j
+      done
+    done;
+    (* every fourth case stops after a random number of rows *)
+    let budget = if case mod 4 = 0 then Prng.int rng (t + 1) else max_int in
+    let stopper () =
+      let polls = ref 0 in
+      fun () ->
+        incr polls;
+        !polls > budget
+    in
+    let threshold = if case mod 2 = 0 then 0.0 else 5.0 in
+    let got = Pairs.violations ~stop:(stopper ()) set terms tree d ~threshold in
+    let want = reference_scan ~stop:(stopper ()) table terms tree d ~threshold in
+    if got <> want then Alcotest.failf "case %d (t = %d): scans differ" case t
+  done
+
+let test_worst_matches_sort () =
+  let rng = Prng.create 406 in
+  for case = 1 to 200 do
+    (* few distinct shortfalls, so ties are common *)
+    let vs =
+      List.init (Prng.int rng 120) (fun q ->
+          (float_of_int (1 + Prng.int rng 6), (q, q + 1)))
+    in
+    let k = Prng.int rng 80 in
+    let want =
+      List.sort (fun (a, _) (b, _) -> compare b a) vs
+      |> List.filteri (fun q _ -> q < k)
+      |> List.map snd
+    in
+    if Pairs.worst k vs <> want then
+      Alcotest.failf "case %d (%d shortfalls, k = %d): batches differ" case
+        (List.length vs) k
+  done
+
+let test_pair_bounds () =
+  let s = Pairs.create 4 in
+  List.iter
+    (fun (i, j) ->
+      match Pairs.add s i j with
+      | () -> Alcotest.failf "pair (%d, %d) accepted" i j
+      | exception Invalid_argument _ -> ())
+    [ (1, 1); (2, 1); (-1, 2); (0, 4) ];
+  Pairs.add s 2 3;
+  Alcotest.(check bool) "last pair" true (Pairs.mem s 2 3);
+  Alcotest.(check bool) "other pair" false (Pairs.mem s 1 3)
+
 let () =
   Alcotest.run "core-extra"
     [
@@ -211,5 +358,15 @@ let () =
           Alcotest.test_case "labels toggle" `Quick test_svg_labels_toggle;
           Alcotest.test_case "elongation marked" `Quick test_svg_elongated_marked;
           Alcotest.test_case "write file" `Quick test_svg_write_file;
+        ] );
+      ( "steiner-pairs",
+        [
+          Alcotest.test_case "nearest = sort reference" `Quick
+            test_nearest_matches_sort;
+          Alcotest.test_case "bitset scan = Hashtbl scan" `Quick
+            test_scan_matches_hashtbl;
+          Alcotest.test_case "worst batch = stable sort prefix" `Quick
+            test_worst_matches_sort;
+          Alcotest.test_case "pair bounds" `Quick test_pair_bounds;
         ] );
     ]

@@ -130,8 +130,8 @@ let test_add_row_reoptimise () =
   let eng = Simplex.of_problem p in
   Alcotest.check status_testable "first" Status.Optimal (Simplex.solve eng);
   check_float "obj1" 1.0 (Simplex.objective eng);
-  Simplex.add_row eng ~lo:0.8 ~up:infinity [ (x, 1.0) ];
-  Simplex.add_row eng ~lo:0.5 ~up:infinity [ (y, 1.0) ];
+  Simplex.add_rows eng [ (0.8, infinity, [ (x, 1.0) ]) ];
+  Simplex.add_rows eng [ (0.5, infinity, [ (y, 1.0) ]) ];
   Alcotest.check status_testable "second" Status.Optimal (Simplex.solve eng);
   check_float "obj2" 1.3 (Simplex.objective eng);
   let xs = Simplex.primal eng in
@@ -144,7 +144,7 @@ let test_add_row_makes_infeasible () =
   ignore (Problem.add_row p ~lo:0.0 ~up:infinity [ (x, 1.0) ]);
   let eng = Simplex.of_problem p in
   Alcotest.check status_testable "first" Status.Optimal (Simplex.solve eng);
-  Simplex.add_row eng ~lo:2.0 ~up:infinity [ (x, 1.0) ];
+  Simplex.add_rows eng [ (2.0, infinity, [ (x, 1.0) ]) ];
   Alcotest.check status_testable "now infeasible" Status.Infeasible
     (Simplex.solve eng)
 
@@ -157,8 +157,8 @@ let test_many_incremental_rows () =
   let eng = Simplex.of_problem p in
   Alcotest.check status_testable "first" Status.Optimal (Simplex.solve eng);
   for i = 0 to n - 2 do
-    Simplex.add_row eng ~lo:(float_of_int i) ~up:infinity
-      [ (vars.(i), 1.0); (vars.(i + 1), 1.0) ];
+    Simplex.add_rows eng
+      [ (float_of_int i, infinity, [ (vars.(i), 1.0); (vars.(i + 1), 1.0) ]) ];
     Alcotest.check status_testable "step" Status.Optimal (Simplex.solve eng)
   done;
   (* compare against solving the complete model from scratch *)
@@ -241,8 +241,8 @@ let test_warm_row_appends () =
   let eng = Simplex.of_problem p in
   Alcotest.check status_testable "first" Status.Optimal (Simplex.solve eng);
   for i = 0 to n - 2 do
-    Simplex.add_row eng ~lo:(float_of_int i) ~up:infinity
-      [ (vars.(i), 1.0); (vars.(i + 1), 1.0) ];
+    Simplex.add_rows eng
+      [ (float_of_int i, infinity, [ (vars.(i), 1.0); (vars.(i + 1), 1.0) ]) ];
     Alcotest.check status_testable "step" Status.Optimal (Simplex.solve eng)
   done;
   let q = Problem.create () in

@@ -184,7 +184,7 @@ module Point = Lubt_geom.Point
 
 (* Two engine runs per instance — the eager formulation (primal phases)
    and the lazy row-generation loop (dual-simplex warm restarts after
-   add_row) — must agree with the independent two-phase tableau oracle. A
+   add_rows) — must agree with the independent two-phase tableau oracle. A
    fifth of the instances get an upper bound below the radius so the
    infeasibility verdict is cross-checked too. *)
 let test_ebf_engine_vs_oracle () =
@@ -263,6 +263,143 @@ let test_dual_probe_feasible () =
          inst tree)
   done;
   Alcotest.(check bool) "dual events seen" true (!events > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Batched row appends                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* exact equality of two models: bounds, objective and rows in order *)
+let same_model id p q =
+  let fail what = Alcotest.failf "%s: %s differ" id what in
+  if Problem.nvars p <> Problem.nvars q then fail "variable counts";
+  if Problem.nrows p <> Problem.nrows q then fail "row counts";
+  for j = 0 to Problem.nvars p - 1 do
+    if
+      Problem.var_lo p j <> Problem.var_lo q j
+      || Problem.var_up p j <> Problem.var_up q j
+      || Problem.obj_coeff p j <> Problem.obj_coeff q j
+    then fail (Printf.sprintf "variable %d" j)
+  done;
+  for i = 0 to Problem.nrows p - 1 do
+    let rp = Problem.row p i and rq = Problem.row q i in
+    if
+      rp.Problem.rlo <> rq.Problem.rlo
+      || rp.Problem.rup <> rq.Problem.rup
+      || Sparse.to_assoc rp.Problem.coeffs <> Sparse.to_assoc rq.Problem.coeffs
+    then fail (Printf.sprintf "row %d" i)
+  done
+
+let row_spec prob i =
+  let r = Problem.row prob i in
+  (r.Problem.rlo, r.Problem.rup, Sparse.to_assoc r.Problem.coeffs)
+
+(* An engine over every variable of [prob] and the rows [keep] selects. *)
+let engine_over prob keep =
+  let p = Problem.create () in
+  for j = 0 to Problem.nvars prob - 1 do
+    ignore
+      (Problem.add_var ~lo:(Problem.var_lo prob j) ~up:(Problem.var_up prob j)
+         ~obj:(Problem.obj_coeff prob j) p)
+  done;
+  for i = 0 to Problem.nrows prob - 1 do
+    if keep i then begin
+      let lo, up, coeffs = row_spec prob i in
+      ignore (Problem.add_row p ~lo ~up coeffs)
+    end
+  done;
+  Simplex.of_problem p
+
+let same_run id a b =
+  let sa = Simplex.stats a and sb = Simplex.stats b in
+  let counters (s : Simplex.stats) =
+    [ s.Simplex.iterations; s.Simplex.ftran_count; s.Simplex.btran_count;
+      s.Simplex.refactorisations; s.Simplex.basis_extensions ]
+  in
+  if counters sa <> counters sb then Alcotest.failf "%s: pivots differ" id;
+  if
+    Int64.bits_of_float (Simplex.objective a)
+    <> Int64.bits_of_float (Simplex.objective b)
+  then
+    Alcotest.failf "%s: objective %h vs %h" id (Simplex.objective a)
+      (Simplex.objective b);
+  if Simplex.primal a <> Simplex.primal b then Alcotest.failf "%s: primal differs" id
+
+(* Two engines start from the same third of an EBF formulation's rows.
+   The other rows arrive in two rounds: one engine takes each round as
+   one [add_rows] batch, the other one row per call. The models, the
+   pivots and the bits of the objective must agree after every
+   re-solve, and the model must equal the formulation rows in append
+   order. *)
+let test_add_rows_batch_vs_single () =
+  let rng = Prng.create 2303 in
+  for case = 1 to 30 do
+    let min_sinks = if case mod 3 = 0 then 20 else 4 in
+    let inst, tree = Lp_gen.random_ebf ~min_sinks rng in
+    let full = Ebf.formulate inst tree in
+    let m = Problem.nrows full in
+    let seeded i = i mod 3 = 0 in
+    let batch = engine_over full seeded and single = engine_over full seeded in
+    let id = Printf.sprintf "case %d" case in
+    ignore (Simplex.solve batch);
+    ignore (Simplex.solve single);
+    same_run id batch single;
+    let order = ref [] in
+    List.iter
+      (fun round ->
+        let rows =
+          List.filter_map
+            (fun i -> if (not (seeded i)) && i mod 2 = round then Some i else None)
+            (List.init m Fun.id)
+        in
+        order := !order @ rows;
+        Simplex.add_rows batch (List.map (row_spec full) rows);
+        List.iter (fun i -> Simplex.add_rows single [ row_spec full i ]) rows;
+        same_model id (Simplex.to_problem batch) (Simplex.to_problem single);
+        ignore (Simplex.solve batch);
+        ignore (Simplex.solve single);
+        same_run id batch single)
+      [ 0; 1 ];
+    let rows = List.filter seeded (List.init m Fun.id) @ !order in
+    let expected = engine_over full (fun _ -> false) in
+    Simplex.add_rows expected (List.map (row_spec full) rows);
+    same_model id (Simplex.to_problem batch) (Simplex.to_problem expected)
+  done
+
+(* A batch with one invalid row, wherever it sits, is refused whole: the
+   engine keeps its model and re-solves exactly like an untouched twin. *)
+let test_add_rows_invalid_batch () =
+  let rng = Prng.create 77 in
+  let inst, tree = Lp_gen.random_ebf ~min_sinks:8 rng in
+  let full = Ebf.formulate inst tree in
+  let n = Problem.nvars full and m = Problem.nrows full in
+  let seeded i = i < m / 2 in
+  let extra = List.init 4 (fun q -> row_spec full ((m / 2) + q)) in
+  let bad =
+    [ (2.0, 1.0, [ (0, 1.0) ]); (1.0, infinity, [ (n, 1.0) ]);
+      (1.0, infinity, [ (0, 1.0); (-1, 1.0) ]) ]
+  in
+  List.iter
+    (fun b ->
+      for pos = 0 to List.length extra do
+        let rows =
+          List.filteri (fun q _ -> q < pos) extra
+          @ (b :: List.filteri (fun q _ -> q >= pos) extra)
+        in
+        let eng = engine_over full seeded and twin = engine_over full seeded in
+        ignore (Simplex.solve eng);
+        ignore (Simplex.solve twin);
+        let before = Simplex.to_problem eng in
+        (match Simplex.add_rows eng rows with
+        | () -> Alcotest.failf "invalid row at %d accepted" pos
+        | exception Invalid_argument _ -> ());
+        same_model "after refused batch" (Simplex.to_problem eng) before;
+        Simplex.add_rows eng extra;
+        Simplex.add_rows twin extra;
+        ignore (Simplex.solve eng);
+        ignore (Simplex.solve twin);
+        same_run "after refused batch" eng twin
+      done)
+    bad
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU                                                            *)
@@ -604,5 +741,12 @@ let () =
             test_ebf_engine_vs_oracle;
           Alcotest.test_case "dual feasible at every dual pivot" `Quick
             test_dual_probe_feasible;
+        ] );
+      ( "add-rows",
+        [
+          Alcotest.test_case "one batch = one row at a time, 30 instances"
+            `Quick test_add_rows_batch_vs_single;
+          Alcotest.test_case "invalid row refuses the whole batch" `Quick
+            test_add_rows_invalid_batch;
         ] );
     ]

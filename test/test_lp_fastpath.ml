@@ -131,8 +131,8 @@ let test_bound_flips_fire () =
   Alcotest.(check bool) "initial optimal" true (Simplex.solve eng = Status.Optimal);
   (* covering row far beyond the boxed ranges: x0..x2 flip to their
      upper bounds (gain 1 each < infeasibility 50), x3 enters *)
-  Simplex.add_row eng ~lo:50.0 ~up:infinity
-    [ (0, 1.0); (1, 1.0); (2, 1.0); (3, 1.0) ];
+  Simplex.add_rows eng
+    [ (50.0, infinity, [ (0, 1.0); (1, 1.0); (2, 1.0); (3, 1.0) ]) ];
   Alcotest.(check bool) "reoptimised" true (Simplex.solve eng = Status.Optimal);
   if not (approx ~eps:1e-9 (Simplex.objective eng) 48.8) then
     Alcotest.failf "objective %.12g, expected 48.8" (Simplex.objective eng);

@@ -321,7 +321,28 @@ let test_report_renderer_shared () =
         (fun k ->
           Alcotest.(check bool) (k ^ " member present") true
             (Json.member k parsed <> None))
-        [ "cost"; "validated"; "certified"; "ebf"; "solver" ])
+        [ "cost"; "validated"; "certified"; "ebf"; "solver" ];
+      (* each round reports its scan, append and solve times; a round
+         that appends nothing spends nothing on appending *)
+      let rounds =
+        match Json.arr (member_exn "round_stats" (member_exn "ebf" parsed)) with
+        | Some rs -> rs
+        | None -> Alcotest.fail "round_stats is not an array"
+      in
+      Alcotest.(check bool) "rounds reported" true (rounds <> []);
+      List.iter
+        (fun r ->
+          let num k =
+            match Json.num (member_exn k r) with
+            | Some v -> v
+            | None -> Alcotest.failf "%s is not a number" k
+          in
+          List.iter
+            (fun k -> Alcotest.(check bool) (k ^ " >= 0") true (num k >= 0.0))
+            [ "scan_ms"; "append_ms"; "solve_ms" ];
+          if num "rows_added" = 0.0 then
+            Alcotest.(check (float 0.0)) "no append time" 0.0 (num "append_ms"))
+        rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Socket-level tests                                                  *)
