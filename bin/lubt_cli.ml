@@ -407,7 +407,7 @@ let solve_cmd =
       & info [ "stats" ]
           ~doc:
             "Print solver counters (pricing scans, ftran/btran, \
-             refactorisations, phase times) and per-round lazy-loop \
+             refactorisations, run time) and per-round lazy-loop \
              telemetry after the solve.")
   in
   let certify =
@@ -455,7 +455,7 @@ let solve_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Record spans for the whole solve (EBF rounds, simplex \
-             phases, FTRAN/BTRAN, embedding passes) and write them as \
+             runs, FTRAN/BTRAN, embedding passes) and write them as \
              Chrome trace-event JSON to FILE — load it in Perfetto \
              (ui.perfetto.dev) or chrome://tracing.")
   in

@@ -21,12 +21,9 @@ type report = {
   r_only_new : string list;
 }
 
-(* phase timings inside the solver record are wall-clock noise; every
-   other solver member is a deterministic pivot-trajectory counter *)
-let noisy_counter name =
-  match name with
-  | "phase1_ms" | "phase2_ms" | "dual_ms" -> true
-  | _ -> false
+(* the solver's run time is wall-clock noise; every other solver member
+   is a deterministic pivot-trajectory counter *)
+let noisy_counter name = name = "dual_ms"
 
 let has_suffix name s =
   let nl = String.length name and sl = String.length s in

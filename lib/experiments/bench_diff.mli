@@ -12,8 +12,8 @@
     exactly and reported, but never gate: on identical code they are
     deterministic, so any counter drift is surfaced loudly — it means
     the pivot trajectory changed — while wall-clock noise does not
-    produce false counter alarms. Phase timing fields ([phase1_ms],
-    [phase2_ms], [dual_ms]) are noise and are ignored.
+    produce false counter alarms. The solver's run time ([dual_ms]) is
+    noise and is ignored.
 
     Benchmarks whose name ends in [_count] or [_rate] (the serve
     robustness counters and the warm-start cache hit rate) carry a

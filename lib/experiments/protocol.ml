@@ -126,26 +126,16 @@ let recoveries_json (r : Simplex.recoveries) =
 
 let solver_stats_json (s : Simplex.stats) =
   Printf.sprintf
-    "{\"iterations\": %d, \"phase1_iterations\": %d, \
-     \"phase2_iterations\": %d, \"dual_iterations\": %d, \
-     \"bound_flips\": %d, \"full_pricing_scans\": %d, \
-     \"partial_pricing_scans\": %d, \"ftran_count\": %d, \
+    "{\"iterations\": %d, \"bound_flips\": %d, \
+     \"full_pricing_scans\": %d, \"ftran_count\": %d, \
      \"btran_count\": %d, \"basis_updates\": %d, \
      \"basis_extensions\": %d, \"refactorisations\": %d, \
-     \"factor_nnz\": %d, \"basis_nnz\": %d, \
-     \"degenerate_pivots\": %d, \"bland_activations\": %d, \
-     \"phase1_ms\": %s, \"phase2_ms\": %s, \"dual_ms\": %s, \
+     \"factor_nnz\": %d, \"basis_nnz\": %d, \"dual_ms\": %s, \
      \"recoveries\": %s}"
-    s.Simplex.iterations s.Simplex.phase1_iterations
-    s.Simplex.phase2_iterations s.Simplex.dual_iterations
-    s.Simplex.bound_flips s.Simplex.full_pricing_scans
-    s.Simplex.partial_pricing_scans s.Simplex.ftran_count
-    s.Simplex.btran_count s.Simplex.basis_updates
+    s.Simplex.iterations s.Simplex.bound_flips s.Simplex.full_pricing_scans
+    s.Simplex.ftran_count s.Simplex.btran_count s.Simplex.basis_updates
     s.Simplex.basis_extensions s.Simplex.refactorisations
     s.Simplex.factor_nnz s.Simplex.basis_nnz
-    s.Simplex.degenerate_pivots s.Simplex.bland_activations
-    (json_float (s.Simplex.phase1_seconds *. 1e3))
-    (json_float (s.Simplex.phase2_seconds *. 1e3))
     (json_float (s.Simplex.dual_seconds *. 1e3))
     (recoveries_json s.Simplex.recoveries)
 

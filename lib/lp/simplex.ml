@@ -21,7 +21,6 @@ type params = {
   max_iters : int;
   time_limit : float;
   refactor_every : int;
-  bland_threshold : int;
   recovery : recovery_stage list;
   fault : fault option;
 }
@@ -31,7 +30,6 @@ let default_params =
     max_iters = 0;
     time_limit = infinity;
     refactor_every = 100;
-    bland_threshold = 1000;
     recovery = default_recovery;
     fault = None;
   }
@@ -73,12 +71,8 @@ let recovery_attempts r =
 
 type stats = {
   iterations : int;
-  phase1_iterations : int;
-  phase2_iterations : int;
-  dual_iterations : int;
   bound_flips : int;
   full_pricing_scans : int;
-  partial_pricing_scans : int;
   ftran_count : int;
   btran_count : int;
   basis_updates : int;
@@ -86,10 +80,6 @@ type stats = {
   refactorisations : int;
   factor_nnz : int;
   basis_nnz : int;
-  degenerate_pivots : int;
-  bland_activations : int;
-  phase1_seconds : float;
-  phase2_seconds : float;
   dual_seconds : float;
   recoveries : recoveries;
 }
@@ -98,16 +88,8 @@ type stats = {
    elsewhere (iterations live on [t], linear-algebra traffic in the shared
    {!Basis.counters}). *)
 type istats = {
-  mutable s_phase1_iters : int;
-  mutable s_phase2_iters : int;
-  mutable s_dual_iters : int;
   mutable s_flips : int;
   mutable s_full_scans : int;
-  mutable s_partial_scans : int;
-  mutable s_degen : int;
-  mutable s_bland : int;
-  mutable s_phase1_secs : float;
-  mutable s_phase2_secs : float;
   mutable s_dual_secs : float;
   mutable s_rec_refactor : int;
   mutable s_rec_tol : int;
@@ -118,16 +100,8 @@ type istats = {
 
 let fresh_istats () =
   {
-    s_phase1_iters = 0;
-    s_phase2_iters = 0;
-    s_dual_iters = 0;
     s_flips = 0;
     s_full_scans = 0;
-    s_partial_scans = 0;
-    s_degen = 0;
-    s_bland = 0;
-    s_phase1_secs = 0.0;
-    s_phase2_secs = 0.0;
     s_dual_secs = 0.0;
     s_rec_refactor = 0;
     s_rec_tol = 0;
@@ -156,8 +130,6 @@ type t = {
   mutable xb_stale : bool;
   mutable iters : int;
   mutable since_refactor : int;
-  mutable degen_streak : int;
-  mutable bland : bool;
   (* resilience state: the recovery ladder may escalate the pivot
      tolerance mid-solve *)
   mutable cur_tol_pivot : float;
@@ -165,16 +137,11 @@ type t = {
   mutable deadline : float;  (* absolute, set at solve entry *)
   mutable solving : bool;  (* fault hooks only fire inside solve *)
   mutable probe : probe option;  (* per-iteration convergence probe *)
-  mutable cur_phase : string;  (* phase label for probe events *)
+  mutable cur_phase : string;  (* "dual_phase1" or "dual", for probe events *)
   mutable faults_left : int;
   frng : Lubt_util.Prng.t option;  (* fault-injection stream *)
   st : istats;
   ops : Basis.counters;  (* shared with every factorisation of [basis] *)
-  (* partial-pricing candidate list: nonbasic columns that priced
-     attractively at the last full scan, revalidated before use *)
-  cand : int array;
-  cand_score : float array;
-  mutable ncand : int;
   (* scratch vectors, length cap *)
   mutable w : float array;
   mutable y : float array;
@@ -329,14 +296,14 @@ let compute_y t cb =
   Array.blit y 0 t.y 0 t.m;
   tr_stop tr0 "simplex.btran"
 
-let fill_cb_phase2 t =
+let fill_cb t =
   for r = 0 to t.m - 1 do
     t.cb.(r) <- t.obj.(t.basic.(r))
   done
 
-(* d <- c - A^T y from scratch, with y the phase-II multipliers. *)
+(* d <- c - A^T y from scratch. *)
 let compute_d t =
-  fill_cb_phase2 t;
+  fill_cb t;
   compute_y t t.cb;
   for j = 0 to t.n + t.m - 1 do
     t.d.(j) <-
@@ -345,16 +312,6 @@ let compute_d t =
       | _ -> t.obj.(j) -. col_dot t j t.y)
   done;
   t.d_fresh <- true
-
-(* Phase-I cost: gradient of the total bound violation of basic variables. *)
-let fill_cb_phase1 t =
-  for r = 0 to t.m - 1 do
-    let b = t.basic.(r) in
-    let x = t.xb.(r) in
-    if x < t.lo.(b) -. feas_tol t.lo.(b) then t.cb.(r) <- -1.0
-    else if x > t.up.(b) +. feas_tol t.up.(b) then t.cb.(r) <- 1.0
-    else t.cb.(r) <- 0.0
-  done
 
 let primal_infeasibility t =
   let total = ref 0.0 in
@@ -378,7 +335,7 @@ let set_probe t p = t.probe <- p
    linear-algebra counters — an observed engine reports more btrans than
    an unobserved one. *)
 let dual_infeasibility t =
-  fill_cb_phase2 t;
+  fill_cb t;
   compute_y t t.cb;
   let worst = ref 0.0 in
   let total = t.n + t.m in
@@ -459,11 +416,6 @@ let lu_pivot_tol tol = max 1e-11 (tol *. 1e-2)
 let refactor_run t =
   if fault_fires t Fault_singular_refactor then
     raise (Numerical "fault injection: forced singular refactorisation");
-  (* a fresh factorisation is exact, so the anti-cycling escape restarts:
-     a Bland run triggered by numerical degeneracy must not outlive the
-     basis representation that caused it *)
-  t.degen_streak <- 0;
-  t.bland <- false;
   t.xb_stale <- false;
   (* the dual step's reduced costs restart from scratch with the factors *)
   t.d_fresh <- false;
@@ -494,121 +446,6 @@ let maybe_refactor t =
   if t.since_refactor >= t.p.refactor_every then refactor t
 
 (* ------------------------------------------------------------------ *)
-(* Pricing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Attractiveness of nonbasic column [j] under the current multipliers t.y:
-   Some (d, sigma) when entering j with direction sigma improves the
-   phase cost, None otherwise. *)
-let attractiveness t ~cost j =
-  match t.vstat.(j) with
-  | Basic _ -> None
-  | _ when is_fixed t j -> None
-  | At_lower ->
-    let d = cost j -. col_dot t j t.y in
-    if d < -.dual_tol t j then Some (d, 1.0) else None
-  | At_upper ->
-    let d = cost j -. col_dot t j t.y in
-    if d > dual_tol t j then Some (d, -1.0) else None
-  | Free_zero ->
-    let d = cost j -. col_dot t j t.y in
-    if d < -.dual_tol t j then Some (d, 1.0)
-    else if d > dual_tol t j then Some (d, -1.0)
-    else None
-
-(* Offers column [j] with [score] to the candidate list, displacing the
-   weakest entry when full. Scores are a selection heuristic only — they go
-   stale as the basis moves and every candidate is repriced before use. *)
-let cand_offer t j score =
-  let cap = Array.length t.cand in
-  if t.ncand < cap then begin
-    t.cand.(t.ncand) <- j;
-    t.cand_score.(t.ncand) <- score;
-    t.ncand <- t.ncand + 1
-  end
-  else begin
-    let weakest = ref 0 in
-    for k = 1 to cap - 1 do
-      if t.cand_score.(k) < t.cand_score.(!weakest) then weakest := k
-    done;
-    if score > t.cand_score.(!weakest) then begin
-      t.cand.(!weakest) <- j;
-      t.cand_score.(!weakest) <- score
-    end
-  end
-
-(* Full scan over all n+m columns. Refills the candidate list as a
-   side effect (except in Bland mode, where the first eligible index wins
-   and candidate quality is irrelevant). *)
-let price_full t ~cost =
-  let tr0 = tr_start () in
-  t.st.s_full_scans <- t.st.s_full_scans + 1;
-  let best = ref None in
-  let total = t.n + t.m in
-  if t.bland then (
-    try
-      for j = 0 to total - 1 do
-        match attractiveness t ~cost j with
-        | Some (d, sigma) ->
-          best := Some (j, sigma, abs_float d);
-          raise Exit
-        | None -> ()
-      done
-    with Exit -> ())
-  else begin
-    t.ncand <- 0;
-    for j = 0 to total - 1 do
-      match attractiveness t ~cost j with
-      | None -> ()
-      | Some (d, sigma) ->
-        let score = abs_float d in
-        (match !best with
-        | Some (_, _, s) when s >= score -> ()
-        | _ -> best := Some (j, sigma, score));
-        cand_offer t j score
-    done
-  end;
-  tr_stop tr0 "simplex.price_full";
-  !best
-
-(* Scan only the candidate list, dropping entries that no longer price
-   attractively. Sound because every candidate is revalidated against the
-   current multipliers: a winner here is a legal entering column, and
-   optimality is only ever declared by a full scan. *)
-let price_partial t ~cost =
-  t.st.s_partial_scans <- t.st.s_partial_scans + 1;
-  let best = ref None in
-  let k = ref 0 in
-  while !k < t.ncand do
-    let j = t.cand.(!k) in
-    match attractiveness t ~cost j with
-    | None ->
-      t.ncand <- t.ncand - 1;
-      t.cand.(!k) <- t.cand.(t.ncand);
-      t.cand_score.(!k) <- t.cand_score.(t.ncand)
-    | Some (d, sigma) ->
-      let score = abs_float d in
-      t.cand_score.(!k) <- score;
-      (match !best with
-      | Some (_, _, s) when s >= score -> ()
-      | _ -> best := Some (j, sigma, score));
-      incr k
-  done;
-  !best
-
-(* Chooses an entering variable given reduced costs derived from t.y and the
-   supplied per-variable cost function: the candidate list first, a full
-   scan when it runs dry or Bland's rule is engaged, so [None] (optimality)
-   always comes from a full scan. Returns (q, sigma, |d_q|). *)
-let price t ~cost =
-  if t.bland then price_full t ~cost
-  else begin
-    match price_partial t ~cost with
-    | Some _ as r -> r
-    | None -> price_full t ~cost
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Pivoting                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -619,207 +456,12 @@ let update_basis t r =
     raise (Basis.Zero_pivot { row = r; magnitude = 0.0 });
   Basis.update ~tol:t.cur_tol_pivot t.basis r t.w
 
-type blocking = Flip | Block of { row : int; to_upper : bool }
-
-(* Applies a primal step: entering q moves by sigma*step, the blocking
-   constraint decides who leaves the basis. t.w holds ftran(q). *)
-let apply_primal_pivot t ~q ~sigma ~step ~blocking =
-  t.d_fresh <- false;
-  let w = t.w in
-  let q_new = value t q +. (sigma *. step) in
-  let left =
-    match blocking with
-    | Flip ->
-      for r = 0 to t.m - 1 do
-        t.xb.(r) <- t.xb.(r) -. (sigma *. step *. w.(r))
-      done;
-      t.vstat.(q) <-
-        (match t.vstat.(q) with
-        | At_lower -> At_upper
-        | At_upper -> At_lower
-        | Basic _ | Free_zero -> invalid_arg "flip of non-bounded variable");
-      -1
-    | Block { row = r; to_upper } ->
-      (* update the basis representation first: it raises on a bad pivot
-         before mutating anything, keeping vstat/basic/xb consistent for the
-         recovery ladder *)
-      update_basis t r;
-      for r' = 0 to t.m - 1 do
-        if r' <> r then t.xb.(r') <- t.xb.(r') -. (sigma *. step *. w.(r'))
-      done;
-      let leaving = t.basic.(r) in
-      t.vstat.(leaving) <- (if to_upper then At_upper else At_lower);
-      t.basic.(r) <- q;
-      t.vstat.(q) <- Basic r;
-      t.xb.(r) <- q_new;
-      (* the just-ejected variable tends to price attractively again soon:
-         seed it into the candidate list *)
-      cand_offer t leaving 0.0;
-      leaving
-  in
-  t.iters <- t.iters + 1;
-  t.since_refactor <- t.since_refactor + 1;
-  if step <= t.cur_tol_pivot then begin
-    t.degen_streak <- t.degen_streak + 1;
-    t.st.s_degen <- t.st.s_degen + 1
-  end
-  else t.degen_streak <- 0;
-  if t.degen_streak > t.p.bland_threshold then begin
-    if not t.bland then t.st.s_bland <- t.st.s_bland + 1;
-    t.bland <- true
-  end
-  else if t.degen_streak = 0 then t.bland <- false;
-  fire_probe t ~entering:q ~leaving:left ()
-
 (* ------------------------------------------------------------------ *)
-(* Ratio tests                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Phase-II ratio test: every basic variable blocks at the first bound it
-   reaches. Returns (step, blocking) or None for unbounded. *)
-let ratio_phase2 t ~q ~sigma =
-  let tr0 = tr_start () in
-  let w = t.w in
-  let best_step = ref infinity in
-  let best_block = ref Flip in
-  let best_mag = ref 0.0 in
-  (if t.lo.(q) > neg_infinity && t.up.(q) < infinity then begin
-     best_step := t.up.(q) -. t.lo.(q);
-     best_block := Flip;
-     best_mag := 0.0
-   end);
-  for r = 0 to t.m - 1 do
-    let delta = -.(sigma *. w.(r)) in
-    if abs_float delta > t.cur_tol_pivot then begin
-      let b = t.basic.(r) in
-      let x = t.xb.(r) in
-      let bound, to_upper =
-        if delta > 0.0 then (t.up.(b), true) else (t.lo.(b), false)
-      in
-      if abs_float bound < infinity then begin
-        let lim = max 0.0 ((bound -. x) /. delta) in
-        let mag = abs_float w.(r) in
-        if
-          lim < !best_step -. t.cur_tol_pivot
-          || (lim <= !best_step +. t.cur_tol_pivot && mag > !best_mag)
-        then begin
-          best_step := lim;
-          best_block := Block { row = r; to_upper };
-          best_mag := mag
-        end
-      end
-    end
-  done;
-  tr_stop tr0 "simplex.ratio_test";
-  if !best_step = infinity then None else Some (!best_step, !best_block)
-
-(* Phase-I ratio test: feasible basic variables block as in phase II;
-   infeasible ones block only when the step would carry them to the bound
-   they violate (the phase-I gradient changes there). *)
-let ratio_phase1 t ~q ~sigma =
-  let tr0 = tr_start () in
-  let w = t.w in
-  let best_step = ref infinity in
-  let best_block = ref Flip in
-  let best_mag = ref 0.0 in
-  (if t.lo.(q) > neg_infinity && t.up.(q) < infinity then begin
-     best_step := t.up.(q) -. t.lo.(q);
-     best_block := Flip
-   end);
-  let offer lim r to_upper mag =
-    let lim = max 0.0 lim in
-    if
-      lim < !best_step -. t.cur_tol_pivot
-      || (lim <= !best_step +. t.cur_tol_pivot && mag > !best_mag)
-    then begin
-      best_step := lim;
-      best_block := Block { row = r; to_upper };
-      best_mag := mag
-    end
-  in
-  for r = 0 to t.m - 1 do
-    let delta = -.(sigma *. w.(r)) in
-    if abs_float delta > t.cur_tol_pivot then begin
-      let b = t.basic.(r) in
-      let x = t.xb.(r) in
-      let mag = abs_float w.(r) in
-      if x < t.lo.(b) -. feas_tol t.lo.(b) then begin
-        (* violated below: blocks only when moving up to its lower bound *)
-        if delta > 0.0 then offer ((t.lo.(b) -. x) /. delta) r false mag
-      end
-      else if x > t.up.(b) +. feas_tol t.up.(b) then begin
-        if delta < 0.0 then offer ((t.up.(b) -. x) /. delta) r true mag
-      end
-      else begin
-        let bound, to_upper =
-          if delta > 0.0 then (t.up.(b), true) else (t.lo.(b), false)
-        in
-        if abs_float bound < infinity then
-          offer ((bound -. x) /. delta) r to_upper mag
-      end
-    end
-  done;
-  tr_stop tr0 "simplex.ratio_test";
-  if !best_step = infinity then None else Some (!best_step, !best_block)
-
-(* ------------------------------------------------------------------ *)
-(* Primal simplex                                                      *)
+(* Dual simplex                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let effective_max_iters t =
   if t.p.max_iters > 0 then t.p.max_iters else (100 * (t.n + t.m)) + 10_000
-
-(* Phase II from a primal-feasible basis. *)
-let primal_phase2 t =
-  let rec loop () =
-    if t.iters > effective_max_iters t then Status.Iteration_limit
-    else if out_of_time t then Status.Time_limit
-    else begin
-      maybe_refactor t;
-      fill_cb_phase2 t;
-      compute_y t t.cb;
-      match price t ~cost:(fun j -> t.obj.(j)) with
-      | None -> Status.Optimal
-      | Some (q, sigma, _) -> (
-        ftran t q;
-        match ratio_phase2 t ~q ~sigma with
-        | None -> Status.Unbounded
-        | Some (step, blocking) ->
-          apply_primal_pivot t ~q ~sigma ~step ~blocking;
-          loop ())
-    end
-  in
-  loop ()
-
-(* Phase I: drive the total bound violation of basic variables to zero. *)
-let primal_phase1 t =
-  let rec loop () =
-    if t.iters > effective_max_iters t then Status.Iteration_limit
-    else if out_of_time t then Status.Time_limit
-    else begin
-      maybe_refactor t;
-      let inf = primal_infeasibility t in
-      if inf <= tol_feas *. float_of_int (1 + t.m) then Status.Optimal
-      else begin
-        fill_cb_phase1 t;
-        compute_y t t.cb;
-        match price t ~cost:(fun _ -> 0.0) with
-        | None -> Status.Infeasible
-        | Some (q, sigma, _) -> (
-          ftran t q;
-          match ratio_phase1 t ~q ~sigma with
-          | None -> raise (Numerical "phase 1: unbounded infeasibility")
-          | Some (step, blocking) ->
-            apply_primal_pivot t ~q ~sigma ~step ~blocking;
-            loop ())
-      end
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Dual simplex                                                        *)
-(* ------------------------------------------------------------------ *)
 
 let most_violated_row t =
   let best = ref None in
@@ -986,7 +628,6 @@ let dual_simplex t =
           t.basic.(r) <- q;
           t.vstat.(q) <- Basic r;
           t.xb.(r) <- q_new;
-          cand_offer t b 0.0;
           t.iters <- t.iters + 1;
           t.since_refactor <- t.since_refactor + 1;
           fire_probe t ~entering:q ~leaving:b ();
@@ -1076,7 +717,6 @@ let of_problem ?(params = default_params) prob =
     Basis.create ~counters:ops ~pivot_tol:(lu_pivot_tol tol_pivot)
       (Array.init m (fun i -> Sparse.singleton i (-1.0)))
   in
-  let cand_cap = max 8 (min 64 ((n + m + 3) / 4)) in
   let t =
     {
       n;
@@ -1095,8 +735,6 @@ let of_problem ?(params = default_params) prob =
       xb_stale = false;
       iters = 0;
       since_refactor = 0;
-      degen_streak = 0;
-      bland = false;
       cur_tol_pivot = tol_pivot;
       time_budget = params.time_limit;
       deadline = infinity;
@@ -1111,9 +749,6 @@ let of_problem ?(params = default_params) prob =
         | None -> None);
       st = fresh_istats ();
       ops;
-      cand = Array.make cand_cap 0;
-      cand_score = Array.make cand_cap 0.0;
-      ncand = 0;
       w = Array.make cap 0.0;
       y = Array.make cap 0.0;
       rho = Array.make cap 0.0;
@@ -1213,65 +848,78 @@ let dual_feasible t =
   done;
   !ok
 
-(* Phase-attributed wrappers: account wall time and the iteration delta of
-   one algorithm run to the matching stats bucket. *)
-let run_phase1 t =
+(* One dual simplex run, with its wall time and the probe's phase label
+   ("dual_phase1" or "dual"). *)
+let run_dual t phase =
   let t0 = Clock.now () in
   let it0 = t.iters in
-  t.cur_phase <- "phase1";
-  let r = primal_phase1 t in
-  t.st.s_phase1_secs <- t.st.s_phase1_secs +. (Clock.now () -. t0);
-  t.st.s_phase1_iters <- t.st.s_phase1_iters + (t.iters - it0);
-  if Trace.enabled () then
-    Trace.complete ~t0 "simplex.phase1"
-      ~args:[ ("iterations", Trace.Int (t.iters - it0)) ];
-  r
-
-let run_phase2 t =
-  let t0 = Clock.now () in
-  let it0 = t.iters in
-  t.cur_phase <- "phase2";
-  let r = primal_phase2 t in
-  t.st.s_phase2_secs <- t.st.s_phase2_secs +. (Clock.now () -. t0);
-  t.st.s_phase2_iters <- t.st.s_phase2_iters + (t.iters - it0);
-  if Trace.enabled () then
-    Trace.complete ~t0 "simplex.phase2"
-      ~args:[ ("iterations", Trace.Int (t.iters - it0)) ];
-  r
-
-let run_dual t =
-  let t0 = Clock.now () in
-  let it0 = t.iters in
-  t.cur_phase <- "dual";
+  t.cur_phase <- phase;
   let r = dual_simplex t in
   t.st.s_dual_secs <- t.st.s_dual_secs +. (Clock.now () -. t0);
-  t.st.s_dual_iters <- t.st.s_dual_iters + (t.iters - it0);
   if Trace.enabled () then
     Trace.complete ~t0 "simplex.dual"
-      ~args:[ ("iterations", Trace.Int (t.iters - it0)) ];
+      ~args:
+        [ ("phase", Trace.Str phase); ("iterations", Trace.Int (t.iters - it0)) ];
   r
 
-(* Algorithm selection for one clean run from the current basis. The
-   dual simplex keeps its reduced costs by updates, so its Optimal exit
-   is re-checked from scratch; a basis that fails the check is
-   refactorised and driven again (by the primal simplex, if it is still
-   dual infeasible then). *)
-let rec drive t =
-  if dual_feasible t then begin
-    match run_dual t with
-    | Status.Optimal when not (dual_feasible t) ->
-      refactor t;
-      drive t
-    | s -> s
-  end
-  else begin
-    let inf = primal_infeasibility t in
-    if inf <= tol_feas *. float_of_int (1 + t.m) then run_phase2 t
-    else
-      match run_phase1 t with
-      | Status.Optimal -> run_phase2 t
-      | other -> other
-  end
+(* Puts nonbasic [j] on the bound its reduced cost points to, or on any
+   bound it has when [d_j] is zero within the tolerance [dual_feasible]
+   accepts. Returns false when the bound [d_j] points to is infinite: [j]
+   then sits on a bound it has and stays dual infeasible. *)
+let seat t j =
+  let d = t.d.(j) and tol = 10.0 *. dual_tol t j in
+  let has_lo = t.lo.(j) > neg_infinity and has_up = t.up.(j) < infinity in
+  t.vstat.(j) <-
+    (if has_up && (d < -.tol || not has_lo) then At_upper
+     else if has_lo then At_lower
+     else Free_zero);
+  (d >= -.tol || has_up) && (d <= tol || has_lo)
+
+let seat_nonbasics t =
+  let ok = ref true in
+  for j = 0 to t.n + t.m - 1 do
+    match t.vstat.(j) with
+    | Basic _ -> ()
+    | At_lower | At_upper | Free_zero -> if not (seat t j) then ok := false
+  done;
+  !ok
+
+(* Dual phase 1, the subproblem approach of Koberstein and Suhl (2007):
+   every bound is swapped for a box that contains 0 ([0,0] for boxed and
+   fixed variables, [0,1] lower-only, [-1,0] upper-only, [-1,1] free), so
+   every nonbasic has the bound its reduced cost points to, and the dual
+   simplex then minimises the basis's dual infeasibility. The exact bounds
+   come back on every exit, an exception included, with each nonbasic
+   re-seated on a bound that exists. Returns the run's status and whether
+   the re-seated basis is dual feasible. Expects [d] fresh. *)
+let dual_phase1 t =
+  let total = t.n + t.m in
+  let lo = Array.sub t.lo 0 total and up = Array.sub t.up 0 total in
+  for j = 0 to total - 1 do
+    t.lo.(j) <- (if lo.(j) > neg_infinity then 0.0 else -1.0);
+    t.up.(j) <- (if up.(j) < infinity then 0.0 else 1.0)
+  done;
+  let restore () =
+    Array.blit lo 0 t.lo 0 total;
+    Array.blit up 0 t.up 0 total
+  in
+  match
+    ignore (seat_nonbasics t);
+    recompute_xb t;
+    run_dual t "dual_phase1"
+  with
+  | exception e ->
+    restore ();
+    ignore (seat_nonbasics t);
+    t.xb_stale <- true;
+    t.d_fresh <- false;
+    raise e
+  | status ->
+    restore ();
+    compute_d t;
+    let feasible = seat_nonbasics t in
+    recompute_xb t;
+    (status, feasible)
 
 (* A solve that ends Optimal must also look optimal when checked only
    against the original column data — never through the basis inverse,
@@ -1316,6 +964,50 @@ let validate_solution t =
               residual !infeas))
     end
   end
+
+(* Without a dual feasible basis the LP is unbounded if it is feasible at
+   all. A dual simplex run under zero costs, where every basis is dual
+   feasible, decides which; the feasible point it reaches is validated
+   like an optimum. *)
+let unbounded_or_infeasible t =
+  let total = t.n + t.m in
+  let obj = Array.sub t.obj 0 total in
+  Array.fill t.obj 0 total 0.0;
+  t.d_fresh <- false;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.blit obj 0 t.obj 0 total;
+      t.d_fresh <- false)
+    (fun () ->
+      match run_dual t "dual_phase1" with
+      | Status.Optimal ->
+        validate_solution t;
+        Status.Unbounded
+      | s -> s)
+
+(* Algorithm selection for one clean run from the current basis. The
+   dual simplex keeps its reduced costs by updates, so its Optimal exit
+   is re-checked from scratch; a basis that fails the check is
+   refactorised and driven again. A start that is not dual feasible goes
+   through dual phase 1 first. A limit hit in phase 1 is the solve's
+   status. *)
+let rec drive t =
+  if dual_feasible t then begin
+    match run_dual t "dual" with
+    | Status.Optimal when not (dual_feasible t) ->
+      refactor t;
+      drive t
+    | s -> s
+  end
+  else
+    match dual_phase1 t with
+    | Status.Optimal, true -> drive t
+    | Status.Optimal, false -> unbounded_or_infeasible t
+    | Status.Infeasible, _ ->
+      (* 0 is feasible for the boxed bounds: only a numerical fault
+         reaches this *)
+      raise (Numerical "dual phase 1: boxed subproblem reported infeasible")
+    | s, _ -> s
 
 (* Reconstructs a standalone Problem.t equal to the engine's current model
    (including rows appended with add_rows), for oracles and diagnostics. *)
@@ -1431,19 +1123,13 @@ let solve t =
   let run () =
     (* rows appended since the last solve extended the live
        factorisation; give the solve the same starting hygiene a
-       refactorisation provides — exact basic
-       values and a fresh anti-cycling state. The live factorisation is
+       refactorisation provides: exact basic values. The live factorisation is
        kept unless its trail has grown heavier than the LU itself, in
        which case rebuilding now is cheaper than dragging the trail
        through the whole re-solve. *)
     if t.xb_stale then begin
       t.xb_stale <- false;
-      if trail_heavy t then refactor t
-      else begin
-        t.degen_streak <- 0;
-        t.bland <- false;
-        recompute_xb t
-      end
+      if trail_heavy t then refactor t else recompute_xb t
     end;
     let s = drive t in
     if s = Status.Optimal then validate_solution t;
@@ -1622,7 +1308,7 @@ let primal t = Array.init t.n (fun j -> value t j)
 let row_activity t = Array.init t.m (fun i -> value t (t.n + i))
 
 let dual t =
-  fill_cb_phase2 t;
+  fill_cb t;
   compute_y t t.cb;
   Array.sub t.y 0 t.m
 
@@ -1643,12 +1329,8 @@ let solution t =
 let stats t =
   {
     iterations = t.iters;
-    phase1_iterations = t.st.s_phase1_iters;
-    phase2_iterations = t.st.s_phase2_iters;
-    dual_iterations = t.st.s_dual_iters;
     bound_flips = t.st.s_flips;
     full_pricing_scans = t.st.s_full_scans;
-    partial_pricing_scans = t.st.s_partial_scans;
     ftran_count = t.ops.Basis.ftrans;
     btran_count = t.ops.Basis.btrans;
     basis_updates = t.ops.Basis.updates;
@@ -1656,10 +1338,6 @@ let stats t =
     refactorisations = t.ops.Basis.factorisations;
     factor_nnz = t.ops.Basis.factor_nnz;
     basis_nnz = t.ops.Basis.basis_nnz;
-    degenerate_pivots = t.st.s_degen;
-    bland_activations = t.st.s_bland;
-    phase1_seconds = t.st.s_phase1_secs;
-    phase2_seconds = t.st.s_phase2_secs;
     dual_seconds = t.st.s_dual_secs;
     recoveries =
       {
@@ -1674,12 +1352,8 @@ let stats t =
 let zero_stats =
   {
     iterations = 0;
-    phase1_iterations = 0;
-    phase2_iterations = 0;
-    dual_iterations = 0;
     bound_flips = 0;
     full_pricing_scans = 0;
-    partial_pricing_scans = 0;
     ftran_count = 0;
     btran_count = 0;
     basis_updates = 0;
@@ -1687,10 +1361,6 @@ let zero_stats =
     refactorisations = 0;
     factor_nnz = 0;
     basis_nnz = 0;
-    degenerate_pivots = 0;
-    bland_activations = 0;
-    phase1_seconds = 0.0;
-    phase2_seconds = 0.0;
     dual_seconds = 0.0;
     recoveries = no_recoveries;
   }
@@ -1707,12 +1377,8 @@ let merge_recoveries a b =
 let merge_stats a b =
   {
     iterations = a.iterations + b.iterations;
-    phase1_iterations = a.phase1_iterations + b.phase1_iterations;
-    phase2_iterations = a.phase2_iterations + b.phase2_iterations;
-    dual_iterations = a.dual_iterations + b.dual_iterations;
     bound_flips = a.bound_flips + b.bound_flips;
     full_pricing_scans = a.full_pricing_scans + b.full_pricing_scans;
-    partial_pricing_scans = a.partial_pricing_scans + b.partial_pricing_scans;
     ftran_count = a.ftran_count + b.ftran_count;
     btran_count = a.btran_count + b.btran_count;
     basis_updates = a.basis_updates + b.basis_updates;
@@ -1720,30 +1386,22 @@ let merge_stats a b =
     refactorisations = a.refactorisations + b.refactorisations;
     factor_nnz = a.factor_nnz + b.factor_nnz;
     basis_nnz = a.basis_nnz + b.basis_nnz;
-    degenerate_pivots = a.degenerate_pivots + b.degenerate_pivots;
-    bland_activations = a.bland_activations + b.bland_activations;
-    phase1_seconds = a.phase1_seconds +. b.phase1_seconds;
-    phase2_seconds = a.phase2_seconds +. b.phase2_seconds;
     dual_seconds = a.dual_seconds +. b.dual_seconds;
     recoveries = merge_recoveries a.recoveries b.recoveries;
   }
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "@[<v>iterations: %d (phase1 %d, phase2 %d, dual %d), bound flips: %d@,\
-     pricing scans: %d full, %d partial@,\
+    "@[<v>iterations: %d, bound flips: %d, pricing scans: %d@,\
      ftran/btran: %d/%d, basis updates: %d, \
      extensions: %d, refactorisations: %d@,\
      LU fill: %.2f (%d LU / %d basis nonzeros)@,\
-     degenerate pivots: %d, Bland activations: %d@,\
-     time: phase1 %.3fms, phase2 %.3fms, dual %.3fms"
-    s.iterations s.phase1_iterations s.phase2_iterations s.dual_iterations
-    s.bound_flips s.full_pricing_scans s.partial_pricing_scans s.ftran_count
+     time: dual %.3fms"
+    s.iterations s.bound_flips s.full_pricing_scans s.ftran_count
     s.btran_count s.basis_updates
     s.basis_extensions s.refactorisations
     (float_of_int s.factor_nnz /. float_of_int (max 1 s.basis_nnz))
-    s.factor_nnz s.basis_nnz s.degenerate_pivots
-    s.bland_activations (s.phase1_seconds *. 1e3) (s.phase2_seconds *. 1e3)
+    s.factor_nnz s.basis_nnz
     (s.dual_seconds *. 1e3);
   let r = s.recoveries in
   Format.fprintf fmt

@@ -7,13 +7,15 @@
     variables. The initial all-auxiliary basis is always nonsingular
     ([B = -I]).
 
-    Three algorithms are provided on the same state:
-    - primal phase I (drives the total bound violation of basic variables
-      to zero),
-    - primal phase II (optimises from a primal-feasible basis),
-    - dual simplex (optimises from a dual-feasible basis; this is the
-      workhorse for the EBF LPs, whose all-slack start is dual feasible,
-      and for warm restarts after rows are added).
+    The one algorithm is the dual simplex. Every LP the program builds
+    starts dual feasible (the EBF LPs, whose costs are [>= 0] on finite
+    lower bounds, and their warm restarts after rows are added), so the
+    dual simplex optimises from the start. Any other start runs a dual
+    phase 1 first: the subproblem approach of Koberstein and Suhl (2007),
+    which swaps every bound for a box around 0 and runs the same dual
+    simplex to a dual feasible basis. When none exists, one more dual
+    simplex run under zero costs decides between {!Status.Unbounded} and
+    {!Status.Infeasible}.
 
     The basis has one representation: a sparse LU factorisation plus a
     trail of eta updates and border rows ({!Basis}), refactorised every
@@ -90,11 +92,6 @@ type params = {
           (the default) disables it. On expiry [solve] returns
           {!Status.Time_limit} with the best basis reached so far. *)
   refactor_every : int;  (** pivots between basis refactorisations *)
-  bland_threshold : int;
-      (** consecutive degenerate pivots tolerated before the anti-cycling
-          escape switches to Bland's rule (default 1000). The switch
-          reverts after the next non-degenerate pivot or basis
-          refactorisation. *)
   recovery : recovery_stage list;
       (** the numerical-recovery ladder, consumed left to right: each
           numerical failure (singular factorisation, zero pivot,
@@ -106,14 +103,10 @@ type params = {
 
 val default_params : params
 (** [refactor_every = 100], automatic iteration cap, no time limit,
-    [bland_threshold = 1000], full recovery ladder, no fault injection.
+    full recovery ladder, no fault injection.
 
-    The algorithm itself is not configurable. Primal pricing is partial:
-    a short candidate list of columns that priced attractively at the
-    last full scan is repriced against the current multipliers each
-    iteration, and a full scan of all [n + m] columns runs when the list
-    goes dry or Bland's rule is engaged, so optimality is only ever
-    declared by a full scan. The dual ratio test is the long-step
+    The algorithm itself is not configurable. The leaving row is the
+    most violated one, and the dual ratio test is the long-step
     (bound-flipping) rule: boxed nonbasic columns whose breakpoint cannot
     absorb the remaining primal violation flip to their opposite bound
     without a basis change. {!add_rows} extends the live factorisation by
@@ -141,18 +134,14 @@ val recovery_attempts : recoveries -> int
     excludes [faults_injected] and [validations_rejected]). *)
 
 type stats = {
-  iterations : int;  (** total simplex pivots over the engine's lifetime *)
-  phase1_iterations : int;
-  phase2_iterations : int;
-  dual_iterations : int;
+  iterations : int;
+      (** total dual simplex pivots over the engine's lifetime, dual
+          phase 1 included *)
   bound_flips : int;
       (** nonbasic bound flips performed by the long-step dual ratio
           test (not counted as iterations — no basis change) *)
   full_pricing_scans : int;
-      (** full-column scans: full pricing passes (candidate list dry or
-          Bland's rule engaged) plus dual ratio scans (each inspects all
-          [n + m] columns) *)
-  partial_pricing_scans : int;  (** candidate-list-only pricing passes *)
+      (** dual ratio scans, each of which inspects all [n + m] columns *)
   ftran_count : int;  (** forward solves [B^-1 a] *)
   btran_count : int;  (** transpose solves [B^-T c] *)
   basis_updates : int;  (** eta updates applied *)
@@ -165,18 +154,14 @@ type stats = {
   basis_nnz : int;
       (** nonzeros of the factored basis matrices, summed the same way;
           [factor_nnz / basis_nnz] is the mean LU fill ratio *)
-  degenerate_pivots : int;  (** pivots with (numerically) zero step *)
-  bland_activations : int;  (** times the anti-cycling escape engaged *)
-  phase1_seconds : float;  (** wall time spent in primal phase I *)
-  phase2_seconds : float;
-  dual_seconds : float;
+  dual_seconds : float;  (** wall time of the dual simplex runs *)
   recoveries : recoveries;  (** numerical-recovery telemetry *)
 }
 (** Cumulative solver counters, preserved across warm restarts ([add_rows] +
     re-[solve]); read them with {!stats} at any point. Counter fields are
     valid from engine creation onwards (all zero before the first
-    [solve]); the [*_seconds] fields only cover completed phase runs, so
-    they undercount while a [solve] is in flight. The [recoveries] field
+    [solve]); [dual_seconds] only covers completed runs, so it
+    undercounts while a [solve] is in flight. The [recoveries] field
     is only meaningful after [solve] has returned — a recovery in
     progress is not yet counted. *)
 
@@ -185,7 +170,7 @@ val zero_stats : stats
     accumulator seed for batch aggregation. *)
 
 val merge_stats : stats -> stats -> stats
-(** [merge_stats a b] sums every counter and phase time (and the nested
+(** [merge_stats a b] sums every counter and the run time (and the nested
     {!recoveries}) component-wise. Commutative and associative with
     {!zero_stats} as identity, so per-worker telemetry from a
     domain-parallel sweep can be folded in any order into one
@@ -196,8 +181,10 @@ val of_problem : ?params:params -> Problem.t -> t
     [Problem.t] are not seen (use [add_rows] to grow the engine itself). *)
 
 val solve : t -> Status.t
-(** Runs the appropriate algorithm(s) from the current basis and returns the
-    final status. Idempotent once optimal.
+(** Runs the dual simplex from the current basis, after a dual phase 1
+    when that basis is not dual feasible, and returns the final status. A
+    limit hit in phase 1 is returned as the status. Idempotent once
+    optimal.
 
     Numerical failures (singular refactorisation, zero pivots, a rejected
     post-solve validation) do not escape: they walk the
@@ -314,7 +301,9 @@ type probe_event = {
   pr_iteration : int;  (** {!iterations} after the pivot (or at the
                            recovery event) *)
   pr_phase : string;
-      (** ["phase1"], ["phase2"], ["dual"], or ["recovery"] *)
+      (** ["dual_phase1"] (the boxed subproblem, or the zero-cost run
+          that tells an unbounded LP from an infeasible one), ["dual"],
+          or ["recovery"] *)
   pr_objective : float;  (** objective of the current (possibly
                              infeasible) point *)
   pr_primal_infeas : float;  (** total bound violation of basic variables *)
@@ -337,7 +326,7 @@ type probe = probe_event -> unit
 
 val set_probe : t -> probe option -> unit
 (** Installs (or removes) a per-iteration probe. The probe fires after
-    every primal or dual pivot and when a recovery stage engages; dump the
+    every pivot and when a recovery stage engages; dump the
     events as JSON lines with [Lubt_obs.Convergence].
 
     The probe is {e observational but not free}: computing the dual

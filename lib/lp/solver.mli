@@ -2,30 +2,14 @@
     solve it, and package the solution. *)
 
 val solve :
-  ?params:Simplex.params ->
-  ?check:Certify.level ->
-  ?cache:Basis_cache.t ->
-  Problem.t ->
-  Status.solution
+  ?params:Simplex.params -> ?check:Certify.level -> Problem.t -> Status.solution
 (** [solve prob] solves and packages the model. With [check] (default
     {!Certify.Off}) an [Optimal] claim is certified a posteriori by
     {!Certify.check} at that level; if certification rejects it, the
-    status degrades to [Numerical_failure] (the EBF driver does the same).
-
-    With [cache], the model is content-addressed (coefficients fix the
-    structure fingerprint, bounds complete the key — see {!Basis_cache})
-    and a cached basis of the identical or bounds-edited model
-    warm-restarts the solve; snapshots failing validation are rejected
-    with a typed {!Simplex.basis_mismatch} and the solve runs cold. The
-    final basis is stored back only when the solve ended [Optimal] and
-    (when [check] is on) certified clean. *)
+    status degrades to [Numerical_failure] (the EBF driver does the same). *)
 
 val solve_exn :
-  ?params:Simplex.params ->
-  ?check:Certify.level ->
-  ?cache:Basis_cache.t ->
-  Problem.t ->
-  Status.solution
+  ?params:Simplex.params -> ?check:Certify.level -> Problem.t -> Status.solution
 (** Like {!solve}, but raises [Failure] unless the status is [Optimal].
     The message carries the status, the objective reached and the
     iteration count, so callers logging the failure see where the solve

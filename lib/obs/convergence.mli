@@ -8,7 +8,7 @@
     One line looks like:
 
     {v
-    {"iteration": 42, "phase": "phase2", "objective": 1.25e4,
+    {"iteration": 42, "phase": "dual", "objective": 1.25e4,
      "primal_infeasibility": 0, "dual_infeasibility": 3.1e-9,
      "entering": 17, "leaving": 4, "eta_count": 12,
      "bound_flips": 0}

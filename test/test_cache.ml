@@ -264,20 +264,21 @@ let test_disk_roundtrip () =
       Alcotest.(check int) "parent lookup counted as hit" 1 s.Cache.hits)
 
 let test_solver_disk_restart () =
-  (* end to end through Solver.solve: a second process (modelled by a
+  (* end to end through Ebf.solve: a second process (modelled by a
      fresh cache over the same dir) warm-starts from the first's basis *)
   with_dir (fun dir ->
+      let inst, tree = Lp_gen.random_ebf (Prng.create 1) in
       let c1 = Cache.create ~dir () in
-      let s1 = Solver.solve ~check:Certify.Full ~cache:c1 (small_problem ()) in
+      let r1 = Ebf.solve ~options:(certified_cached c1) inst tree in
       Alcotest.(check string) "first solve optimal" "optimal"
-        (Status.to_string s1.Status.status);
+        (Status.to_string r1.Ebf.status);
       Alcotest.(check int) "stored" 1 (Cache.stats c1).Cache.stores;
       let c2 = Cache.create ~dir () in
-      let s2 = Solver.solve ~check:Certify.Full ~cache:c2 (small_problem ()) in
+      let r2 = Ebf.solve ~options:(certified_cached c2) inst tree in
       Alcotest.(check string) "restart solve optimal" "optimal"
-        (Status.to_string s2.Status.status);
-      check_close "objectives across restart" s1.Status.objective
-        s2.Status.objective;
+        (Status.to_string r2.Ebf.status);
+      check_close "objectives across restart" r1.Ebf.objective
+        r2.Ebf.objective;
       let st = Cache.stats c2 in
       Alcotest.(check int) "restart warm-started from disk" 1 st.Cache.hits;
       Alcotest.(check int) "no rejects" 0 st.Cache.rejects)

@@ -118,6 +118,71 @@ let test_degenerate () =
   check_float "objective" (-0.05) sol.objective
 
 (* ------------------------------------------------------------------ *)
+(* Dual phase 1                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* min -(x_1 + ... + x_k) over free x_i with rows x_i <= i: no bound of
+   its own stops a free variable, so the start is dual infeasible, and
+   dual phase 1 pivots once per row *)
+let free_vars_bounded_by_rows k =
+  let p = Problem.create () in
+  for i = 1 to k do
+    let x = Problem.add_var ~lo:neg_infinity ~up:infinity ~obj:(-1.0) p in
+    ignore
+      (Problem.add_row p ~lo:neg_infinity ~up:(float_of_int i) [ (x, 1.0) ])
+  done;
+  p
+
+(* the status of one solve, its engine and the probe phase of each pivot *)
+let solve_phases ?params p =
+  let eng = Simplex.of_problem ?params p in
+  let phases = ref [] in
+  Simplex.set_probe eng
+    (Some (fun e -> phases := e.Simplex.pr_phase :: !phases));
+  let status = Simplex.solve eng in
+  (status, eng, List.rev !phases)
+
+let test_phase1_free_var () =
+  let status, eng, phases = solve_phases (free_vars_bounded_by_rows 5) in
+  Alcotest.check status_testable "status" Status.Optimal status;
+  check_float "objective" (-15.0) (Simplex.objective eng);
+  Alcotest.(check bool) "phase 1 pivoted" true (List.mem "dual_phase1" phases)
+
+(* x >= 0 with cost -1 is in no row, so no basis is dual feasible; the
+   two rows on y decide whether the LP is feasible *)
+let dual_infeasible_lp ~y_lo ~y_up =
+  let p = Problem.create () in
+  ignore (Problem.add_var ~obj:(-1.0) p);
+  let y = Problem.add_var p in
+  ignore (Problem.add_row p ~lo:y_lo ~up:infinity [ (y, 1.0) ]);
+  ignore (Problem.add_row p ~lo:neg_infinity ~up:y_up [ (y, 1.0) ]);
+  p
+
+let test_phase1_dual_infeasible () =
+  let verdict p = (Solver.solve p).Status.status in
+  Alcotest.check status_testable "feasible" Status.Unbounded
+    (verdict (dual_infeasible_lp ~y_lo:1.0 ~y_up:2.0));
+  Alcotest.check status_testable "infeasible" Status.Infeasible
+    (verdict (dual_infeasible_lp ~y_lo:2.0 ~y_up:1.0))
+
+(* a limit hit inside phase 1 is the solve's status, not a verdict on
+   dual feasibility *)
+let test_phase1_limits () =
+  let p = free_vars_bounded_by_rows 5 in
+  let status, _, phases =
+    solve_phases ~params:{ Simplex.default_params with Simplex.max_iters = 2 } p
+  in
+  Alcotest.check status_testable "iteration limit" Status.Iteration_limit
+    status;
+  Alcotest.(check (list string)) "stopped in phase 1"
+    [ "dual_phase1"; "dual_phase1"; "dual_phase1" ] phases;
+  let status, _, _ =
+    solve_phases
+      ~params:{ Simplex.default_params with Simplex.time_limit = -1.0 } p
+  in
+  Alcotest.check status_testable "time limit" Status.Time_limit status
+
+(* ------------------------------------------------------------------ *)
 (* Warm restart / row generation                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -181,8 +246,7 @@ let test_many_incremental_rows () =
    original local copy, so seeded case streams are unchanged *)
 let random_problem rng = Lp_gen.random_problem rng
 
-let same_outcome id p =
-  let a = Solver.solve p in
+let same_outcome id p a =
   let b = Tableau.solve p in
   let ctx = Printf.sprintf "case %d" id in
   (match (a.Status.status, b.Status.status) with
@@ -202,9 +266,20 @@ let same_outcome id p =
 
 let test_random_cross_check () =
   let rng = Prng.create 20260706 in
+  (* the verdicts of the cases on which dual phase 1 pivoted *)
+  let phase1 = ref [] in
   for id = 1 to 400 do
-    same_outcome id (random_problem rng)
-  done
+    let p = random_problem rng in
+    let status, eng, phases = solve_phases p in
+    same_outcome id p (Simplex.solution eng);
+    if List.mem "dual_phase1" phases then phase1 := status :: !phase1
+  done;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Status.to_string s ^ " reached through phase 1")
+        true (List.mem s !phase1))
+    [ Status.Optimal; Status.Infeasible; Status.Unbounded ]
 
 (* Duality spot check: complementary slackness-free weak duality via the
    reported multipliers on a problem with >= rows. *)
@@ -227,7 +302,8 @@ let test_dual_values () =
 let test_random_cross_check_second_seed () =
   let rng = Prng.create 321 in
   for id = 1 to 300 do
-    same_outcome id (random_problem rng)
+    let p = random_problem rng in
+    same_outcome id p (Solver.solve p)
   done
 
 let test_warm_row_appends () =
@@ -269,10 +345,6 @@ let test_param_fuzz () =
       { Simplex.default_params with Simplex.refactor_every = 1 };
       { Simplex.default_params with Simplex.refactor_every = 3 };
       { Simplex.default_params with Simplex.max_iters = 100_000 };
-      (* a tiny Bland threshold forces the anti-cycling path onto
-         ordinary problems *)
-      { Simplex.default_params with Simplex.bland_threshold = 0 };
-      { Simplex.default_params with Simplex.bland_threshold = 1 };
     ]
   in
   for id = 1 to 80 do
@@ -311,6 +383,14 @@ let () =
           Alcotest.test_case "free variable" `Quick test_free_var;
           Alcotest.test_case "fixed variable" `Quick test_fixed_var;
           Alcotest.test_case "degenerate" `Quick test_degenerate;
+        ] );
+      ( "dual phase 1",
+        [
+          Alcotest.test_case "free variable, negative cost" `Quick
+            test_phase1_free_var;
+          Alcotest.test_case "dual infeasible: unbounded or infeasible" `Quick
+            test_phase1_dual_infeasible;
+          Alcotest.test_case "limits stop phase 1" `Quick test_phase1_limits;
         ] );
       ( "incremental",
         [

@@ -383,7 +383,7 @@ let test_tracing_does_not_perturb_solver () =
        (Int64.bits_of_float traced.Ebf.objective)
        (Int64.bits_of_float plain.Ebf.objective));
   let a = plain.Ebf.lp_stats and b = traced.Ebf.lp_stats in
-  (* every pivot-trajectory counter must be identical; phase times are
+  (* every pivot-trajectory counter must be identical; run times are
      wall-clock and may differ *)
   Alcotest.(check int) "iterations" a.Simplex.iterations b.Simplex.iterations;
   Alcotest.(check int) "bound_flips" a.Simplex.bound_flips b.Simplex.bound_flips;
@@ -396,7 +396,7 @@ let test_tracing_does_not_perturb_solver () =
 
 let test_ebf_round_spans () =
   (* acceptance: a traced solve shows at least one span per EBF round
-     plus simplex phase spans *)
+     plus simplex.dual spans *)
   let inst, topo = tiny_workload () in
   Trace.start ();
   let r = Ebf.solve inst topo in
@@ -411,8 +411,7 @@ let test_ebf_round_spans () =
   Alcotest.(check int) "one ebf.scan span per round" r.Ebf.rounds
     (count "ebf.scan");
   Alcotest.(check bool) "simplex phase spans present" true
-    (count "simplex.phase2" + count "simplex.dual" + count "simplex.phase1"
-    > 0);
+    (count "simplex.dual" > 0);
   Alcotest.(check bool) "ftran spans present" true (count "simplex.ftran" > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -429,7 +428,7 @@ let bench_file ?(schema = "lubt-bench/4") entries =
           (fun (name, ms, iters) ->
             Printf.sprintf
               "{\"name\": \"%s\", \"ms_per_run\": %g, \"solver\": \
-               {\"iterations\": %d, \"phase1_ms\": 1.0}}"
+               {\"iterations\": %d, \"dual_ms\": 1.0}}"
               name ms iters)
           entries))
 
