@@ -406,7 +406,7 @@ let solve_cmd =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Print solver counters (pricing scans, ftran/btran, \
+            "Print solver counters (pivots, ftran/btran, \
              refactorisations, run time) and per-round lazy-loop \
              telemetry after the solve.")
   in

@@ -20,11 +20,12 @@ let m_scan_violations =
     ~buckets:(Metrics.Buckets.log ~lo:1.0 ~hi:1e6 ~count:22)
     "lubt_ebf_scan_violations"
 
+let knn = 3
+let batch = 64
+let violation_tol = 1e-9
+
 type options = {
   lazy_steiner : bool;
-  knn : int;
-  batch : int;
-  violation_tol : float;
   max_rounds : int;
   time_limit : float;
   check : Certify.level;
@@ -36,9 +37,6 @@ type options = {
 let default_options =
   {
     lazy_steiner = true;
-    knn = 3;
-    batch = 64;
-    violation_tol = 1e-9;
     max_rounds = 10_000;
     time_limit = infinity;
     check = Certify.Off;
@@ -139,11 +137,8 @@ let full_row_count inst =
 (* Eager formulation (Section 4.3 verbatim)                            *)
 (* ------------------------------------------------------------------ *)
 
-let formulate ?weights inst tree =
-  check_tree_matches inst tree;
-  let prob = Problem.create () in
-  add_edge_vars ?weights tree prob;
-  let terms = terminals inst tree in
+(* one row per terminal pair of distinct locations, in pair order *)
+let add_steiner_rows tree terms prob =
   let t = Array.length terms in
   for i = 0 to t - 1 do
     for j = i + 1 to t - 1 do
@@ -155,7 +150,13 @@ let formulate ?weights inst tree =
              ~name:(Printf.sprintf "steiner_%d_%d" a b)
              ~lo:d ~up:infinity (path_coeffs tree a b))
     done
-  done;
+  done
+
+let formulate ?weights inst tree =
+  check_tree_matches inst tree;
+  let prob = Problem.create () in
+  add_edge_vars ?weights tree prob;
+  add_steiner_rows tree (terminals inst tree) prob;
   add_delay_rows inst tree prob;
   prob
 
@@ -263,13 +264,34 @@ let delay_row_sinks (inst : Instance.t) =
     inst.Instance.sinks;
   Array.of_list (List.rev !acc)
 
-let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
-  check_tree_matches inst tree;
+type run = {
+  problem : Problem.t;
+  engine : Simplex.t;
+  run_status : Status.t;
+  run_rounds : int;
+  run_round_stats : round_stat list;
+  run_lengths : float array;
+}
+
+let lengths_of_primal tree primal =
+  let n = Tree.num_nodes tree in
+  let lengths = Array.make n 0.0 in
+  for i = 1 to n - 1 do
+    lengths.(i) <- max 0.0 primal.(edge_var i)
+  done;
+  lengths
+
+(* The lazy Steiner-row generator (Section 4.6), the one loop behind every
+   formulation: the edge columns, the formulation's own columns and delay
+   rows ([delay_rows]), the seed pairs (or a cached row layout, [warm]),
+   then rounds of solve, scan and append. Returns the run, the Steiner
+   pairs in append order, and whether the cached basis installed. *)
+let run_generator ~options ~warm ?weights (inst : Instance.t) tree delay_rows =
   let terms = terminals inst tree in
   let t = Array.length terms in
   let prob = Problem.create () in
   add_edge_vars ?weights tree prob;
-  add_delay_rows inst tree prob;
+  delay_rows prob;
   let added = Steiner_pairs.create t in
   let scale =
     max 1.0 (Instance.diameter inst +. Instance.radius inst)
@@ -284,46 +306,7 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
      row layout a cached basis refers to, so it is recorded verbatim in
      the snapshot stored at the end *)
   let row_log = ref [] in
-  let delay_sinks = delay_row_sinks inst in
-  let cache_ctx =
-    match options.cache with
-    | None -> None
-    | Some c ->
-      let structure, key = fingerprints ?weights inst tree in
-      Some (c, structure, key)
-  in
-  (* Cache consult: an entry is only usable when its recorded row layout
-     can be reproduced against the current instance. Anything off — a
-     delay-row set changed by a bounds edit, an out-of-range terminal pair
-     from a corrupt or mis-keyed snapshot — is rejected (typed, counted),
-     never mapped silently; the solve then proceeds cold. *)
-  let warm_entry, cache_outcome =
-    match cache_ctx with
-    | None -> (None, Cache_off)
-    | Some (c, structure, key) -> (
-      let outcome_of = function
-        | Cache.Exact _ -> Cache_hit_exact
-        | Cache.Parent _ -> Cache_hit_parent
-        | Cache.Miss -> Cache_miss
-      in
-      match Cache.find c ~structure ~key with
-      | Cache.Miss -> (None, Cache_miss)
-      | (Cache.Exact e | Cache.Parent e) as lk ->
-        let reject reason =
-          Cache.reject c ~reason;
-          (None, Cache_rejected reason)
-        in
-        if e.Cache.e_delay <> delay_sinks then
-          reject "delay row layout differs (bounds edit changed the set)"
-        else if
-          not
-            (Array.for_all
-               (fun (i, j) -> 0 <= i && i < j && j < t)
-               e.Cache.e_pairs)
-        then reject "terminal pair out of range"
-        else (Some e, outcome_of lk))
-  in
-  (match warm_entry with
+  (match warm with
   | Some e ->
     (* warm path: reproduce the parent's exact row layout. Distances are
        recomputed against the CURRENT geometry (a parent hit may have
@@ -349,8 +332,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
         all
       end
       else begin
-        let pairs = Hashtbl.create (t * options.knn) in
-        Steiner_pairs.nearest terms options.knn (fun i j ->
+        let pairs = Hashtbl.create (t * knn) in
+        Steiner_pairs.nearest terms knn (fun i j ->
             let key = (min i j, max i j) in
             if not (Hashtbl.mem pairs key) then Hashtbl.replace pairs key ());
         (* all source-sink rows: cheap and almost always binding *)
@@ -378,18 +361,10 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
      factorisation is rejected through the typed {!Simplex.basis_mismatch}
      — the engine is left on its valid all-slack basis, so the run
      continues as a cold solve over the reproduced row set. *)
-  let cache_outcome =
-    match warm_entry with
-    | None -> cache_outcome
-    | Some e -> (
-      match Simplex.install_warm_basis eng e.Cache.e_basis with
-      | Ok () -> cache_outcome
-      | Error bm ->
-        let reason = Format.asprintf "%a" Simplex.pp_basis_mismatch bm in
-        (match cache_ctx with
-        | Some (c, _, _) -> Cache.reject c ~reason
-        | None -> ());
-        Cache_rejected reason)
+  let installed =
+    match warm with
+    | None -> Ok ()
+    | Some e -> Simplex.install_warm_basis eng e.Cache.e_basis
   in
   Simplex.set_probe eng options.probe;
   (* One monotonic deadline shared by every phase of every round: the
@@ -402,14 +377,6 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
     else Clock.now () +. options.time_limit
   in
   let expired () = deadline < infinity && Clock.now () > deadline in
-  let lengths_of_primal primal =
-    let n = Tree.num_nodes tree in
-    let lengths = Array.make n 0.0 in
-    for i = 1 to n - 1 do
-      lengths.(i) <- max 0.0 primal.(edge_var i)
-    done;
-    lengths
-  in
   (* main loop: solve, scan all pairs for violated Steiner constraints via
      O(1) LCA path lengths, add the worst, re-optimise (dual simplex) *)
   let round_stats = ref [] in
@@ -460,82 +427,151 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
     end
     else begin
       let scan_t0 = Clock.now () in
-      let lengths = lengths_of_primal (Simplex.primal eng) in
+      let lengths = lengths_of_primal tree (Simplex.primal eng) in
       let d = Tree.delays tree lengths in
       (* the scan is the Theta(t^2) phase: poll the deadline once per
          outer row (t clock reads against t^2 pair work) and abandon
          the sweep when the budget runs out mid-scan *)
-      let violations, scan_cut =
+      let found, worst, scan_cut =
         Steiner_pairs.violations ~stop:expired added terms tree d
-          ~threshold:(options.violation_tol *. scale)
+          ~threshold:(violation_tol *. scale) ~batch
       in
       let scan_seconds = Clock.now () -. scan_t0 in
       if Metrics.enabled () then
-        Metrics.observe m_scan_violations
-          (float_of_int (List.length violations));
+        Metrics.observe m_scan_violations (float_of_int found);
       if Trace.enabled () then
         Trace.complete ~t0:scan_t0 "ebf.scan"
           ~args:
-            [
-              ("round", Trace.Int rounds);
-              ("violations", Trace.Int (List.length violations));
-            ];
+            [ ("round", Trace.Int rounds); ("violations", Trace.Int found) ];
       if scan_cut then begin
         (* a truncated scan proves nothing about the unseen pairs: the
            incumbent lengths are a partial answer, not an optimum *)
-        record ~violations_found:(List.length violations) ~scan_seconds ();
+        record ~violations_found:found ~scan_seconds ();
         (Status.Time_limit, rounds)
       end
-      else
-      match violations with
-      | [] ->
+      else if found = 0 then begin
         record ~scan_seconds ();
         (Status.Optimal, rounds)
-      | vs ->
-        if rounds >= options.max_rounds then begin
-          record ~violations_found:(List.length vs) ~scan_seconds ();
-          (Status.Iteration_limit, rounds)
-        end
-        else begin
-          let append_t0 = Clock.now () in
-          let rows =
-            Steiner_pairs.worst options.batch vs
-            |> List.map (fun ((i, j) as key) ->
-                   Steiner_pairs.add added i j;
-                   row_log := key :: !row_log;
-                   let coeffs, dist = row_of_pair key in
-                   (dist, infinity, coeffs))
-          in
-          Simplex.add_rows eng rows;
-          (* mirror the rows into the model so the materialised LP is
-             available for a-posteriori certification *)
-          List.iter
-            (fun (lo, up, coeffs) -> ignore (Problem.add_row prob ~lo ~up coeffs))
-            rows;
-          let append_seconds = Clock.now () -. append_t0 in
-          let take = List.length rows in
-          if Trace.enabled () then
-            Trace.complete ~t0:append_t0 "ebf.append_rows"
-              ~args:[ ("round", Trace.Int rounds); ("rows", Trace.Int take) ];
-          record ~append_seconds ~rows_added:take
-            ~violations_found:(List.length vs) ~scan_seconds ();
-          loop (rounds + 1)
-        end
+      end
+      else if rounds >= options.max_rounds then begin
+        record ~violations_found:found ~scan_seconds ();
+        (Status.Iteration_limit, rounds)
+      end
+      else begin
+        let append_t0 = Clock.now () in
+        let rows =
+          List.map
+            (fun ((i, j) as key) ->
+              Steiner_pairs.add added i j;
+              row_log := key :: !row_log;
+              let coeffs, dist = row_of_pair key in
+              (dist, infinity, coeffs))
+            worst
+        in
+        Simplex.add_rows eng rows;
+        (* mirror the rows into the model so the materialised LP is
+           available for a-posteriori certification *)
+        List.iter
+          (fun (lo, up, coeffs) -> ignore (Problem.add_row prob ~lo ~up coeffs))
+          rows;
+        let append_seconds = Clock.now () -. append_t0 in
+        let take = List.length rows in
+        if Trace.enabled () then
+          Trace.complete ~t0:append_t0 "ebf.append_rows"
+            ~args:[ ("round", Trace.Int rounds); ("rows", Trace.Int take) ];
+        record ~append_seconds ~rows_added:take ~violations_found:found
+          ~scan_seconds ();
+        loop (rounds + 1)
+      end
     end
     end
   in
   let status, rounds = loop 1 in
-  let lengths = lengths_of_primal (Simplex.primal eng) in
+  ( {
+      problem = prob;
+      engine = eng;
+      run_status = status;
+      run_rounds = rounds;
+      run_round_stats = List.rev !round_stats;
+      run_lengths = lengths_of_primal tree (Simplex.primal eng);
+    },
+    List.rev !row_log,
+    installed )
+
+let generate ?weights inst tree delay_rows =
+  check_tree_matches inst tree;
+  let run, _, _ =
+    run_generator ~options:default_options ~warm:None ?weights inst tree
+      delay_rows
+  in
+  run
+
+let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
+  check_tree_matches inst tree;
+  let delay_sinks = delay_row_sinks inst in
+  let cache_ctx =
+    match options.cache with
+    | None -> None
+    | Some c ->
+      let structure, key = fingerprints ?weights inst tree in
+      Some (c, structure, key)
+  in
+  (* Cache consult: an entry is only usable when its recorded row layout
+     can be reproduced against the current instance. Anything off — a
+     delay-row set changed by a bounds edit, an out-of-range terminal pair
+     from a corrupt or mis-keyed snapshot — is rejected (typed, counted),
+     never mapped silently; the solve then proceeds cold. *)
+  let warm, cache_outcome =
+    match cache_ctx with
+    | None -> (None, Cache_off)
+    | Some (c, structure, key) -> (
+      let outcome_of = function
+        | Cache.Exact _ -> Cache_hit_exact
+        | Cache.Parent _ -> Cache_hit_parent
+        | Cache.Miss -> Cache_miss
+      in
+      match Cache.find c ~structure ~key with
+      | Cache.Miss -> (None, Cache_miss)
+      | (Cache.Exact e | Cache.Parent e) as lk ->
+        let reject reason =
+          Cache.reject c ~reason;
+          (None, Cache_rejected reason)
+        in
+        let t = Array.length (terminals inst tree) in
+        if e.Cache.e_delay <> delay_sinks then
+          reject "delay row layout differs (bounds edit changed the set)"
+        else if
+          not
+            (Array.for_all
+               (fun (i, j) -> 0 <= i && i < j && j < t)
+               e.Cache.e_pairs)
+        then reject "terminal pair out of range"
+        else (Some e, outcome_of lk))
+  in
+  let run, pairs, installed =
+    run_generator ~options ~warm ?weights inst tree (add_delay_rows inst tree)
+  in
+  let cache_outcome =
+    match installed with
+    | Ok () -> cache_outcome
+    | Error bm ->
+      let reason = Format.asprintf "%a" Simplex.pp_basis_mismatch bm in
+      (match cache_ctx with
+      | Some (c, _, _) -> Cache.reject c ~reason
+      | None -> ());
+      Cache_rejected reason
+  in
+  let eng = run.engine and lengths = run.run_lengths in
   (* a-posteriori certification of an optimal claim: the materialised LP is
      certified against the raw problem data, and the geometric check covers
      every binom(t,2) Steiner row and both delay bounds per sink — including
      rows the lazy generator never materialised *)
   let status, certificate =
-    if options.check = Certify.Off || status <> Status.Optimal then
-      (status, None)
+    if options.check = Certify.Off || run.run_status <> Status.Optimal then
+      (run.run_status, None)
     else begin
       let report =
-        Certify.check ~level:options.check prob (Simplex.solution eng)
+        Certify.check ~level:options.check run.problem (Simplex.solution eng)
       in
       let report =
         if not report.Certify.ok then report
@@ -563,7 +599,7 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
         e_key = key;
         e_basis = Simplex.warm_basis eng;
         e_delay = delay_sinks;
-        e_pairs = Array.of_list (List.rev !row_log);
+        e_pairs = Array.of_list pairs;
         e_objective = Simplex.objective eng;
       }
   | _ -> ());
@@ -574,8 +610,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
     lp_rows = Simplex.nrows eng;
     full_rows = full_row_count inst;
     lp_iterations = Simplex.iterations eng;
-    rounds;
-    round_stats = List.rev !round_stats;
+    rounds = run.run_rounds;
+    round_stats = run.run_round_stats;
     lp_stats = Simplex.stats eng;
     certificate;
     cache_outcome;

@@ -14,18 +14,30 @@
 
     - [lazy_steiner = false]: all [\binom{m}{2}] Steiner rows upfront;
     - [lazy_steiner = true] (default): row generation — start from the
-      k-nearest-neighbour pairs plus all source-sink rows, solve, scan all
-      pairs for violations in O(m^2) using LCA path lengths, add the worst
-      offenders, and re-optimise with the warm-started dual simplex. This
-      is the exact-optimal realisation of the paper's Section 4.6
-      constraint reduction. *)
+      {!knn}-nearest-neighbour pairs plus all source-sink rows, solve,
+      scan all pairs for violations in O(m^2) using LCA path lengths, add
+      the {!batch} worst offenders, and re-optimise with the warm-started
+      dual simplex. This is the exact-optimal realisation of the paper's
+      Section 4.6 constraint reduction, and the one row generator:
+      {!generate} runs it under other delay rows. *)
+
+val knn : int
+(** Nearest-neighbour pairs seeded per terminal by lazy generation: 3. *)
+
+val batch : int
+(** Violated Steiner rows appended per round: 64, the largest shortfalls
+    of the round's scan. *)
+
+val violation_tol : float
+(** Relative violation tolerance: 1e-9. A pair is violated when its
+    path is shorter than its distance by more than [violation_tol]
+    times [max 1 (diameter + radius)]. *)
 
 type options = {
   lazy_steiner : bool;
-  knn : int;  (** nearest-neighbour pairs seeded per terminal (default 3) *)
-  batch : int;  (** violated rows added per round (default 64) *)
-  violation_tol : float;  (** relative violation tolerance (default 1e-9) *)
-  max_rounds : int;
+      (** generate Steiner rows lazily (default); [false], or at most 12
+          terminals, seeds every pair *)
+  max_rounds : int;  (** rounds before [Iteration_limit] (default 10,000) *)
   time_limit : float;
       (** wall-clock budget in seconds over ALL row-generation rounds
           (default [infinity]), kept as one monotonic deadline
@@ -86,11 +98,13 @@ type round_stat = {
   round : int;  (** 1-based row-generation round *)
   rows_added : int;  (** violated Steiner rows appended after this round *)
   violations_found : int;  (** violated pairs seen by the scan (>= rows_added) *)
-  scan_seconds : float;  (** wall time of the all-pairs violation scan *)
+  scan_seconds : float;
+      (** wall time of the all-pairs violation scan, which also selects
+          the round's rows *)
   append_seconds : float;
-      (** wall time of appending the round's rows: the sort of the
-          violations, the row build, {!Lubt_lp.Simplex.add_rows} and the
-          mirror into the materialised model *)
+      (** wall time of appending the round's rows: the row build,
+          {!Lubt_lp.Simplex.add_rows} and the mirror into the
+          materialised model *)
   solve_seconds : float;  (** wall time of this round's LP (re-)solve *)
   solve_pivots : int;
       (** simplex pivots of this round's solve; from round 2 on these are
@@ -143,9 +157,51 @@ val solve :
     @raise Invalid_argument when the tree's sink count differs from the
     instance's. *)
 
+(** {2 The row generator}
+
+    {!solve} is one formulation over the lazy Steiner-row generator;
+    {!Skew_lp} is another, with different delay rows. *)
+
+type run = {
+  problem : Lubt_lp.Problem.t;
+      (** the materialised LP: every column and every row appended *)
+  engine : Lubt_lp.Simplex.t;  (** the engine after the last round *)
+  run_status : Lubt_lp.Status.t;
+  run_rounds : int;
+  run_round_stats : round_stat list;
+  run_lengths : float array;  (** edge lengths indexed by node id *)
+}
+
+val generate :
+  ?weights:float array ->
+  Instance.t ->
+  Lubt_topo.Tree.t ->
+  (Lubt_lp.Problem.t -> unit) ->
+  run
+(** [generate inst tree delay_rows] runs {!solve}'s row generation
+    under {!default_options} with the delay rows of another formulation.
+    The LP gets the edge columns (variable [i-1] is edge [e_i], weighted
+    as in {!formulate}), then [delay_rows] adds its own columns and
+    rows, then the generator seeds Steiner rows and runs the rounds of
+    solve, scan and append until no Steiner row is violated. The cache
+    is never consulted.
+
+    @raise Invalid_argument when the tree's sink count differs from the
+    instance's. *)
+
 val terminals : Instance.t -> Lubt_topo.Tree.t -> (int * Lubt_geom.Point.t) array
 (** The terminals, as (node, location): the source first when its location
     is given (node 0), then the [k]-th sink at [(Tree.sinks tree).(k)]. *)
+
+val path_coeffs : Lubt_topo.Tree.t -> int -> int -> (int * float) list
+(** [path_coeffs tree a b] is the row "sum of the edge lengths on the
+    path from node [a] to node [b]" over the edge columns. *)
+
+val add_steiner_rows :
+  Lubt_topo.Tree.t -> (int * Lubt_geom.Point.t) array -> Lubt_lp.Problem.t -> unit
+(** [add_steiner_rows tree terms prob] adds the Steiner row of every
+    pair of terminals at distinct locations, in pair order: the rows of
+    {!formulate}. *)
 
 val check_lengths :
   ?tol:float -> Instance.t -> Lubt_topo.Tree.t -> float array -> (unit, string) Stdlib.result

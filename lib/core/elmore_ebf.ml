@@ -1,4 +1,3 @@
-module Point = Lubt_geom.Point
 module Tree = Lubt_topo.Tree
 module Elmore = Lubt_delay.Elmore
 module Problem = Lubt_lp.Problem
@@ -27,17 +26,6 @@ type result = {
 }
 
 let edge_var i = i - 1
-
-let terminals (inst : Instance.t) tree =
-  let base =
-    Array.to_list
-      (Array.mapi
-         (fun k node -> (node, inst.Instance.sinks.(k)))
-         (Tree.sinks tree))
-  in
-  match inst.Instance.source with
-  | Some src -> (Tree.root, src) :: base
-  | None -> base
 
 let cost_of lengths =
   Lubt_util.Stats.sum (Array.sub lengths 1 (Array.length lengths - 1))
@@ -70,8 +58,7 @@ let solve ?(options = default_options) ~wire ~loads (inst : Instance.t) tree =
     invalid_arg "Elmore_ebf.solve: loads length mismatch";
   let n = Tree.num_nodes tree in
   let radius = max 1.0 (Instance.radius inst) in
-  let terms = Array.of_list (terminals inst tree) in
-  let nt = Array.length terms in
+  let terms = Ebf.terminals inst tree in
   let sink_nodes = Tree.sinks tree in
   let status0, start = initial_lengths inst tree in
   match status0 with
@@ -97,18 +84,7 @@ let solve ?(options = default_options) ~wire ~loads (inst : Instance.t) tree =
       done;
       (* Steiner rows over all terminal pairs (these are exact, not
          linearised) *)
-      for a = 0 to nt - 1 do
-        for b = a + 1 to nt - 1 do
-          let na, pa = terms.(a) and nb, pb = terms.(b) in
-          let d = Point.dist pa pb in
-          if d > 0.0 then begin
-            let coeffs =
-              List.map (fun e -> (edge_var e, 1.0)) (Tree.path tree na nb)
-            in
-            ignore (Problem.add_row prob ~lo:d ~up:infinity coeffs)
-          end
-        done
-      done;
+      Ebf.add_steiner_rows tree terms prob;
       (* linearised Elmore rows: delay(e) ~ delay(e0) + g.(e - e0) *)
       Array.iteri
         (fun k node ->

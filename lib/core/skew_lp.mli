@@ -30,12 +30,12 @@ type result = {
 }
 
 val solve :
-  ?options:Ebf.options ->
   ?weights:float array ->
   skew_bound:float ->
   Instance.t ->
   Lubt_topo.Tree.t ->
   result
 (** The instance's own bounds are ignored except for sink/source
-    locations; [skew_bound] is absolute. Uses the same lazy
-    Steiner-row generation as {!Ebf.solve}. *)
+    locations; [skew_bound] is absolute. The window rows are a
+    formulation over {!Ebf.generate}, so the Steiner rows are generated
+    lazily exactly as in {!Ebf.solve} under its default options. *)

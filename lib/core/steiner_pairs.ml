@@ -23,11 +23,16 @@ let add s i j =
     (Char.chr (Char.code (Bytes.get s.bits (k lsr 3)) lor (1 lsl (k land 7))))
 
 (* Offers [item] to the [count] kept items of smallest key, sorted by key
-   and then by arrival, with room for [Array.length keys]; returns the
-   new count. *)
-let offer keys items count key item =
+   and then by arrival (latest first when [latest_first]), with room for
+   [Array.length keys]; returns the new count. *)
+let offer ?(latest_first = false) keys items count key item =
   let p = ref count in
-  while !p > 0 && Float.compare keys.(!p - 1) key > 0 do
+  while
+    !p > 0
+    &&
+    let c = Float.compare keys.(!p - 1) key in
+    c > 0 || (latest_first && c = 0)
+  do
     decr p
   done;
   let k = Array.length keys in
@@ -55,12 +60,17 @@ let nearest terms k f =
     done
   done
 
-let violations ?(stop = fun () -> false) s terms tree d ~threshold =
+let violations ?(stop = fun () -> false) s terms tree d ~threshold ~batch =
   let t = Array.length terms in
   let node = Array.map fst terms in
   let xs = Array.map (fun (_, p) -> p.Point.x) terms in
   let ys = Array.map (fun (_, p) -> p.Point.y) terms in
-  let found = ref [] and cut = ref false and i = ref 0 in
+  (* the batch is kept by selection as the scan goes: the largest
+     shortfalls, ties to the later-scanned pair *)
+  let batch = max 0 batch in
+  let keys = Array.make batch 0.0 and items = Array.make batch (0, 0) in
+  let kept = ref 0 and found = ref 0 in
+  let cut = ref false and i = ref 0 in
   while (not !cut) && !i < t do
     if stop () then cut := true
     else begin
@@ -73,19 +83,14 @@ let violations ?(stop = fun () -> false) s terms tree d ~threshold =
             let b = node.(j) in
             let have = d.(a) +. d.(b) -. (2.0 *. d.(Tree.lca tree a b)) in
             let viol = need -. have in
-            if viol > threshold then found := (viol, (i, j)) :: !found
+            if viol > threshold then begin
+              incr found;
+              kept := offer ~latest_first:true keys items !kept (-.viol) (i, j)
+            end
           end
         end
       done
     end;
     incr i
   done;
-  (!found, !cut)
-
-let worst k vs =
-  let k = max 0 k in
-  let keys = Array.make k 0.0 and items = Array.make k (0, 0) in
-  let count =
-    List.fold_left (fun c (v, pair) -> offer keys items c (-.v) pair) 0 vs
-  in
-  Array.to_list (Array.sub items 0 count)
+  (!found, Array.to_list (Array.sub items 0 !kept), !cut)

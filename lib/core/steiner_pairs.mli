@@ -1,7 +1,7 @@
-(** Terminal pairs for lazy Steiner-row generation (Section 4.6), shared
-    by {!Ebf} and {!Skew_lp}: the set of pairs whose row is in the LP,
-    the nearest-neighbour seeding, the violation scan and the choice of
-    each round's rows. A terminal is a tree node with its fixed
+(** Terminal pairs for lazy Steiner-row generation (Section 4.6), the
+    pair machinery of {!Ebf}'s row generator: the set of pairs whose row
+    is in the LP, the nearest-neighbour seeding, and the violation scan
+    that picks each round's rows. A terminal is a tree node with its fixed
     location; a pair [(i, j)], [i < j], indexes the terminal array.
     {!Ebf.check_lengths} shares no code with this module on purpose: it
     certifies what the generator produced. *)
@@ -30,14 +30,14 @@ val violations :
   Lubt_topo.Tree.t ->
   float array ->
   threshold:float ->
-  (float * (int * int)) list * bool
-(** [violations s terms tree d ~threshold] scans the pairs of distinct
-    locations not in [s], under the root-to-node delays [d], and returns
+  batch:int ->
+  int * (int * int) list * bool
+(** [violations s terms tree d ~threshold ~batch] scans the pairs of
+    distinct locations not in [s], under the root-to-node delays [d], for
     those whose path is shorter than their distance by more than
-    [threshold], with that shortfall, last scanned first. [stop] is
-    polled before each terminal's row of pairs; once it returns [true]
-    the scan ends and the flag is [true]. *)
-
-val worst : int -> (float * (int * int)) list -> (int * int) list
-(** [worst k vs] is the first [k] pairs of [vs] stably sorted by
-    decreasing shortfall, selected in one pass. *)
+    [threshold]. It returns how many it found, the round's batch, and
+    whether the scan was cut. The batch is the [batch] pairs of largest
+    shortfall, largest first, ties going to the later-scanned pair; it
+    is selected during the scan, so the violated pairs are never listed.
+    [stop] is polled before each terminal's row of pairs; once it returns
+    [true] the scan ends and the flag is [true]. *)

@@ -8,7 +8,7 @@
     instead of a human eyeballing numbers.
 
     Timing verdicts use [ms_per_run] only. Solver counters
-    (iterations, pricing scans, refactorisations, ...) are diffed
+    (iterations, BTRANs, refactorisations, ...) are diffed
     exactly and reported, but never gate: on identical code they are
     deterministic, so any counter drift is surfaced loudly — it means
     the pivot trajectory changed — while wall-clock noise does not

@@ -71,21 +71,21 @@ let error_to_string = function
 type options = {
   base : Ebf.options;
   deadline : float option;
-  reduced_rounds : int;
-  min_lp_budget : float;
-  epsilon : float;
   tweak : rung -> Ebf.options -> Ebf.options;
 }
 
 let default_options =
-  {
-    base = Ebf.default_options;
-    deadline = None;
-    reduced_rounds = 2;
-    min_lp_budget = 1e-3;
-    epsilon = 1.0;
-    tweak = (fun _ o -> o);
-  }
+  { base = Ebf.default_options; deadline = None; tweak = (fun _ o -> o) }
+
+(* [max_rounds] of the reduced rung *)
+let reduced_rounds = 2
+
+(* below this many remaining seconds an LP rung is skipped outright
+   rather than started doomed *)
+let min_lp_budget = 1e-3
+
+(* BRBC epsilon of the heuristic rung *)
+let epsilon = 1.0
 
 (* The uniform acceptance check every rung's answer must pass before the
    ladder returns it: the independent geometric re-verification of the
@@ -97,7 +97,7 @@ let verify_routed inst (r : Routed.t) =
   Embed.verify inst r.Routed.tree r.Routed.lengths
     { Embed.positions = r.Routed.positions; feasible_regions = [||] }
 
-let heuristic ?(epsilon = 1.0) inst =
+let heuristic inst =
   match inst.Instance.source with
   | None ->
     Error
@@ -151,7 +151,7 @@ let solve opts inst tree =
      that is left, keeping the rest for the rungs below. *)
   let lp_rung rung ~check ~frac =
     let rem = remaining () in
-    if rem < opts.min_lp_budget then begin
+    if rem < min_lp_budget then begin
       fail rung
         (Printf.sprintf "skipped: %.3gs of deadline budget left" rem);
       None
@@ -179,7 +179,7 @@ let solve opts inst tree =
      Embed.place's feasible-region intersection detects. *)
   let reduced_rung () =
     let rem = remaining () in
-    if rem < opts.min_lp_budget then begin
+    if rem < min_lp_budget then begin
       fail Reduced
         (Printf.sprintf "skipped: %.3gs of deadline budget left" rem);
       None
@@ -194,7 +194,7 @@ let solve opts inst tree =
           {
             opts.base with
             Ebf.check = Certify.Off;
-            max_rounds = opts.reduced_rounds;
+            max_rounds = reduced_rounds;
             time_limit;
           }
       in
@@ -233,14 +233,12 @@ let solve opts inst tree =
      guarantee is source-relative), and it honours delay bounds only by
      accident. *)
   let heuristic_rung () =
-    match inst.Instance.source with
-    | None ->
-      fail Heuristic "instance has no source (BRBC requires one)";
+    match heuristic inst with
+    | Ok o -> Some { o with attempts = List.rev !attempts }
+    | Error (Exhausted failed) ->
+      List.iter (fun (r, msg) -> fail r msg) failed;
       None
-    | Some source ->
-      let b = Brbc.route ~epsilon:opts.epsilon ~source inst.Instance.sinks in
-      let routed = { b.Brbc.routed with Routed.instance = inst } in
-      Some (finish Heuristic None routed)
+    | Error Infeasible -> raise Ladder_infeasible
   in
   try
     let result =

@@ -7,12 +7,12 @@
     + {e certified} EBF ({!Lubt_core.Lubt.solve} with the configured
       {!Lubt_lp.Certify} level),
     + {e uncertified} EBF (same solve, certification off),
-    + {e reduced} EBF (row generation capped at a few rounds; the
+    + {e reduced} EBF (row generation capped at 2 rounds; the
       possibly-suboptimal lengths are accepted whenever
       {!Lubt_core.Embed.place} and {!Lubt_core.Embed.verify} accept
       them),
     + the {!Lubt_bst.Brbc} {e heuristic} (no LP at all; needs a
-      source) —
+      source; [epsilon = 1]) —
 
     and reports which rung answered. It is the service-level mirror of
     the in-solver recovery ladder (PR 2): there a failing factorisation
@@ -66,14 +66,9 @@ type options = {
       (** absolute deadline on the {!Lubt_obs.Clock.now} axis. Each LP
           rung gets a fraction of the budget remaining when it starts
           (half for the full rungs, 0.8 for the reduced rung), so one
-          slow rung cannot starve the ladder below it. [None] = no
+          slow rung cannot starve the ladder below it; an LP rung with
+          less than a millisecond left is skipped. [None] = no
           deadline. *)
-  reduced_rounds : int;
-      (** [max_rounds] for the reduced rung (default 2) *)
-  min_lp_budget : float;
-      (** below this many remaining seconds an LP rung is skipped
-          outright rather than started doomed (default 1e-3) *)
-  epsilon : float;  (** BRBC epsilon for the heuristic rung (default 1) *)
   tweak : rung -> Lubt_core.Ebf.options -> Lubt_core.Ebf.options;
       (** final hook over each LP rung's options, applied after the
           ladder's own adjustments; identity by default. Tests use it
@@ -91,8 +86,7 @@ val solve :
     answer. The [Heuristic] rung ignores [tree] (BRBC builds its own
     topology) and is only available when the instance has a source. *)
 
-val heuristic :
-  ?epsilon:float -> Lubt_core.Instance.t -> (outcome, error) result
+val heuristic : Lubt_core.Instance.t -> (outcome, error) result
 (** The floor rung alone: a BRBC tree, no LP, no topology needed. This
     is what a server answers with when the worker pool is saturated and
     the client opted into degradation — cheap enough to run on the

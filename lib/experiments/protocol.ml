@@ -126,13 +126,12 @@ let recoveries_json (r : Simplex.recoveries) =
 
 let solver_stats_json (s : Simplex.stats) =
   Printf.sprintf
-    "{\"iterations\": %d, \"bound_flips\": %d, \
-     \"full_pricing_scans\": %d, \"ftran_count\": %d, \
+    "{\"iterations\": %d, \"bound_flips\": %d, \"ftran_count\": %d, \
      \"btran_count\": %d, \"basis_updates\": %d, \
      \"basis_extensions\": %d, \"refactorisations\": %d, \
      \"factor_nnz\": %d, \"basis_nnz\": %d, \"dual_ms\": %s, \
      \"recoveries\": %s}"
-    s.Simplex.iterations s.Simplex.bound_flips s.Simplex.full_pricing_scans
+    s.Simplex.iterations s.Simplex.bound_flips
     s.Simplex.ftran_count s.Simplex.btran_count s.Simplex.basis_updates
     s.Simplex.basis_extensions s.Simplex.refactorisations
     s.Simplex.factor_nnz s.Simplex.basis_nnz

@@ -19,7 +19,6 @@ let default_recovery = [ Refactor_retry; Tighten_pivot_tol; Perturb_and_resolve 
 
 type params = {
   max_iters : int;
-  time_limit : float;
   refactor_every : int;
   recovery : recovery_stage list;
   fault : fault option;
@@ -28,7 +27,6 @@ type params = {
 let default_params =
   {
     max_iters = 0;
-    time_limit = infinity;
     refactor_every = 100;
     recovery = default_recovery;
     fault = None;
@@ -72,7 +70,6 @@ let recovery_attempts r =
 type stats = {
   iterations : int;
   bound_flips : int;
-  full_pricing_scans : int;
   ftran_count : int;
   btran_count : int;
   basis_updates : int;
@@ -89,7 +86,6 @@ type stats = {
    {!Basis.counters}). *)
 type istats = {
   mutable s_flips : int;
-  mutable s_full_scans : int;
   mutable s_dual_secs : float;
   mutable s_rec_refactor : int;
   mutable s_rec_tol : int;
@@ -101,7 +97,6 @@ type istats = {
 let fresh_istats () =
   {
     s_flips = 0;
-    s_full_scans = 0;
     s_dual_secs = 0.0;
     s_rec_refactor = 0;
     s_rec_tol = 0;
@@ -498,7 +493,6 @@ let dual_simplex t =
            restores primal feasibility, with their dual ratio
            |d_j| / |alpha_j| *)
         let tr0 = tr_start () in
-        t.st.s_full_scans <- t.st.s_full_scans + 1;
         let cands = ref [] in
         let consider j ratio alpha =
           cands := (j, ratio, abs_float alpha) :: !cands
@@ -736,7 +730,7 @@ let of_problem ?(params = default_params) prob =
       iters = 0;
       since_refactor = 0;
       cur_tol_pivot = tol_pivot;
-      time_budget = params.time_limit;
+      time_budget = infinity;
       deadline = infinity;
       solving = false;
       probe = None;
@@ -1330,7 +1324,6 @@ let stats t =
   {
     iterations = t.iters;
     bound_flips = t.st.s_flips;
-    full_pricing_scans = t.st.s_full_scans;
     ftran_count = t.ops.Basis.ftrans;
     btran_count = t.ops.Basis.btrans;
     basis_updates = t.ops.Basis.updates;
@@ -1353,7 +1346,6 @@ let zero_stats =
   {
     iterations = 0;
     bound_flips = 0;
-    full_pricing_scans = 0;
     ftran_count = 0;
     btran_count = 0;
     basis_updates = 0;
@@ -1378,7 +1370,6 @@ let merge_stats a b =
   {
     iterations = a.iterations + b.iterations;
     bound_flips = a.bound_flips + b.bound_flips;
-    full_pricing_scans = a.full_pricing_scans + b.full_pricing_scans;
     ftran_count = a.ftran_count + b.ftran_count;
     btran_count = a.btran_count + b.btran_count;
     basis_updates = a.basis_updates + b.basis_updates;
@@ -1392,12 +1383,12 @@ let merge_stats a b =
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "@[<v>iterations: %d, bound flips: %d, pricing scans: %d@,\
+    "@[<v>iterations: %d, bound flips: %d@,\
      ftran/btran: %d/%d, basis updates: %d, \
      extensions: %d, refactorisations: %d@,\
      LU fill: %.2f (%d LU / %d basis nonzeros)@,\
      time: dual %.3fms"
-    s.iterations s.bound_flips s.full_pricing_scans s.ftran_count
+    s.iterations s.bound_flips s.ftran_count
     s.btran_count s.basis_updates
     s.basis_extensions s.refactorisations
     (float_of_int s.factor_nnz /. float_of_int (max 1 s.basis_nnz))

@@ -87,10 +87,6 @@ val default_recovery : recovery_stage list
 
 type params = {
   max_iters : int;  (** 0 means choose automatically from the size *)
-  time_limit : float;
-      (** wall-clock budget in seconds per [solve] call; [infinity]
-          (the default) disables it. On expiry [solve] returns
-          {!Status.Time_limit} with the best basis reached so far. *)
   refactor_every : int;  (** pivots between basis refactorisations *)
   recovery : recovery_stage list;
       (** the numerical-recovery ladder, consumed left to right: each
@@ -102,7 +98,7 @@ type params = {
 }
 
 val default_params : params
-(** [refactor_every = 100], automatic iteration cap, no time limit,
+(** [refactor_every = 100], automatic iteration cap,
     full recovery ladder, no fault injection.
 
     The algorithm itself is not configurable. The leaving row is the
@@ -140,8 +136,6 @@ type stats = {
   bound_flips : int;
       (** nonbasic bound flips performed by the long-step dual ratio
           test (not counted as iterations — no basis change) *)
-  full_pricing_scans : int;
-      (** dual ratio scans, each of which inspects all [n + m] columns *)
   ftran_count : int;  (** forward solves [B^-1 a] *)
   btran_count : int;  (** transpose solves [B^-T c] *)
   basis_updates : int;  (** eta updates applied *)

@@ -4,7 +4,7 @@
     phase timings, deadlines — comes from here rather than from
     [Unix.gettimeofday]. The distinction matters for two of its users:
 
-    - {b Deadlines} ([Simplex.params.time_limit]): a wall-clock step
+    - {b Deadlines} ([Simplex.set_time_limit]): a wall-clock step
       (NTP slew, manual adjustment) under [gettimeofday] either fires a
       spurious [Time_limit] or disables the budget entirely. The
       monotonic clock is immune by construction.

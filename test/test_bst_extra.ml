@@ -203,14 +203,15 @@ let test_skew_lp_zero_bound_is_zeroskew () =
         zs_cost
   done
 
-let test_skew_lp_window_envelope () =
-  (* the free-window LP is the lower envelope of fixed-window LUBT costs:
-     solving LUBT at the window the LP chose returns the same cost *)
-  let rng = Prng.create 777 in
-  let m = 10 in
+(* the free-window LP is the lower envelope of fixed-window LUBT costs:
+   solving LUBT at the window the LP chose returns the same cost. The
+   10-sink case seeds every Steiner pair up front; the 13-60-sink cases
+   (more than 12 terminals) generate them lazily, so they compare
+   Skew_lp's lazy rounds with Ebf.solve's. *)
+let check_window_envelope ~seed ~m ~bound =
+  let rng = Prng.create seed in
   let sinks = random_points rng m 100.0 in
   let source = pt 50.0 50.0 in
-  let bound = 30.0 in
   let bst = Bst.route ~skew_bound:bound ~source sinks in
   let inst0 = Instance.uniform_bounds ~source ~sinks ~lower:0.0 ~upper:infinity () in
   let opt = Skew_lp.solve ~skew_bound:bound inst0 bst.Bst.topology in
@@ -221,8 +222,8 @@ let test_skew_lp_window_envelope () =
     (opt.Skew_lp.status = Status.Optimal && fixed.Ebf.status = Status.Optimal);
   if not (Lubt_util.Stats.approx_eq ~eps:1e-6 opt.Skew_lp.objective fixed.Ebf.objective)
   then
-    Alcotest.failf "envelope %.9g vs fixed window %.9g" opt.Skew_lp.objective
-      fixed.Ebf.objective;
+    Alcotest.failf "seed %d, %d sinks: envelope %.9g vs fixed window %.9g" seed m
+      opt.Skew_lp.objective fixed.Ebf.objective;
   (* shifting the window away from the optimum cannot be cheaper *)
   let shifted =
     Instance.uniform_bounds ~source ~sinks ~lower:(max 0.0 wlo +. 15.0)
@@ -231,6 +232,15 @@ let test_skew_lp_window_envelope () =
   let worse = Ebf.solve shifted bst.Bst.topology in
   Alcotest.(check bool) "shifted window no cheaper" true
     (worse.Ebf.objective >= opt.Skew_lp.objective -. 1e-6)
+
+let test_skew_lp_window_envelope () =
+  check_window_envelope ~seed:777 ~m:10 ~bound:30.0;
+  let rng = Prng.create 778 in
+  for seed = 1 to 6 do
+    let m = 13 + Prng.int rng 48 in
+    let bound = 10.0 +. Prng.float rng 40.0 in
+    check_window_envelope ~seed:(778 + seed) ~m ~bound
+  done
 
 let test_skew_lp_embeddable () =
   let rng = Prng.create 888 in

@@ -265,14 +265,27 @@ let reference_scan ~stop added terms tree d ~threshold =
    with Exit -> ());
   (!found, !cut)
 
+(* the reference scan's list, last scanned first, stably sorted by
+   decreasing shortfall and cut to the batch: the rows the list-based
+   rounds appended *)
+let reference_batch k found =
+  List.stable_sort (fun (a, _) (b, _) -> compare b a) found
+  |> List.filteri (fun q _ -> q < k)
+  |> List.map snd
+
 let test_scan_matches_hashtbl () =
   let rng = Prng.create 405 in
-  for case = 1 to 200 do
+  for case = 1 to 300 do
     let tree, terms = grid_terminals rng in
     let t = Array.length terms in
+    (* every other case puts the lengths on a grid too, so equal
+       shortfalls (ties in the batch) are common *)
+    let coarse = case mod 2 = 1 in
     let lengths =
       Array.init (Tree.num_nodes tree) (fun i ->
-          if i = Tree.root || Prng.int rng 4 = 0 then 0.0 else Prng.float rng 30.0)
+          if i = Tree.root || Prng.int rng 4 = 0 then 0.0
+          else if coarse then float_of_int (5 * Prng.int rng 6)
+          else Prng.float rng 30.0)
     in
     let d = Tree.delays tree lengths in
     let set = Pairs.create t and table = Hashtbl.create 16 in
@@ -298,29 +311,20 @@ let test_scan_matches_hashtbl () =
         incr polls;
         !polls > budget
     in
-    let threshold = if case mod 2 = 0 then 0.0 else 5.0 in
-    let got = Pairs.violations ~stop:(stopper ()) set terms tree d ~threshold in
-    let want = reference_scan ~stop:(stopper ()) table terms tree d ~threshold in
-    if got <> want then Alcotest.failf "case %d (t = %d): scans differ" case t
-  done
-
-let test_worst_matches_sort () =
-  let rng = Prng.create 406 in
-  for case = 1 to 200 do
-    (* few distinct shortfalls, so ties are common *)
-    let vs =
-      List.init (Prng.int rng 120) (fun q ->
-          (float_of_int (1 + Prng.int rng 6), (q, q + 1)))
+    let threshold = if case mod 3 = 0 then 5.0 else 0.0 in
+    let batch = Prng.int rng 40 in
+    let count, worst, cut =
+      Pairs.violations ~stop:(stopper ()) set terms tree d ~threshold ~batch
     in
-    let k = Prng.int rng 80 in
-    let want =
-      List.sort (fun (a, _) (b, _) -> compare b a) vs
-      |> List.filteri (fun q _ -> q < k)
-      |> List.map snd
+    let found, want_cut =
+      reference_scan ~stop:(stopper ()) table terms tree d ~threshold
     in
-    if Pairs.worst k vs <> want then
-      Alcotest.failf "case %d (%d shortfalls, k = %d): batches differ" case
-        (List.length vs) k
+    if count <> List.length found then
+      Alcotest.failf "case %d (t = %d): %d violations, want %d" case t count
+        (List.length found);
+    if cut <> want_cut then Alcotest.failf "case %d (t = %d): cut flags differ" case t;
+    if worst <> reference_batch batch found then
+      Alcotest.failf "case %d (t = %d, batch %d): batches differ" case t batch
   done
 
 let test_pair_bounds () =
@@ -365,8 +369,6 @@ let () =
             test_nearest_matches_sort;
           Alcotest.test_case "bitset scan = Hashtbl scan" `Quick
             test_scan_matches_hashtbl;
-          Alcotest.test_case "worst batch = stable sort prefix" `Quick
-            test_worst_matches_sort;
           Alcotest.test_case "pair bounds" `Quick test_pair_bounds;
         ] );
     ]

@@ -176,11 +176,10 @@ let test_phase1_limits () =
     status;
   Alcotest.(check (list string)) "stopped in phase 1"
     [ "dual_phase1"; "dual_phase1"; "dual_phase1" ] phases;
-  let status, _, _ =
-    solve_phases
-      ~params:{ Simplex.default_params with Simplex.time_limit = -1.0 } p
-  in
-  Alcotest.check status_testable "time limit" Status.Time_limit status
+  let eng = Simplex.of_problem p in
+  Simplex.set_time_limit eng (-1.0);
+  Alcotest.check status_testable "time limit" Status.Time_limit
+    (Simplex.solve eng)
 
 (* ------------------------------------------------------------------ *)
 (* Warm restart / row generation                                       *)

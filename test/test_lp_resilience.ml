@@ -216,12 +216,6 @@ let test_engine_time_limit () =
   Alcotest.(check bool) "recovers once budget lifted" true
     (Simplex.solve eng = Status.Optimal)
 
-let test_params_time_limit () =
-  let params = { Simplex.default_params with Simplex.time_limit = -1.0 } in
-  let eng = Simplex.of_problem ~params (ebf_problem ()) in
-  Alcotest.(check bool) "expired from params" true
-    (Simplex.solve eng = Status.Time_limit)
-
 let test_ebf_time_limit () =
   let inst, tree = Lubt_data.Examples.five_point () in
   let r =
@@ -445,7 +439,6 @@ let () =
         [
           Alcotest.test_case "engine set_time_limit" `Quick
             test_engine_time_limit;
-          Alcotest.test_case "params time_limit" `Quick test_params_time_limit;
           Alcotest.test_case "ebf time_limit" `Quick test_ebf_time_limit;
         ] );
       ( "fault-matrix",
