@@ -36,6 +36,7 @@ module Bst = Lubt_bst.Bst_dme
 module Bench_diff = Lubt_experiments.Bench_diff
 module Trace = Lubt_obs.Trace
 module Chrome_trace = Lubt_obs.Chrome_trace
+module Metrics = Lubt_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Table regeneration                                                   *)
@@ -150,24 +151,29 @@ let run_extensions size =
    clock, pivots and rounds, the violation-scan, row-append and
    simplex-solve times summed over the rounds, the linear-algebra
    counts and the mean LU fill (LU over basis nonzeros). It reads only
-   the stats the solve already returns. *)
+   the stats the solve already returns, plus the baseline route that
+   precedes the call: its wall clock and its merge-cost evaluations,
+   read off the metrics registry. *)
 let run_lp_sweep size =
   Printf.printf "=== LP sweep (skew 0.5, one LUBT call each) ===\n";
-  Printf.printf "%-8s %6s %9s %7s %6s %10s %10s %10s %8s %8s %7s %6s\n%!"
+  Printf.printf "%-8s %6s %9s %7s %6s %10s %10s %10s %8s %8s %7s %6s %8s %9s\n%!"
     "bench" "sinks" "lubt_s" "iters" "rounds" "scan_ms" "append_ms" "solve_ms"
-    "ftran" "btran" "refact" "fill";
+    "ftran" "btran" "refact" "fill" "bst_ms" "bst_evals";
+  Metrics.enable ();
+  let merge_evals = Metrics.counter "lubt_bst_merge_evals_total" in
   List.iter
     (fun spec ->
-      let r =
-        Protocol.run_lubt_from_baseline (Protocol.run_baseline spec ~skew_rel:0.5)
-      in
+      let evals0 = Metrics.read_counter merge_evals in
+      let b = Protocol.run_baseline spec ~skew_rel:0.5 in
+      let bst_evals = Metrics.read_counter merge_evals -. evals0 in
+      let r = Protocol.run_lubt_from_baseline b in
       let e = r.Protocol.ebf in
       let s = e.Ebf.lp_stats in
       let sum_ms f =
         List.fold_left (fun acc rs -> acc +. (f rs *. 1e3)) 0.0 e.Ebf.round_stats
       in
       Printf.printf
-        "%-8s %6d %9.3f %7d %6d %10.1f %10.1f %10.1f %8d %8d %7d %6.2f\n%!"
+        "%-8s %6d %9.3f %7d %6d %10.1f %10.1f %10.1f %8d %8d %7d %6.2f %8.1f %9.0f\n%!"
         spec.Benchmarks.name spec.Benchmarks.num_sinks r.Protocol.lubt_seconds
         s.Simplex.iterations e.Ebf.rounds
         (sum_ms (fun rs -> rs.Ebf.scan_seconds))
@@ -175,7 +181,8 @@ let run_lp_sweep size =
         (sum_ms (fun rs -> rs.Ebf.solve_seconds))
         s.Simplex.ftran_count s.Simplex.btran_count s.Simplex.refactorisations
         (float_of_int s.Simplex.factor_nnz
-        /. float_of_int (max 1 s.Simplex.basis_nnz)))
+        /. float_of_int (max 1 s.Simplex.basis_nnz))
+        (b.Protocol.bst_seconds *. 1e3) bst_evals)
     (Benchmarks.specs size)
 
 (* ------------------------------------------------------------------ *)
@@ -393,7 +400,6 @@ let run_timing ?(seed = 0) ?(jobs = 1) ?(no_scaling = false) json_out =
 module Serve = Lubt_experiments.Serve
 module Json = Lubt_obs.Json
 module Clock = Lubt_obs.Clock
-module Metrics = Lubt_obs.Metrics
 
 (* nearest-rank percentile over a sorted sample array; the shared
    definition in Stats is property-tested against the bucketed

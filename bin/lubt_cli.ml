@@ -454,10 +454,10 @@ let solve_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Record spans for the whole solve (EBF rounds, simplex \
-             runs, FTRAN/BTRAN, embedding passes) and write them as \
-             Chrome trace-event JSON to FILE — load it in Perfetto \
-             (ui.perfetto.dev) or chrome://tracing.")
+            "Record spans for the whole solve (baseline route, EBF \
+             rounds, simplex runs, FTRAN/BTRAN, embedding passes) and \
+             write them as Chrome trace-event JSON to FILE — load it \
+             in Perfetto (ui.perfetto.dev) or chrome://tracing.")
   in
   let convergence =
     Arg.(

@@ -3,6 +3,18 @@ module Trr = Lubt_geom.Trr
 module Tree = Lubt_topo.Tree
 module Instance = Lubt_core.Instance
 module Routed = Lubt_core.Routed
+module Trace = Lubt_obs.Trace
+module Clock = Lubt_obs.Clock
+module Metrics = Lubt_obs.Metrics
+
+let m_merge_evals =
+  Metrics.counter ~help:"Baseline-router merge-cost evaluations"
+    "lubt_bst_merge_evals_total"
+
+(* [Stdlib.max]/[min] typed float: the same results, NaN and signed zero
+   included, from a float compare instead of the polymorphic one. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
 
 type result = {
   routed : Routed.t;
@@ -69,7 +81,7 @@ let wire_splits ~bound ca cb d =
   else begin
     let clamp v = if v < xlo then xlo else if v > xhi then xhi else v in
     let of_x x =
-      let s = max d (abs_float x) in
+      let s = fmax d (abs_float x) in
       ((s +. x) /. 2.0, (s -. x) /. 2.0)
     in
     let splits = ref [] in
@@ -77,9 +89,9 @@ let wire_splits ~bound ca cb d =
     add (of_x (clamp 0.0));
     add (of_x (clamp (cb.tmax -. ca.tmax)));
     (* attach at a: w_a = 0, w_b >= d with -w_b feasible *)
-    let wb_attach = max d (-.xhi) in
+    let wb_attach = fmax d (-.xhi) in
     if -.wb_attach >= xlo -. 1e-12 then add (0.0, wb_attach);
-    let wa_attach = max d xlo in
+    let wa_attach = fmax d xlo in
     if wa_attach <= xhi +. 1e-12 then add (wa_attach, 0.0);
     !splits
   end
@@ -94,54 +106,70 @@ let join ~bound ca cb =
         Some
           {
             reg;
-            tmin = min (ca.tmin +. w_left) (cb.tmin +. w_right);
-            tmax = max (ca.tmax +. w_left) (cb.tmax +. w_right);
+            tmin = fmin (ca.tmin +. w_left) (cb.tmin +. w_right);
+            tmax = fmax (ca.tmax +. w_left) (cb.tmax +. w_right);
             cost = ca.cost +. cb.cost +. w_left +. w_right;
             come_from = Join { left = ca; right = cb; w_left; w_right };
           })
     (wire_splits ~bound ca cb d)
 
-type cluster = { cands : candidate array }  (* sorted by cost *)
+type cluster = {
+  cands : candidate array;  (* sorted by cost *)
+  box : Trr.t;
+      (* rotated bounding box of the regions [merge_cost] reads: those of
+         the first [estimation_candidates] candidates *)
+}
 
-let leaf_cluster p =
-  {
-    cands =
-      [| { reg = Trr.of_point p; tmin = 0.0; tmax = 0.0; cost = 0.0; come_from = Leaf } |];
-  }
+let cluster ~opts cands =
+  let n = min opts.estimation_candidates (Array.length cands) in
+  let box = ref cands.(0).reg in
+  for i = 1 to n - 1 do
+    let b = !box and r = cands.(i).reg in
+    box :=
+      Trr.make ~ulo:(fmin b.Trr.ulo r.Trr.ulo) ~uhi:(fmax b.Trr.uhi r.Trr.uhi)
+        ~vlo:(fmin b.Trr.vlo r.Trr.vlo) ~vhi:(fmax b.Trr.vhi r.Trr.vhi)
+  done;
+  { cands; box = !box }
+
+let leaf_cluster ~opts p =
+  cluster ~opts
+    [| { reg = Trr.of_point p; tmin = 0.0; tmax = 0.0; cost = 0.0; come_from = Leaf } |]
 
 (* Beam selection: the two cheapest candidates always survive; remaining
    slots prefer geometric spread (distinct region centres give later merges
    genuine attachment choices). *)
 let select_beam ~beam_width pool =
-  let sorted = List.sort (fun c1 c2 -> compare c1.cost c2.cost) pool in
-  let spread =
-    match sorted with
-    | [] -> 0.0
-    | first :: rest ->
-      let c0 = Trr.center first.reg in
-      List.fold_left
-        (fun acc c -> max acc (Point.dist c0 (Trr.center c.reg)))
-        0.0 rest
+  let sorted = Array.of_list pool in
+  Array.stable_sort (fun c1 c2 -> compare c1.cost c2.cost) sorted;
+  let n = Array.length sorted in
+  let centres = Array.map (fun c -> Trr.center c.reg) sorted in
+  let spread = ref 0.0 in
+  for i = 1 to n - 1 do
+    spread := fmax !spread (Point.dist centres.(0) centres.(i))
+  done;
+  let min_gap = !spread /. float_of_int (2 * beam_width) in
+  (* indices into [sorted] of the kept candidates, in keeping order *)
+  let kept = Array.make (max 2 beam_width) 0 and nk = ref (min 2 n) in
+  kept.(1) <- 1;
+  let keep gap i =
+    if !nk < beam_width then begin
+      let clash = ref false and k = ref 0 in
+      while (not !clash) && !k < !nk do
+        let j = kept.(!k) in
+        clash :=
+          Point.dist centres.(j) centres.(i) <= gap
+          && abs_float (sorted.(j).tmax -. sorted.(i).tmax) <= 1e-9 +. (gap /. 2.0);
+        incr k
+      done;
+      if not !clash then begin
+        kept.(!nk) <- i;
+        incr nk
+      end
+    end
   in
-  let min_gap = spread /. float_of_int (2 * beam_width) in
-  let cheapest = match sorted with a :: b :: _ -> [ a; b ] | _ -> sorted in
-  let keep gap acc c =
-    if List.length acc >= beam_width then acc
-    else if
-      List.exists
-        (fun kept ->
-          Point.dist (Trr.center kept.reg) (Trr.center c.reg) <= gap
-          && abs_float (kept.tmax -. c.tmax) <= 1e-9 +. (gap /. 2.0))
-        acc
-    then acc
-    else acc @ [ c ]
-  in
-  let kept = List.fold_left (keep min_gap) cheapest sorted in
-  let kept =
-    if List.length kept >= beam_width then kept
-    else List.fold_left (keep 1e-9) kept sorted
-  in
-  let arr = Array.of_list kept in
+  for i = 0 to n - 1 do keep min_gap i done;
+  for i = 0 to n - 1 do keep 1e-9 i done;
+  let arr = Array.init !nk (fun k -> sorted.(kept.(k))) in
   Array.sort (fun c1 c2 -> compare c1.cost c2.cost) arr;
   arr
 
@@ -152,11 +180,13 @@ let merge_clusters ~opts ~bound a b =
     a.cands;
   match select_beam ~beam_width:opts.beam_width !pool with
   | [||] -> None
-  | cands -> Some { cands }
+  | cands -> Some (cluster ~opts cands)
 
 (* Cheapest incremental wire of a merge, estimated on a beam prefix (used
-   by the nearest-neighbour topology selection, where it is evaluated
-   O(m^2) times). *)
+   by the nearest-neighbour topology selection). It is at least the gap
+   between the two clusters' boxes: every split [wire_splits] returns has
+   w_a + w_b >= d, the Trr.distance of the two regions, and the cost terms
+   c.cost - cands.(0).cost are >= 0 because beams are sorted by cost. *)
 let merge_cost ~opts ~bound a b =
   let best = ref infinity in
   let na = min opts.estimation_candidates (Array.length a.cands) in
@@ -202,19 +232,15 @@ let route_unbounded ?source sinks =
     dmax;
   }
 
-let route ?(options = default_options) ?(skew_bound = infinity) ?source sinks =
-  let opts = options in
+(* [evals] counts the [merge_cost] calls. *)
+let route_bounded ~opts ~evals ~bound ?source sinks =
   let m = Array.length sinks in
-  if m = 0 then invalid_arg "Bst_dme.route: no sinks";
-  if m = 1 && source = None then
-    invalid_arg "Bst_dme.route: a single sink needs a source";
-  if skew_bound = infinity then route_unbounded ?source sinks
-  else begin
-  let bound = max 0.0 skew_bound in
   let total_temp = (2 * m) - 1 in
-  let clusters = Array.make total_temp (leaf_cluster (Point.make 0.0 0.0)) in
+  let clusters =
+    Array.make total_temp (leaf_cluster ~opts (Point.make 0.0 0.0))
+  in
   for i = 0 to m - 1 do
-    clusters.(i) <- leaf_cluster sinks.(i)
+    clusters.(i) <- leaf_cluster ~opts sinks.(i)
   done;
   let kids = Array.make total_temp None in
   let alive = Array.make total_temp false in
@@ -224,14 +250,27 @@ let route ?(options = default_options) ?(skew_bound = infinity) ?source sinks =
   let next = ref m in
   (* nearest-partner cache with lazy invalidation *)
   let best = Array.make total_temp (infinity, -1) in
+  (* Partner j is skipped when its box gap exceeds the best cost so far:
+     [merge_cost] is at least that gap (see there), so j cannot win. The
+     margin covers the rounding of (s + x)/2 + (s - x)/2, which can fall a
+     few ulps below s >= d; the box gap itself never exceeds a real pair's
+     d, because float subtraction is monotone. The scan stays ascending
+     with a strict [<], so the first of equal minima still wins and the
+     chosen partner is the one the unpruned scan picks. *)
   let recompute i =
+    let ci = clusters.(i) in
     let bc = ref infinity and bp = ref (-1) in
     for j = 0 to !next - 1 do
       if j <> i && alive.(j) then begin
-        let c = merge_cost ~opts ~bound clusters.(i) clusters.(j) in
-        if c < !bc then begin
-          bc := c;
-          bp := j
+        let cj = clusters.(j) in
+        let gap = Trr.distance ci.box cj.box in
+        if not (gap > !bc +. (1e-9 *. (1.0 +. !bc))) then begin
+          incr evals;
+          let c = merge_cost ~opts ~bound ci cj in
+          if c < !bc then begin
+            bc := c;
+            bp := j
+          end
         end
       end
     done;
@@ -342,7 +381,25 @@ let route ?(options = default_options) ?(skew_bound = infinity) ?source sinks =
   if steiner.dmax -. steiner.dmin <= bound && steiner.cost < merged.cost then
     steiner
   else merged
-  end
+
+let route ?(options = default_options) ?(skew_bound = infinity) ?source sinks =
+  let m = Array.length sinks in
+  if m = 0 then invalid_arg "Bst_dme.route: no sinks";
+  if m = 1 && source = None then
+    invalid_arg "Bst_dme.route: a single sink needs a source";
+  let t0 = if Trace.enabled () then Clock.now () else 0.0 in
+  let evals = ref 0 in
+  let r =
+    if skew_bound = infinity then route_unbounded ?source sinks
+    else
+      route_bounded ~opts:options ~evals ~bound:(fmax 0.0 skew_bound) ?source
+        sinks
+  in
+  Metrics.incr ~by:(float_of_int !evals) m_merge_evals;
+  if Trace.enabled () then
+    Trace.complete ~t0 "bst.route"
+      ~args:[ ("sinks", Trace.Int m); ("merge_evals", Trace.Int !evals) ];
+  r
 
 let extract_instance r =
   let inst = r.routed.Routed.instance in
@@ -352,6 +409,6 @@ let extract_instance r =
      and the baseline's own solution must stay LP-feasible *)
   let eps = 1e-9 *. (1.0 +. r.dmax) in
   Instance.create ?source:inst.Instance.source ~sinks:inst.Instance.sinks
-    ~lower:(Array.make m (max 0.0 (r.dmin -. eps)))
+    ~lower:(Array.make m (fmax 0.0 (r.dmin -. eps)))
     ~upper:(Array.make m (r.dmax +. eps))
     ()

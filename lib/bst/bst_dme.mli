@@ -30,7 +30,19 @@
     attach moves dominate and it behaves like a nearest-region Steiner
     heuristic. Unlike the LUBT LP, the merge order and the wire splits are
     greedy, so the result is a heuristic upper bound on cost — exactly the
-    baseline role [9] plays in Tables 1-2. *)
+    baseline role [9] plays in Tables 1-2.
+
+    The nearest-partner search evaluates a merge cost only for partners
+    that can still win: every split costs at least the distance of the
+    two regions, so a partner whose cluster box (over its estimation
+    prefix) lies farther than the best cost found so far is skipped. The
+    skip is exact — the tree is the one the full scan builds — and cuts
+    the evaluations from about 2m{^2} to a few per cluster (4,178 for
+    the scaled r3s field at skew 0.5, m = 220).
+
+    Each route records a [bst.route] trace span (args [sinks],
+    [merge_evals]) and adds its evaluations to the
+    [lubt_bst_merge_evals_total] counter of {!Lubt_obs.Metrics}. *)
 
 type options = {
   beam_width : int;  (** candidates kept per cluster (default 8) *)

@@ -11,13 +11,6 @@ type t = {
 let cost t =
   Lubt_util.Stats.sum (Array.sub t.lengths 1 (Array.length t.lengths - 1))
 
-let weighted_cost t weights =
-  let acc = ref 0.0 in
-  for i = 1 to Array.length t.lengths - 1 do
-    acc := !acc +. (weights.(i) *. t.lengths.(i))
-  done;
-  !acc
-
 let sink_delays t = Lubt_delay.Linear.sink_delays t.tree t.lengths
 
 let skew t = Lubt_delay.Linear.skew t.tree t.lengths

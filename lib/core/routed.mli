@@ -15,8 +15,6 @@ type t = {
 val cost : t -> float
 (** Total wire length [sum_k e_k]. *)
 
-val weighted_cost : t -> float array -> float
-
 val sink_delays : t -> float array
 (** Linear-model delay per sink, in instance order. *)
 

@@ -1,5 +1,12 @@
 type t = { ulo : float; uhi : float; vlo : float; vhi : float }
 
+(* [Stdlib.max]/[min] with the arguments typed float: the same results
+   (NaN and signed zero included), but the comparison compiles to a float
+   compare instead of a call to the polymorphic one. The router evaluates
+   [distance] and [intersect] in its innermost loops. *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
+
 let make ~ulo ~uhi ~vlo ~vhi =
   assert (ulo <= uhi && vlo <= vhi);
   { ulo; uhi; vlo; vhi }
@@ -18,8 +25,8 @@ let of_points points =
       let u, v = Point.to_rotated p in
       let b = !box in
       box :=
-        { ulo = min b.ulo u; uhi = max b.uhi u;
-          vlo = min b.vlo v; vhi = max b.vhi v }
+        { ulo = fmin b.ulo u; uhi = fmax b.uhi u;
+          vlo = fmin b.vlo v; vhi = fmax b.vhi v }
     in
     List.iter extend rest;
     !box
@@ -32,7 +39,7 @@ let is_point ?(eps = 1e-9) t =
 
 let width t =
   let eu, ev = extents t in
-  min eu ev
+  fmin eu ev
 
 let center t = Point.of_rotated ((t.ulo +. t.uhi) /. 2.0) ((t.vlo +. t.vhi) /. 2.0)
 
@@ -47,8 +54,8 @@ let subset ?(eps = 1e-9) a b =
 let equal ?(eps = 1e-9) a b = subset ~eps a b && subset ~eps b a
 
 let intersect a b =
-  let ulo = max a.ulo b.ulo and uhi = min a.uhi b.uhi in
-  let vlo = max a.vlo b.vlo and vhi = min a.vhi b.vhi in
+  let ulo = fmax a.ulo b.ulo and uhi = fmin a.uhi b.uhi in
+  let vlo = fmax a.vlo b.vlo and vhi = fmin a.vhi b.vhi in
   if ulo <= uhi && vlo <= vhi then Some { ulo; uhi; vlo; vhi } else None
 
 let intersect_all = function
@@ -64,12 +71,12 @@ let expand t r =
   { ulo = t.ulo -. r; uhi = t.uhi +. r; vlo = t.vlo -. r; vhi = t.vhi +. r }
 
 (* Distance between 1-D intervals; 0 when they overlap. *)
-let interval_gap alo ahi blo bhi = max 0.0 (max (blo -. ahi) (alo -. bhi))
+let interval_gap alo ahi blo bhi = fmax 0.0 (fmax (blo -. ahi) (alo -. bhi))
 
 let distance a b =
   let gu = interval_gap a.ulo a.uhi b.ulo b.uhi in
   let gv = interval_gap a.vlo a.vhi b.vlo b.vhi in
-  max gu gv
+  fmax gu gv
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
@@ -83,7 +90,7 @@ let dist_to_point t p = Point.dist (closest_point t p) p
    overlap; otherwise each takes its facing endpoint, realising the gap. *)
 let closest_pair a b =
   let axis alo ahi blo bhi =
-    let lo = max alo blo and hi = min ahi bhi in
+    let lo = fmax alo blo and hi = fmin ahi bhi in
     if lo <= hi then
       let m = (lo +. hi) /. 2.0 in
       (m, m)

@@ -23,12 +23,10 @@ val of_points : Point.t list -> t
 
 val is_point : ?eps:float -> t -> bool
 
-val extents : t -> float * float
-(** Side extents [(uhi - ulo, vhi - vlo)] in rotated coordinates. *)
-
 val width : t -> float
-(** Smaller of the two extents; [0] for segments and points (paper: "the
-    width of a TRR is the length of the smaller sides"). *)
+(** Smaller of the two side extents [uhi - ulo] and [vhi - vlo]; [0] for
+    segments and points (paper: "the width of a TRR is the length of the
+    smaller sides"). *)
 
 val center : t -> Point.t
 

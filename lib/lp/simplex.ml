@@ -806,15 +806,12 @@ let add_rows t rows =
         sp;
       Basis.append_row t.basis (Sparse.of_assoc !border);
       t.since_refactor <- t.since_refactor + 1;
+      (* the new auxiliary variable enters the basis; its value, like
+         every basic value, is recomputed before the next solve *)
       t.xb_stale <- true;
       t.d_fresh <- false;
-      (* the new auxiliary variable enters the basis at the row's activity *)
-      let activity =
-        Sparse.fold (fun j v acc -> acc +. (v *. value t j)) sp 0.0
-      in
       t.basic.(r_new) <- aux;
       t.vstat.(aux) <- Basic r_new;
-      t.xb.(r_new) <- activity;
       t.m <- t.m + 1;
       t.last_status <- Status.Iteration_limit)
     rows

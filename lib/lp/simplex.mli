@@ -82,9 +82,6 @@ type recovery_stage =
           the degenerate vertex, then restore the exact bounds and
           re-solve cleanly *)
 
-val default_recovery : recovery_stage list
-(** All three stages in the order above. *)
-
 type params = {
   max_iters : int;  (** 0 means choose automatically from the size *)
   refactor_every : int;  (** pivots between basis refactorisations *)
@@ -93,7 +90,8 @@ type params = {
           numerical failure (singular factorisation, zero pivot,
           post-solve validation reject) applies the next stage and
           retries the solve; an exhausted (or empty) ladder yields
-          {!Status.Numerical_failure}. Default {!default_recovery}. *)
+          {!Status.Numerical_failure}. Default: all three stages in the
+          order above. *)
   fault : fault option;  (** deterministic fault injection (default [None]) *)
 }
 
@@ -121,9 +119,6 @@ type recoveries = {
           column data and never the factorisation *)
 }
 (** Recovery-ladder telemetry; all zero on a numerically clean solve. *)
-
-val no_recoveries : recoveries
-(** The all-zero record a numerically clean solve reports. *)
 
 val recovery_attempts : recoveries -> int
 (** Total ladder stages applied (sum of the three stage counters;

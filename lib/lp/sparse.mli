@@ -25,8 +25,6 @@ val nnz : t -> int
 
 val iter : (int -> float -> unit) -> t -> unit
 
-val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
-
 val dot_dense : t -> float array -> float
 (** Dot product with a dense vector; indices must be within bounds. *)
 

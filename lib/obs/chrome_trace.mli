@@ -18,16 +18,13 @@
     its workers as separate horizontal tracks. Timestamps are
     rebased to the earliest event so traces start near zero. *)
 
-val to_json : ?pid:int -> ?dropped:int -> Trace.event list -> Json.t
-(** [to_json events] is the [{"traceEvents": [...]}] object.
+val to_string : ?pid:int -> ?dropped:int -> Trace.event list -> string
+(** [to_string events] is the compact [{"traceEvents": [...]}] object.
     [pid] defaults to the OS process id. When [dropped] (typically
     {!Trace.dropped}[ ()]) is positive, a [trace_dropped_events]
     metadata event carrying the count is appended, so a recording
     whose ring wrapped is visibly truncated instead of silently
     short. *)
-
-val to_string : ?pid:int -> ?dropped:int -> Trace.event list -> string
-(** Compact rendering of {!to_json}. *)
 
 val write : ?pid:int -> ?dropped:int -> string -> Trace.event list -> unit
 (** [write path events] writes {!to_string} to [path]. *)

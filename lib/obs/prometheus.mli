@@ -13,12 +13,3 @@
 val render : Metrics.sample list -> string
 (** The full exposition page for a snapshot, typically
     [render (Metrics.snapshot ())]. Ends with a newline. *)
-
-val render_sample : Buffer.t -> Metrics.sample -> unit
-(** Appends one sample's series lines (no [# HELP]/[# TYPE] header). *)
-
-val escape_label_value : string -> string
-(** Backslash-escapes backslash, double-quote and newline. *)
-
-val escape_help : string -> string
-(** Backslash-escapes backslash and newline (quotes stay bare). *)

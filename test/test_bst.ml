@@ -1,6 +1,7 @@
 (* Tests for the bounded-skew baseline router: skew-bound compliance,
    embedding validity, degenerate inputs, ZST behaviour at bound 0,
-   monotone trends, and the Table-1 protocol glue (extract_instance). *)
+   monotone trends, the Table-1 protocol glue (extract_instance), and the
+   router's output and work pinned on the benchmark fields. *)
 
 module Point = Lubt_geom.Point
 module Tree = Lubt_topo.Tree
@@ -11,6 +12,8 @@ module Zeroskew = Lubt_core.Zeroskew
 module Bst = Lubt_bst.Bst_dme
 module Status = Lubt_lp.Status
 module Prng = Lubt_util.Prng
+module Benchmarks = Lubt_data.Benchmarks
+module Metrics = Lubt_obs.Metrics
 
 let pt = Point.make
 
@@ -137,6 +140,69 @@ let test_grid_instance () =
      8 * 2 * 10 = ... just sanity-check the cost is in a plausible window *)
   Alcotest.(check bool) "plausible cost" true (r.Bst.cost >= 150.0 && r.Bst.cost <= 400.0)
 
+(* dune runtest runs the exe next to fixtures/; a manual dune exec runs
+   from the project root *)
+let fixtures_dir =
+  if Sys.file_exists "fixtures" then "fixtures"
+  else Filename.concat "test" "fixtures"
+
+(* The nearest-partner search skips a partner j whose box gap exceeds the
+   best merge cost bc found so far, by more than 1e-9 (1 + bc). That skip
+   never changes the tree:
+   - every wire split (w_a, w_b) of two candidates has w_a + w_b >= d, the
+     distance of their regions: the balance and cheapest splits total
+     s = max(d, |x|), and each attach move puts max(d, .) on one side;
+   - merge_cost adds c.cost - cands.(0).cost >= 0 per side (beams are
+     sorted by cost), so merge_cost >= the least d over the estimation
+     prefixes >= the gap between the rotated boxes of those prefixes;
+   - in floats, a box gap never exceeds a real pair's d (subtraction and
+     max are monotone), and (s + x)/2 + (s - x)/2 falls at most a few ulps
+     below s, which the 1e-9 relative margin covers;
+   - a skipped j therefore costs more than bc and would fail the scan's
+     strict [<]; the scan stays ascending, so the first of equal minima
+     still wins and every merge, candidate and length is unchanged.
+   The fixture holds the digests of the router before the pruning: the
+   tiny and scaled fields, uniform and clustered, at their own seed and
+   seeds 0-2, at skew 0, 0.05, 0.1, 0.25, 0.5, 1 and 2 x the radius. *)
+let test_golden_router () =
+  let expected =
+    In_channel.with_open_text
+      (Filename.concat fixtures_dir "bst_router.golden")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = Bst_golden.lines () in
+  Alcotest.(check int) "cases" (List.length expected) (List.length got);
+  let changed = List.filter (fun (e, g) -> e <> g) (List.combine expected got) in
+  match changed with
+  | [] -> ()
+  | (e, g) :: _ ->
+    Alcotest.failf "%d of %d routes changed; first: expected %s, got %s"
+      (List.length changed) (List.length got) e g
+
+(* The pruned search on scaled r3s at skew 0.5 does at most m^2 / 4
+   merge-cost evaluations (12,100 for m = 220; the unpruned scan did
+   103,808), read off the registry counter the router adds to once per
+   route. *)
+let test_merge_evals_bound () =
+  let spec = Benchmarks.find Benchmarks.Scaled "r3s" in
+  let m = spec.Benchmarks.num_sinks in
+  let was_enabled = Metrics.enabled () in
+  Metrics.enable ();
+  let evals =
+    Fun.protect
+      ~finally:(fun () -> if not was_enabled then Metrics.disable ())
+      (fun () ->
+        let c = Metrics.counter "lubt_bst_merge_evals_total" in
+        let before = Metrics.read_counter c in
+        ignore (Bst_golden.route spec ~skew_rel:0.5);
+        Metrics.read_counter c -. before)
+  in
+  if evals > float_of_int (m * m / 4) then
+    Alcotest.failf "%.0f merge-cost evaluations for %d sinks > m^2 / 4" evals m;
+  Alcotest.(check bool) "the counter saw the route" true (evals > 0.0)
+
 let prop_skew_bound =
   QCheck.Test.make ~name:"achieved skew within requested bound" ~count:60
     QCheck.(triple small_int (int_range 2 15) (float_range 0.0 50.0))
@@ -170,6 +236,12 @@ let () =
         [
           Alcotest.test_case "extract_instance feasibility" `Slow
             test_extract_instance_protocol;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "golden router digests" `Slow test_golden_router;
+          Alcotest.test_case "merge-cost evaluations <= m^2/4" `Quick
+            test_merge_evals_bound;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_skew_bound ]);
     ]
