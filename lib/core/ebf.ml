@@ -81,6 +81,7 @@ type result = {
   lp_stats : Simplex.stats;
   certificate : Certify.report option;
   cache_outcome : cache_outcome;
+  lp : Problem.t Lazy.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -137,26 +138,40 @@ let full_row_count inst =
 (* Eager formulation (Section 4.3 verbatim)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* one row per terminal pair of distinct locations, in pair order *)
-let add_steiner_rows tree terms prob =
-  let t = Array.length terms in
-  for i = 0 to t - 1 do
-    for j = i + 1 to t - 1 do
+(* The one Steiner-row builder: the row "path(a,b) >= dist(a,b)", named
+   steiner_a_b, of each given terminal pair (indices into [terms]), in the
+   given order and unfiltered. *)
+let add_steiner_rows tree terms pairs prob =
+  (* per-terminal strings make each name one concatenation: a cached
+     solve rebuilds every seed row, and a Printf per row showed in its
+     latency *)
+  let node = Array.map (fun (a, _) -> string_of_int a) terms in
+  let prefix = Array.map (fun a -> "steiner_" ^ a ^ "_") node in
+  List.iter
+    (fun (i, j) ->
       let a, pa = terms.(i) and b, pb = terms.(j) in
-      let d = Point.dist pa pb in
-      if d > 0.0 then
-        ignore
-          (Problem.add_row prob
-             ~name:(Printf.sprintf "steiner_%d_%d" a b)
-             ~lo:d ~up:infinity (path_coeffs tree a b))
+      ignore
+        (Problem.add_row prob ~name:(prefix.(i) ^ node.(j)) ~lo:(Point.dist pa pb)
+           ~up:infinity (path_coeffs tree a b)))
+    pairs
+
+let distinct_pairs terms =
+  let t = Array.length terms in
+  let acc = ref [] in
+  for i = t - 1 downto 0 do
+    for j = t - 1 downto i + 1 do
+      if Point.dist (snd terms.(i)) (snd terms.(j)) > 0.0 then
+        acc := (i, j) :: !acc
     done
-  done
+  done;
+  !acc
 
 let formulate ?weights inst tree =
   check_tree_matches inst tree;
   let prob = Problem.create () in
   add_edge_vars ?weights tree prob;
-  add_steiner_rows tree (terminals inst tree) prob;
+  let terms = terminals inst tree in
+  add_steiner_rows tree terms (distinct_pairs terms) prob;
   add_delay_rows inst tree prob;
   prob
 
@@ -265,12 +280,14 @@ let delay_row_sinks (inst : Instance.t) =
   Array.of_list (List.rev !acc)
 
 type run = {
-  problem : Problem.t;
+  lp : Problem.t Lazy.t;
   engine : Simplex.t;
   run_status : Status.t;
   run_rounds : int;
   run_round_stats : round_stat list;
   run_lengths : float array;
+  run_pairs : (int * int) list;
+  run_installed : (unit, Simplex.basis_mismatch) Stdlib.result;
 }
 
 let lengths_of_primal tree primal =
@@ -284,8 +301,9 @@ let lengths_of_primal tree primal =
 (* The lazy Steiner-row generator (Section 4.6), the one loop behind every
    formulation: the edge columns, the formulation's own columns and delay
    rows ([delay_rows]), the seed pairs (or a cached row layout, [warm]),
-   then rounds of solve, scan and append. Returns the run, the Steiner
-   pairs in append order, and whether the cached basis installed. *)
+   then rounds of solve, scan and append. The rounds log the pairs they
+   append; the run's [lp] rebuilds the solved LP from that log, and its
+   [run_pairs] is the row layout a cached basis refers to. *)
 let run_generator ~options ~warm ?weights (inst : Instance.t) tree delay_rows =
   let terms = terminals inst tree in
   let t = Array.length terms in
@@ -297,64 +315,54 @@ let run_generator ~options ~warm ?weights (inst : Instance.t) tree delay_rows =
     max 1.0 (Instance.diameter inst +. Instance.radius inst)
   in
   let eager = (not options.lazy_steiner) || t <= 12 in
-  let row_of_pair (i, j) =
-    let a, pa = terms.(i) and b, pb = terms.(j) in
-    let d = Point.dist pa pb in
-    (path_coeffs tree a b, d)
+  (* the seed's Steiner pairs, in row order *)
+  let seed =
+    match warm with
+    | Some e ->
+      (* warm path: reproduce the parent's exact row layout. Distances are
+         recomputed against the CURRENT geometry (a parent hit may have
+         moved a sink); rows the parent materialised are kept even when
+         the edited distance degenerates to zero, because dropping one
+         would shift every later row index under the cached basis. *)
+      let pairs = Array.to_list e.Cache.e_pairs in
+      List.iter (fun (i, j) -> Steiner_pairs.add added i j) pairs;
+      pairs
+    | None ->
+      let seed_pairs =
+        if eager then begin
+          let all = Hashtbl.create (t * t) in
+          for i = 0 to t - 1 do
+            for j = i + 1 to t - 1 do
+              Hashtbl.replace all (i, j) ()
+            done
+          done;
+          all
+        end
+        else begin
+          let pairs = Hashtbl.create (t * knn) in
+          Steiner_pairs.nearest terms knn (fun i j ->
+              let key = (min i j, max i j) in
+              if not (Hashtbl.mem pairs key) then Hashtbl.replace pairs key ());
+          (* all source-sink rows: cheap and almost always binding *)
+          (match inst.Instance.source with
+          | Some _ ->
+            for j = 1 to t - 1 do
+              Hashtbl.replace pairs (0, j) ()
+            done
+          | None -> ());
+          pairs
+        end
+      in
+      let rows = ref [] in
+      Hashtbl.iter
+        (fun ((i, j) as key) () ->
+          Steiner_pairs.add added i j;
+          if Point.dist (snd terms.(i)) (snd terms.(j)) > 0.0 then
+            rows := key :: !rows)
+        seed_pairs;
+      List.rev !rows
   in
-  (* every Steiner row actually appended, in append order — this IS the
-     row layout a cached basis refers to, so it is recorded verbatim in
-     the snapshot stored at the end *)
-  let row_log = ref [] in
-  (match warm with
-  | Some e ->
-    (* warm path: reproduce the parent's exact row layout. Distances are
-       recomputed against the CURRENT geometry (a parent hit may have
-       moved a sink); rows the parent materialised are kept even when the
-       edited distance degenerates to zero, because dropping one would
-       shift every later row index under the cached basis. *)
-    Array.iter
-      (fun ((i, j) as key) ->
-        Steiner_pairs.add added i j;
-        row_log := key :: !row_log;
-        let coeffs, d = row_of_pair key in
-        ignore (Problem.add_row prob ~lo:d ~up:infinity coeffs))
-      e.Cache.e_pairs
-  | None ->
-    let seed_pairs =
-      if eager then begin
-        let all = Hashtbl.create (t * t) in
-        for i = 0 to t - 1 do
-          for j = i + 1 to t - 1 do
-            Hashtbl.replace all (i, j) ()
-          done
-        done;
-        all
-      end
-      else begin
-        let pairs = Hashtbl.create (t * knn) in
-        Steiner_pairs.nearest terms knn (fun i j ->
-            let key = (min i j, max i j) in
-            if not (Hashtbl.mem pairs key) then Hashtbl.replace pairs key ());
-        (* all source-sink rows: cheap and almost always binding *)
-        (match inst.Instance.source with
-        | Some _ ->
-          for j = 1 to t - 1 do
-            Hashtbl.replace pairs (0, j) ()
-          done
-        | None -> ());
-        pairs
-      end
-    in
-    Hashtbl.iter
-      (fun ((i, j) as key) () ->
-        Steiner_pairs.add added i j;
-        let coeffs, d = row_of_pair key in
-        if d > 0.0 then begin
-          row_log := key :: !row_log;
-          ignore (Problem.add_row prob ~lo:d ~up:infinity coeffs)
-        end)
-      seed_pairs);
+  add_steiner_rows tree terms seed prob;
   let eng = Simplex.of_problem ~params:options.lp_params prob in
   (* install the cached basis; the next solve warm-restarts the dual
      simplex from the parent optimum. A snapshot that fails validation or
@@ -380,6 +388,8 @@ let run_generator ~options ~warm ?weights (inst : Instance.t) tree delay_rows =
   (* main loop: solve, scan all pairs for violated Steiner constraints via
      O(1) LCA path lengths, add the worst, re-optimise (dual simplex) *)
   let round_stats = ref [] in
+  (* the pairs the rounds append, newest first *)
+  let appended = ref [] in
   let rec loop rounds =
     Metrics.incr m_rounds;
     let solve_t0 = Clock.now () in
@@ -461,19 +471,14 @@ let run_generator ~options ~warm ?weights (inst : Instance.t) tree delay_rows =
         let append_t0 = Clock.now () in
         let rows =
           List.map
-            (fun ((i, j) as key) ->
+            (fun (i, j) ->
               Steiner_pairs.add added i j;
-              row_log := key :: !row_log;
-              let coeffs, dist = row_of_pair key in
-              (dist, infinity, coeffs))
+              let a, pa = terms.(i) and b, pb = terms.(j) in
+              (Point.dist pa pb, infinity, path_coeffs tree a b))
             worst
         in
         Simplex.add_rows eng rows;
-        (* mirror the rows into the model so the materialised LP is
-           available for a-posteriori certification *)
-        List.iter
-          (fun (lo, up, coeffs) -> ignore (Problem.add_row prob ~lo ~up coeffs))
-          rows;
+        appended := List.rev_append worst !appended;
         let append_seconds = Clock.now () -. append_t0 in
         let take = List.length rows in
         if Trace.enabled () then
@@ -487,24 +492,24 @@ let run_generator ~options ~warm ?weights (inst : Instance.t) tree delay_rows =
     end
   in
   let status, rounds = loop 1 in
-  ( {
-      problem = prob;
-      engine = eng;
-      run_status = status;
-      run_rounds = rounds;
-      run_round_stats = List.rev !round_stats;
-      run_lengths = lengths_of_primal tree (Simplex.primal eng);
-    },
-    List.rev !row_log,
-    installed )
+  let appended = List.rev !appended in
+  {
+    (* the LP the engine solved, rebuilt from the instance: the seed model
+       plus the appended pairs' rows *)
+    lp = lazy (add_steiner_rows tree terms appended prob; prob);
+    engine = eng;
+    run_status = status;
+    run_rounds = rounds;
+    run_round_stats = List.rev !round_stats;
+    run_lengths = lengths_of_primal tree (Simplex.primal eng);
+    run_pairs = seed @ appended;
+    run_installed = installed;
+  }
 
 let generate ?weights inst tree delay_rows =
   check_tree_matches inst tree;
-  let run, _, _ =
-    run_generator ~options:default_options ~warm:None ?weights inst tree
-      delay_rows
-  in
-  run
+  run_generator ~options:default_options ~warm:None ?weights inst tree
+    delay_rows
 
 let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
   check_tree_matches inst tree;
@@ -548,11 +553,11 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
         then reject "terminal pair out of range"
         else (Some e, outcome_of lk))
   in
-  let run, pairs, installed =
+  let run =
     run_generator ~options ~warm ?weights inst tree (add_delay_rows inst tree)
   in
   let cache_outcome =
-    match installed with
+    match run.run_installed with
     | Ok () -> cache_outcome
     | Error bm ->
       let reason = Format.asprintf "%a" Simplex.pp_basis_mismatch bm in
@@ -571,7 +576,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
       (run.run_status, None)
     else begin
       let report =
-        Certify.check ~level:options.check run.problem (Simplex.solution eng)
+        Certify.check ~level:options.check (Lazy.force run.lp)
+          (Simplex.solution eng)
       in
       let report =
         if not report.Certify.ok then report
@@ -599,7 +605,7 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
         e_key = key;
         e_basis = Simplex.warm_basis eng;
         e_delay = delay_sinks;
-        e_pairs = Array.of_list pairs;
+        e_pairs = Array.of_list run.run_pairs;
         e_objective = Simplex.objective eng;
       }
   | _ -> ());
@@ -615,4 +621,5 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
     lp_stats = Simplex.stats eng;
     certificate;
     cache_outcome;
+    lp = run.lp;
   }

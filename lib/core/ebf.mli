@@ -102,9 +102,9 @@ type round_stat = {
       (** wall time of the all-pairs violation scan, which also selects
           the round's rows *)
   append_seconds : float;
-      (** wall time of appending the round's rows: the row build,
-          {!Lubt_lp.Simplex.add_rows} and the mirror into the
-          materialised model *)
+      (** wall time of appending the round's rows: the row build and
+          {!Lubt_lp.Simplex.add_rows}. The rows of {!result}[.lp] are
+          built later, only when it is forced. *)
   solve_seconds : float;  (** wall time of this round's LP (re-)solve *)
   solve_pivots : int;
       (** simplex pivots of this round's solve; from round 2 on these are
@@ -131,6 +131,21 @@ type result = {
   cache_outcome : cache_outcome;
       (** what the cross-request cache contributed ({!Cache_off} when no
           cache was configured) *)
+  lp : Lubt_lp.Problem.t Lazy.t;
+      (** the LP the engine solved: the columns and delay rows of
+          {!formulate}, then the Steiner rows the generator materialised,
+          in row order, each named [steiner_a_b] after its terminal nodes
+          by {!add_steiner_rows}. It is rebuilt from the instance and the
+          generator's pair log, never copied out of the engine, so
+          certification shares no state with the solver and a corrupted
+          engine cannot certify itself. Forcing it builds each Steiner
+          row appended by a round once more; certification forces it,
+          an uncertified solve never does.
+
+          It is a relaxation of {!formulate}: a status of [Infeasible]
+          on it proves the full LP infeasible, and its optimum, when it
+          satisfies every Steiner row ({!check_lengths}), is the full
+          optimum. *)
 }
 
 val formulate : ?weights:float array -> Instance.t -> Lubt_topo.Tree.t -> Lubt_lp.Problem.t
@@ -163,13 +178,19 @@ val solve :
     {!Skew_lp} is another, with different delay rows. *)
 
 type run = {
-  problem : Lubt_lp.Problem.t;
-      (** the materialised LP: every column and every row appended *)
+  lp : Lubt_lp.Problem.t Lazy.t;
+      (** the LP the engine solved, as {!result}[.lp]: every column, then
+          every Steiner row in row order *)
   engine : Lubt_lp.Simplex.t;  (** the engine after the last round *)
   run_status : Lubt_lp.Status.t;
   run_rounds : int;
   run_round_stats : round_stat list;
   run_lengths : float array;  (** edge lengths indexed by node id *)
+  run_pairs : (int * int) list;
+      (** the terminal pair (indices into {!terminals}) of every Steiner
+          row, in row order: the layout a cached basis refers to *)
+  run_installed : (unit, Lubt_lp.Simplex.basis_mismatch) Stdlib.result;
+      (** whether the cached basis installed; [Ok ()] on a cold run *)
 }
 
 val generate :
@@ -198,10 +219,21 @@ val path_coeffs : Lubt_topo.Tree.t -> int -> int -> (int * float) list
     path from node [a] to node [b]" over the edge columns. *)
 
 val add_steiner_rows :
-  Lubt_topo.Tree.t -> (int * Lubt_geom.Point.t) array -> Lubt_lp.Problem.t -> unit
-(** [add_steiner_rows tree terms prob] adds the Steiner row of every
-    pair of terminals at distinct locations, in pair order: the rows of
-    {!formulate}. *)
+  Lubt_topo.Tree.t ->
+  (int * Lubt_geom.Point.t) array ->
+  (int * int) list ->
+  Lubt_lp.Problem.t ->
+  unit
+(** [add_steiner_rows tree terms pairs prob] adds, for each pair [(i, j)]
+    of indices into [terms], in the given order and unfiltered, the
+    Steiner row [path(a, b) >= dist(a, b)] of terminals [a] and [b],
+    named [steiner_a_b] by their node ids. It is the one place a Steiner
+    row enters a model: {!formulate}, the generator's seed and
+    {!result}[.lp] all call it. *)
+
+val distinct_pairs : (int * Lubt_geom.Point.t) array -> (int * int) list
+(** The pairs [(i, j)], [i < j], of terminals at distinct locations, in
+    pair order: the Steiner rows of {!formulate}. *)
 
 val check_lengths :
   ?tol:float -> Instance.t -> Lubt_topo.Tree.t -> float array -> (unit, string) Stdlib.result

@@ -4,15 +4,10 @@ module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
 module Status = Lubt_lp.Status
 
-type options = {
-  max_outer : int;
-  initial_trust : float;
-  tol : float;
-  penalty : float;
-}
-
-let default_options =
-  { max_outer = 60; initial_trust = 0.5; tol = 1e-7; penalty = 1e4 }
+let max_outer = 60
+let initial_trust = 0.5
+let tol = 1e-7
+let penalty = 1e4
 
 type status = Converged | Stalled | Lp_failure of Status.t
 
@@ -53,24 +48,25 @@ let initial_lengths inst tree =
   let r = Ebf.solve relaxed tree in
   (r.Ebf.status, r.Ebf.lengths)
 
-let solve ?(options = default_options) ~wire ~loads (inst : Instance.t) tree =
+let solve ~wire ~loads (inst : Instance.t) tree =
   if Array.length loads <> Instance.num_sinks inst then
     invalid_arg "Elmore_ebf.solve: loads length mismatch";
   let n = Tree.num_nodes tree in
   let radius = max 1.0 (Instance.radius inst) in
   let terms = Ebf.terminals inst tree in
+  let pairs = Ebf.distinct_pairs terms in
   let sink_nodes = Tree.sinks tree in
   let status0, start = initial_lengths inst tree in
   match status0 with
   | Status.Optimal ->
     let current = ref start in
-    let trust = ref (options.initial_trust *. radius) in
+    let trust = ref (initial_trust *. radius) in
     let merit lengths =
-      cost_of lengths +. (options.penalty *. violation inst tree wire loads lengths)
+      cost_of lengths +. (penalty *. violation inst tree wire loads lengths)
     in
     let finished = ref None in
     let outer = ref 0 in
-    while !finished = None && !outer < options.max_outer do
+    while !finished = None && !outer < max_outer do
       incr outer;
       let e0 = !current in
       (* linearised subproblem around e0 *)
@@ -84,7 +80,7 @@ let solve ?(options = default_options) ~wire ~loads (inst : Instance.t) tree =
       done;
       (* Steiner rows over all terminal pairs (these are exact, not
          linearised) *)
-      Ebf.add_steiner_rows tree terms prob;
+      Ebf.add_steiner_rows tree terms pairs prob;
       (* linearised Elmore rows: delay(e) ~ delay(e0) + g.(e - e0) *)
       Array.iteri
         (fun k node ->
@@ -121,24 +117,24 @@ let solve ?(options = default_options) ~wire ~loads (inst : Instance.t) tree =
           done;
           !worst
         in
-        if merit cand < merit e0 -. (options.tol *. radius) then begin
+        if merit cand < merit e0 -. (tol *. radius) then begin
           current := cand;
-          trust := min (!trust *. 1.5) (options.initial_trust *. radius)
+          trust := min (!trust *. 1.5) (initial_trust *. radius)
         end
         else begin
           trust := !trust /. 2.0;
-          if !trust < options.tol *. radius then
+          if !trust < tol *. radius then
             finished :=
               Some
                 (if
                    violation inst tree wire loads e0
-                   <= options.tol *. radius *. 10.0
+                   <= tol *. radius *. 10.0
                  then Converged
                  else Stalled)
         end;
         if
-          step <= options.tol *. radius
-          && violation inst tree wire loads !current <= options.tol *. radius *. 10.0
+          step <= tol *. radius
+          && violation inst tree wire loads !current <= tol *. radius *. 10.0
         then finished := Some Converged
       | Status.Infeasible ->
         (* trust region too tight around an infeasible point: widen *)
@@ -151,7 +147,7 @@ let solve ?(options = default_options) ~wire ~loads (inst : Instance.t) tree =
       match !finished with
       | Some s -> s
       | None ->
-        if violation inst tree wire loads lengths <= options.tol *. radius *. 10.0
+        if violation inst tree wire loads lengths <= tol *. radius *. 10.0
         then Converged
         else Stalled
     in

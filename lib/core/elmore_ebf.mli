@@ -10,14 +10,21 @@
     to the optimum; with positive lower bounds it is a local method, as in
     the paper. *)
 
-type options = {
-  max_outer : int;  (** SLP iterations (default 60) *)
-  initial_trust : float;  (** trust-region radius / instance radius *)
-  tol : float;  (** relative convergence tolerance *)
-  penalty : float;  (** merit-function weight on constraint violation *)
-}
+val max_outer : int
+(** SLP iterations before the loop stops: 60. *)
 
-val default_options : options
+val initial_trust : float
+(** Starting trust-region radius, relative to the instance radius: 0.5.
+    The radius grows by 1.5x on an accepted step, up to this value, and
+    halves on a rejected one. *)
+
+val tol : float
+(** Relative convergence tolerance: 1e-7 of the instance radius for the
+    step length and the trust radius, ten times that for the residual
+    bound violation. *)
+
+val penalty : float
+(** Merit-function weight on the bound violation: 1e4. *)
 
 type status = Converged | Stalled | Lp_failure of Lubt_lp.Status.t
 
@@ -31,7 +38,6 @@ type result = {
 }
 
 val solve :
-  ?options:options ->
   wire:Lubt_delay.Elmore.wire ->
   loads:float array ->
   Instance.t ->

@@ -13,15 +13,18 @@ type result = {
   rounds : int;
 }
 
-(* A formulation over Ebf's row generator: one free variable t after the
-   edge columns, and the window rows 0 <= path(s_0, s_i) - t <= B. *)
+(* A formulation over Ebf's row generator: one variable t >= 0 after the
+   edge columns, and the window rows 0 <= path(s_0, s_i) - t <= B. The
+   bound keeps the optimum: every delay is >= 0, so t = min_i delay(s_i)
+   is always feasible, and it makes the reported window start at 0 or
+   later on a degenerate optimum too. *)
 let solve ?weights ~skew_bound (inst : Instance.t) tree =
   if Tree.num_sinks tree <> Instance.num_sinks inst then
     invalid_arg "Skew_lp: tree sink count differs from instance";
   if skew_bound < 0.0 then invalid_arg "Skew_lp: negative skew bound";
   let t_var = Tree.num_nodes tree - 1 in
   let window_rows prob =
-    let j = Problem.add_var ~lo:neg_infinity ~up:infinity ~obj:0.0 ~name:"t" prob in
+    let j = Problem.add_var ~lo:0.0 ~up:infinity ~obj:0.0 ~name:"t" prob in
     assert (j = t_var);
     Array.iter
       (fun node ->

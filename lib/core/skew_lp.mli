@@ -4,14 +4,18 @@
     a bounded skew clock routing tree problem with a specific upper
     bound". When only the skew bound matters (no prescribed window), the
     window position itself can be left to the optimiser by introducing a
-    free variable [t]:
+    variable [t]:
 
     {v
     min   sum e_k
     s.t.  Steiner constraints (as in EBF)
           t <= delay(s_i) <= t + B        for every sink
-          e_k >= 0,  t free
+          e_k >= 0,  t >= 0
     v}
+
+    The bound [t >= 0] keeps the optimum, because every delay is [>= 0]
+    and so [t = min_i delay(s_i)] is feasible; it keeps the reported
+    window from starting below 0 on a degenerate optimum.
 
     This is the per-topology *optimum* that the greedy baseline
     ({!Lubt_bst.Bst_dme}) approximates, so it quantifies the baseline's
@@ -23,7 +27,7 @@ type result = {
   lengths : float array;
   objective : float;
   window : float * float;
-      (** the delay window [t, t+B] the optimiser settled on *)
+      (** the delay window [t, t+B] the optimiser settled on; [t >= 0] *)
   lp_rows : int;
   lp_iterations : int;
   rounds : int;

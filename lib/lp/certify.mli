@@ -8,15 +8,17 @@
 
     It deliberately shares no state with the solvers — a corrupted basis
     factorisation (or a corrupted solution vector) cannot certify itself.
-    Paired with the {!Tableau} oracle it gives end-to-end confidence in results
-    produced through the recovery ladder. *)
+    Paired with the test suite's dense tableau oracle ([test/tableau.ml])
+    it gives end-to-end confidence in results produced through the
+    recovery ladder. *)
 
 type level =
   | Off  (** no checking; [check] returns a trivially-ok report *)
   | Primal
       (** primal feasibility + objective agreement only. The right level
           when the dual vector is unavailable or meaningless (e.g. a
-          {!Tableau} oracle solution, whose duals are zeros). *)
+          solution of the test suite's tableau oracle, whose duals are
+          zeros). *)
   | Full
       (** [Primal] plus dual sign feasibility, complementary slackness
           and the weak-duality gap: an [ok] report at this level is an

@@ -7,13 +7,3 @@ let solve ?params ?(check = Certify.Off) prob =
     && not (Certify.check ~level:check prob sol).Certify.ok
   then { sol with Status.status = Status.Numerical_failure }
   else sol
-
-let solve_exn ?params ?check prob =
-  let sol = solve ?params ?check prob in
-  if sol.Status.status <> Status.Optimal then
-    failwith
-      (Printf.sprintf
-         "LP not optimal: status %s, objective %.9g, after %d iterations"
-         (Status.to_string sol.Status.status)
-         sol.Status.objective sol.Status.iterations);
-  sol

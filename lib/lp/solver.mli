@@ -7,10 +7,3 @@ val solve :
     {!Certify.Off}) an [Optimal] claim is certified a posteriori by
     {!Certify.check} at that level; if certification rejects it, the
     status degrades to [Numerical_failure] (the EBF driver does the same). *)
-
-val solve_exn :
-  ?params:Simplex.params -> ?check:Certify.level -> Problem.t -> Status.solution
-(** Like {!solve}, but raises [Failure] unless the status is [Optimal].
-    The message carries the status, the objective reached and the
-    iteration count, so callers logging the failure see where the solve
-    stopped. *)

@@ -19,7 +19,6 @@
       property-based tests with useful counterexamples. *)
 
 module Problem = Lubt_lp.Problem
-module Lp_format = Lubt_lp.Lp_format
 module Prng = Lubt_util.Prng
 module Instance = Lubt_core.Instance
 module Point = Lubt_geom.Point

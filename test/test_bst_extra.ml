@@ -216,7 +216,7 @@ let check_window_envelope ~seed ~m ~bound =
   let inst0 = Instance.uniform_bounds ~source ~sinks ~lower:0.0 ~upper:infinity () in
   let opt = Skew_lp.solve ~skew_bound:bound inst0 bst.Bst.topology in
   let wlo, whi = opt.Skew_lp.window in
-  let inst = Instance.uniform_bounds ~source ~sinks ~lower:(max 0.0 wlo) ~upper:whi () in
+  let inst = Instance.uniform_bounds ~source ~sinks ~lower:wlo ~upper:whi () in
   let fixed = Ebf.solve inst bst.Bst.topology in
   Alcotest.(check bool) "both optimal" true
     (opt.Skew_lp.status = Status.Optimal && fixed.Ebf.status = Status.Optimal);
@@ -226,7 +226,7 @@ let check_window_envelope ~seed ~m ~bound =
       opt.Skew_lp.objective fixed.Ebf.objective;
   (* shifting the window away from the optimum cannot be cheaper *)
   let shifted =
-    Instance.uniform_bounds ~source ~sinks ~lower:(max 0.0 wlo +. 15.0)
+    Instance.uniform_bounds ~source ~sinks ~lower:(wlo +. 15.0)
       ~upper:(whi +. 15.0) ()
   in
   let worse = Ebf.solve shifted bst.Bst.topology in
@@ -241,6 +241,33 @@ let test_skew_lp_window_envelope () =
     let bound = 10.0 +. Prng.float rng 40.0 in
     check_window_envelope ~seed:(778 + seed) ~m ~bound
   done
+
+(* the bound t >= 0 keeps every reported window at 0 or later, on the
+   paper benchmarks' tiny and scaled fields, uniform and clustered, where
+   a free t once read -3.6e-12 on a degenerate optimum *)
+let test_skew_lp_window_nonnegative () =
+  let module Benchmarks = Lubt_data.Benchmarks in
+  let module Protocol = Lubt_experiments.Protocol in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun skew_rel ->
+              let b = Protocol.run_baseline spec ~skew_rel in
+              let opt =
+                Skew_lp.solve ~skew_bound:(skew_rel *. b.Protocol.radius)
+                  (Benchmarks.instance spec) b.Protocol.bst.Bst.topology
+              in
+              Alcotest.(check bool) "optimal" true
+                (opt.Skew_lp.status = Status.Optimal);
+              let wlo = fst opt.Skew_lp.window in
+              if not (wlo >= 0.0) then
+                Alcotest.failf "%s at skew %g: window starts at %g"
+                  spec.Benchmarks.name skew_rel wlo)
+            [ 0.1; 0.5; 1.0 ])
+        (Benchmarks.specs size @ Benchmarks.clustered size))
+    [ Benchmarks.Tiny; Benchmarks.Scaled ]
 
 let test_skew_lp_embeddable () =
   let rng = Prng.create 888 in
@@ -388,6 +415,8 @@ let () =
           Alcotest.test_case "zero bound = zero skew" `Slow
             test_skew_lp_zero_bound_is_zeroskew;
           Alcotest.test_case "window envelope" `Quick test_skew_lp_window_envelope;
+          Alcotest.test_case "window starts at 0 or later" `Slow
+            test_skew_lp_window_nonnegative;
           Alcotest.test_case "embeddable lengths" `Quick test_skew_lp_embeddable;
         ] );
     ]

@@ -16,7 +16,6 @@ module Lubt = Lubt_core.Lubt
 module Elmore_ebf = Lubt_core.Elmore_ebf
 module Elmore = Lubt_delay.Elmore
 module Status = Lubt_lp.Status
-module Tableau = Lubt_lp.Tableau
 module Prng = Lubt_util.Prng
 
 let pt = Point.make
@@ -424,6 +423,54 @@ let test_row_generation_economy () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
 
+(* A result carries the LP its engine solved: built only when forced,
+   with the engine's row count and optimum, and every Steiner row named
+   steiner_a_b after its terminal nodes with bound dist(a, b). Eager, it
+   holds the rows of the full formulation. *)
+let test_result_lp () =
+  let module Problem = Lubt_lp.Problem in
+  let rng = Prng.create 60 in
+  let m = 40 in
+  let inst, _, _ = random_instance rng m ~with_source:true in
+  let tree = Topogen.random_binary rng ~num_sinks:m ~source_edge:true in
+  let r = Ebf.solve inst tree in
+  Alcotest.(check bool) "unforced without certification" false
+    (Lazy.is_val r.Ebf.lp);
+  let lp = Lazy.force r.Ebf.lp in
+  Alcotest.(check int) "engine's rows" r.Ebf.lp_rows (Problem.nrows lp);
+  let sol = Lubt_lp.Solver.solve lp in
+  Alcotest.(check bool) "optimal" true (sol.Status.status = Status.Optimal);
+  check_float "engine's optimum" r.Ebf.objective sol.Status.objective;
+  let where = Hashtbl.create 64 in
+  Array.iter (fun (node, p) -> Hashtbl.replace where node p) (Ebf.terminals inst tree);
+  let steiner = ref 0 in
+  for i = 0 to Problem.nrows lp - 1 do
+    let name = Problem.row_name lp i in
+    match String.split_on_char '_' name with
+    | [ "steiner"; a; b ] ->
+      let a = int_of_string a and b = int_of_string b in
+      incr steiner;
+      let row = Problem.row lp i in
+      check_float name
+        (Point.dist (Hashtbl.find where a) (Hashtbl.find where b))
+        row.Problem.rlo;
+      Alcotest.(check bool) (name ^ " has no upper bound") true
+        (row.Problem.rup = infinity)
+    | _ ->
+      if not (String.starts_with ~prefix:"delay_s" name) then
+        Alcotest.failf "row %d is named %S" i name
+  done;
+  Alcotest.(check bool) "lazy: some Steiner rows" true
+    (!steiner > 0 && Problem.nrows lp < r.Ebf.full_rows);
+  let names p =
+    List.sort compare (List.init (Problem.nrows p) (Problem.row_name p))
+  in
+  let eager =
+    Ebf.solve ~options:{ Ebf.default_options with lazy_steiner = false } inst tree
+  in
+  Alcotest.(check (list string)) "eager: the full formulation's rows"
+    (names (Ebf.formulate inst tree)) (names (Lazy.force eager.Ebf.lp))
+
 let () =
   Alcotest.run "core"
     [
@@ -445,6 +492,7 @@ let () =
             test_matches_tableau_oracle;
           Alcotest.test_case "infeasible bounds detected" `Quick
             test_infeasible_bounds_detected;
+          Alcotest.test_case "result carries its LP" `Quick test_result_lp;
           Alcotest.test_case "row generation economy" `Quick
             test_row_generation_economy;
         ] );

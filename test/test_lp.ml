@@ -5,7 +5,6 @@
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
 module Simplex = Lubt_lp.Simplex
-module Tableau = Lubt_lp.Tableau
 module Status = Lubt_lp.Status
 module Prng = Lubt_util.Prng
 

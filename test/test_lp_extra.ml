@@ -4,7 +4,6 @@
 
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
-module Lp_format = Lubt_lp.Lp_format
 module Status = Lubt_lp.Status
 module Sparse = Lubt_lp.Sparse
 module Prng = Lubt_util.Prng
@@ -177,7 +176,6 @@ let test_ebf_program_exports () =
 (* ------------------------------------------------------------------ *)
 
 module Simplex = Lubt_lp.Simplex
-module Tableau = Lubt_lp.Tableau
 module Ebf = Lubt_core.Ebf
 module Instance = Lubt_core.Instance
 module Point = Lubt_geom.Point

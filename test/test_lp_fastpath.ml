@@ -12,7 +12,6 @@
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
 module Simplex = Lubt_lp.Simplex
-module Tableau = Lubt_lp.Tableau
 module Status = Lubt_lp.Status
 module Certify = Lubt_lp.Certify
 module Ebf = Lubt_core.Ebf
@@ -144,8 +143,20 @@ let test_bound_flips_fire () =
 (* ------------------------------------------------------------------ *)
 
 (* Warm lazy EBF (the default: appended rows extend the live
-   factorisation) against the tableau oracle on the complete
-   formulation, with the materialised final LP certified a posteriori. *)
+   factorisation) against the tableau oracle on the LP it solved
+   ([r.Ebf.lp]), certified a posteriori.
+
+   Why the lazy LP is enough. It has the columns, bounds, objective and
+   delay rows of the full formulation and a subset of its Steiner rows,
+   so it is a relaxation: its feasible set contains the full one.
+   - Lazy infeasible implies full infeasible.
+   - Let x be the lazy optimum. If x also satisfies every Steiner and
+     delay row of the full LP ([Ebf.check_lengths] checks all
+     binom(t,2) pairs), then x is full feasible, and no full-feasible
+     point costs less than the lazy optimum. So c x is the full optimum.
+   The oracle pins the lazy verdict and optimum; [check_lengths] lifts
+   them to the full LP. Case 5 (27 sinks) keeps the oracle on the
+   complete formulation as well, as an anchor for the argument. *)
 let test_ebf_warm_start_equivalence () =
   let rng = Prng.create 61803 in
   let extensions = ref 0 in
@@ -156,21 +167,34 @@ let test_ebf_warm_start_equivalence () =
       Lp_gen.random_ebf ~infeasible:(case mod 6 = 0) ~min_sinks:25
         ~sink_span:30 rng
     in
-    let oracle = Tableau.solve (Ebf.formulate inst tree) in
     let warm =
       Ebf.solve
         ~options:{ Ebf.default_options with Ebf.check = Certify.Full }
         inst tree
     in
-    if warm.Ebf.status <> oracle.Status.status then
-      Alcotest.failf "case %d: status %s vs oracle %s" case
-        (Status.to_string warm.Ebf.status)
-        (Status.to_string oracle.Status.status);
-    if oracle.Status.status = Status.Optimal then begin
-      if not (approx ~eps:1e-7 warm.Ebf.objective oracle.Status.objective)
+    let check_oracle what (oracle : Status.solution) =
+      if warm.Ebf.status <> oracle.Status.status then
+        Alcotest.failf "case %d: status %s vs %s oracle %s" case
+          (Status.to_string warm.Ebf.status)
+          what
+          (Status.to_string oracle.Status.status);
+      if
+        oracle.Status.status = Status.Optimal
+        && not (approx ~eps:1e-7 warm.Ebf.objective oracle.Status.objective)
       then
-        Alcotest.failf "case %d: %.12g vs oracle %.12g" case warm.Ebf.objective
-          oracle.Status.objective;
+        Alcotest.failf "case %d: %.12g vs %s oracle %.12g" case
+          warm.Ebf.objective what oracle.Status.objective
+    in
+    let lp = Lazy.force warm.Ebf.lp in
+    if Problem.nrows lp <> warm.Ebf.lp_rows then
+      Alcotest.failf "case %d: lazy LP has %d rows, the engine %d" case
+        (Problem.nrows lp) warm.Ebf.lp_rows;
+    check_oracle "lazy" (Tableau.solve lp);
+    if case = 5 then check_oracle "full" (Tableau.solve (Ebf.formulate inst tree));
+    if warm.Ebf.status = Status.Optimal then begin
+      (match Ebf.check_lengths inst tree warm.Ebf.lengths with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "case %d: lazy optimum not full feasible: %s" case msg);
       match warm.Ebf.certificate with
       | Some r when r.Certify.ok -> ()
       | Some r ->

@@ -7,7 +7,6 @@
    two texts, so a regression shows exactly which lines moved. *)
 
 module Problem = Lubt_lp.Problem
-module Lp_format = Lubt_lp.Lp_format
 module Solver = Lubt_lp.Solver
 module Status = Lubt_lp.Status
 
