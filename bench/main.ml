@@ -416,12 +416,15 @@ let load_request ~degrade_every i =
   let benches = [| "prim1s"; "prim2s"; "r1s"; "r3s" |] in
   let degrade =
     if degrade_every > 0 && i mod degrade_every = degrade_every - 1 then
-      ", \"degrade\": true, \"time_limit\": 0.002"
-    else ""
+      [ ("degrade", Json.Bool true); ("time_limit", Json.Num 0.002) ]
+    else []
   in
-  Printf.sprintf
-    "{\"id\": \"q%d\", \"bench\": \"%s\", \"size\": \"tiny\", \"seed\": %d%s}"
-    i benches.(i mod 4) (i / 4 mod 8) degrade
+  Json.to_string
+    (Json.Obj
+       ([ ("id", Json.Str (Printf.sprintf "q%d" i));
+          ("bench", Json.Str benches.(i mod 4)); ("size", Json.Str "tiny");
+          ("seed", Json.int (i / 4 mod 8)) ]
+       @ degrade))
 
 (* One pipelined connection of the load generator. [cs_inflight] holds
    the ids whose responses this connection still owes us: on a
@@ -659,9 +662,10 @@ let run_load ~addr ~rps ~duration ~conns ~degrade_every ~chaos_seed =
       if Lubt_util.Prng.float rng 1.0 < 0.05 then begin
         let cs = conn_states.(Lubt_util.Prng.int rng conns) in
         incr malformed_pending;
+        (* cut short mid-member: not JSON, so not a Json.t *)
         send_on cs ~resend:true
           (Printf.sprintf "chaos%d" i)
-          "{\"op\": \"solve\", \"bench\":"
+          {|{"op": "solve", "bench":|}
       end;
       if Lubt_util.Prng.float rng 1.0 < 0.04 then begin
         let cs = conn_states.(Lubt_util.Prng.int rng conns) in
@@ -725,7 +729,11 @@ let scrape_server_latency addr =
     match
       Fun.protect ~finally (fun () ->
           Unix.connect fd addr;
-          let line = "{\"id\": \"m\", \"op\": \"metrics\"}\n" in
+          let line =
+            Json.to_string
+              (Json.Obj [ ("id", Json.Str "m"); ("op", Json.Str "metrics") ])
+            ^ "\n"
+          in
           ignore (Unix.write_substring fd line 0 (String.length line));
           let buf = Bytes.create 65536 in
           let b = Buffer.create 4096 in

@@ -304,19 +304,7 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed json
   let tree =
     match topo_path with
     | Some path -> or_die (Io.read_tree path)
-    | None ->
-      (* no topology given: generate one with the baseline, guided by the
-         skew implied by the bounds (the paper's protocol) *)
-      let radius = Instance.radius inst in
-      let lo, _ = Lubt_util.Stats.min_max inst.Instance.lower in
-      let _, hi = Lubt_util.Stats.min_max inst.Instance.upper in
-      let bound = if hi = infinity then infinity else max 0.0 (hi -. lo) in
-      ignore radius;
-      let r =
-        Bst.route ~skew_bound:bound ?source:inst.Instance.source
-          inst.Instance.sinks
-      in
-      r.Bst.topology
+    | None -> Protocol.baseline_topology inst
   in
   let lp_params =
     {

@@ -19,7 +19,8 @@ val create :
   upper:float array ->
   unit ->
   t
-(** @raise Invalid_argument when arrays disagree in length, some
+(** @raise Invalid_argument when arrays disagree in length, a sink or
+    the source has a non-finite (infinite or NaN) coordinate, some
     [lower > upper], or some bound is negative. *)
 
 val uniform_bounds :
@@ -73,7 +74,8 @@ module Edit : sig
 
   val apply : t -> op -> (t, string) result
   (** Applies one edit. [Error] (with a human-readable reason) on an
-      out-of-range sink index, bounds violating [0 <= lower <= upper], or
+      out-of-range sink index, bounds violating [0 <= lower <= upper], a
+      non-finite sink coordinate (a move that overflows, say), or
       removing the last sink; the input instance is never mutated. *)
 
   val apply_all : t -> op list -> (t, string) result

@@ -117,6 +117,9 @@ let tree_of_string text =
   | Some msg -> Error msg
   | None ->
     if !n < 2 then Error "missing nodes line"
+    else if List.length !edges < !n - 1 then
+      (* checked before allocating: "nodes" could claim billions *)
+      Error "some node has no edge record"
     else begin
       let parents = Array.make !n (-2) in
       parents.(0) <- -1;

@@ -3,6 +3,7 @@ module Ebf = Lubt_core.Ebf
 module Simplex = Lubt_lp.Simplex
 module Status = Lubt_lp.Status
 module Pool = Lubt_util.Pool
+module Json = Lubt_obs.Json
 
 type spec = {
   id : string;
@@ -141,40 +142,27 @@ let run ?jobs ?(certify = true) ?cache specs =
 (* ------------------------------------------------------------------ *)
 
 let outcome_json o =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"index\": %d, \"id\": \"%s\", \"bench\": \"%s\", \"seed\": %d, \
-        \"skew_rel\": %s, \"status\": \"%s\", \"objective\": %s, \
-        \"bst_cost\": %s, \"lp_rows\": %d, \"full_rows\": %d, \
-        \"lp_iterations\": %d, \"rounds\": %d, \"certified\": %b, \
-        \"wall_s\": %s"
-       o.index
-       (Protocol.json_escape o.spec.id)
-       (Protocol.json_escape o.spec.bench)
-       o.spec.seed
-       (Protocol.json_float o.spec.skew_rel)
-       (Protocol.json_escape o.status)
-       (Protocol.json_float o.objective)
-       (Protocol.json_float o.bst_cost)
-       o.lp_rows o.full_rows o.lp_iterations o.rounds o.certified
-       (Protocol.json_float o.wall_s));
-  (match o.error with
-  | Some e ->
-    Buffer.add_string buf
-      (Printf.sprintf ", \"error\": \"%s\"" (Protocol.json_escape e))
-  | None -> ());
-  (match o.solver with
-  | Some s ->
-    Buffer.add_string buf (", \"solver\": " ^ Protocol.solver_stats_json s)
-  | None -> ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       ([ ("index", Json.int o.index); ("id", Json.Str o.spec.id);
+          ("bench", Json.Str o.spec.bench); ("seed", Json.int o.spec.seed);
+          ("skew_rel", Json.Num o.spec.skew_rel);
+          ("status", Json.Str o.status);
+          ("objective", Json.Num o.objective);
+          ("bst_cost", Json.Num o.bst_cost);
+          ("lp_rows", Json.int o.lp_rows); ("full_rows", Json.int o.full_rows);
+          ("lp_iterations", Json.int o.lp_iterations);
+          ("rounds", Json.int o.rounds); ("certified", Json.Bool o.certified);
+          ("wall_s", Json.Num o.wall_s) ]
+       @ Option.fold ~none:[] o.error ~some:(fun e -> [ ("error", Json.Str e) ])
+       @ Option.fold ~none:[] o.solver ~some:(fun s ->
+             [ ("solver", Protocol.solver_stats_json s) ])))
 
 let summary_json s =
-  Printf.sprintf
-    "{\"summary\": true, \"instances\": %d, \"jobs\": %d, \"failures\": %d, \
-     \"wall_s\": %s, \"solver\": %s}"
-    (List.length s.outcomes) s.jobs s.failures
-    (Protocol.json_float s.wall_s)
-    (Protocol.solver_stats_json s.merged)
+  Json.to_string
+    (Json.Obj
+       [ ("summary", Json.Bool true);
+         ("instances", Json.int (List.length s.outcomes));
+         ("jobs", Json.int s.jobs); ("failures", Json.int s.failures);
+         ("wall_s", Json.Num s.wall_s);
+         ("solver", Protocol.solver_stats_json s.merged) ])

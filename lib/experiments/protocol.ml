@@ -4,6 +4,7 @@ module Instance = Lubt_core.Instance
 module Ebf = Lubt_core.Ebf
 module Simplex = Lubt_lp.Simplex
 module Status = Lubt_lp.Status
+module Json = Lubt_obs.Json
 
 type baseline_run = {
   spec : Benchmarks.spec;
@@ -48,6 +49,14 @@ let run_baseline spec ~skew_rel =
     longest_rel = bst.Bst_dme.dmax /. radius;
     bst_seconds;
   }
+
+let baseline_topology (inst : Instance.t) =
+  let lo, _ = Lubt_util.Stats.min_max inst.Instance.lower in
+  let _, hi = Lubt_util.Stats.min_max inst.Instance.upper in
+  let bound = if hi = infinity then infinity else max 0.0 (hi -. lo) in
+  (Bst_dme.route ~skew_bound:bound ?source:inst.Instance.source
+     inst.Instance.sinks)
+    .Bst_dme.topology
 
 let achieved_window (b : baseline_run) =
   if b.skew_rel = infinity then (0.0, infinity)
@@ -96,84 +105,58 @@ type bench_entry = {
   ebf_result : Ebf.result option;
 }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON has no inf/nan literals *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-
 let recoveries_json (r : Simplex.recoveries) =
-  Printf.sprintf
-    "{\"refactor_retries\": %d, \"tolerance_escalations\": %d, \
-     \"perturbed_resolves\": %d, \"faults_injected\": %d, \
-     \"validations_rejected\": %d}"
-    r.Simplex.refactor_retries r.Simplex.tolerance_escalations
-    r.Simplex.perturbed_resolves r.Simplex.faults_injected
-    r.Simplex.validations_rejected
+  Json.Obj
+    [ ("refactor_retries", Json.int r.Simplex.refactor_retries);
+      ("tolerance_escalations", Json.int r.Simplex.tolerance_escalations);
+      ("perturbed_resolves", Json.int r.Simplex.perturbed_resolves);
+      ("faults_injected", Json.int r.Simplex.faults_injected);
+      ("validations_rejected", Json.int r.Simplex.validations_rejected) ]
 
 let solver_stats_json (s : Simplex.stats) =
-  Printf.sprintf
-    "{\"iterations\": %d, \"bound_flips\": %d, \"ftran_count\": %d, \
-     \"btran_count\": %d, \"basis_updates\": %d, \
-     \"basis_extensions\": %d, \"refactorisations\": %d, \
-     \"factor_nnz\": %d, \"basis_nnz\": %d, \"dual_ms\": %s, \
-     \"recoveries\": %s}"
-    s.Simplex.iterations s.Simplex.bound_flips
-    s.Simplex.ftran_count s.Simplex.btran_count s.Simplex.basis_updates
-    s.Simplex.basis_extensions s.Simplex.refactorisations
-    s.Simplex.factor_nnz s.Simplex.basis_nnz
-    (json_float (s.Simplex.dual_seconds *. 1e3))
-    (recoveries_json s.Simplex.recoveries)
+  Json.Obj
+    [ ("iterations", Json.int s.Simplex.iterations);
+      ("bound_flips", Json.int s.Simplex.bound_flips);
+      ("ftran_count", Json.int s.Simplex.ftran_count);
+      ("btran_count", Json.int s.Simplex.btran_count);
+      ("basis_updates", Json.int s.Simplex.basis_updates);
+      ("basis_extensions", Json.int s.Simplex.basis_extensions);
+      ("refactorisations", Json.int s.Simplex.refactorisations);
+      ("factor_nnz", Json.int s.Simplex.factor_nnz);
+      ("basis_nnz", Json.int s.Simplex.basis_nnz);
+      ("dual_ms", Json.Num (s.Simplex.dual_seconds *. 1e3));
+      ("recoveries", recoveries_json s.Simplex.recoveries) ]
 
 let round_stat_json (r : Ebf.round_stat) =
-  Printf.sprintf
-    "{\"round\": %d, \"rows_added\": %d, \"violations_found\": %d, \
-     \"scan_ms\": %s, \"append_ms\": %s, \"solve_ms\": %s, \
-     \"solve_pivots\": %d}"
-    r.Ebf.round r.Ebf.rows_added r.Ebf.violations_found
-    (json_float (r.Ebf.scan_seconds *. 1e3))
-    (json_float (r.Ebf.append_seconds *. 1e3))
-    (json_float (r.Ebf.solve_seconds *. 1e3))
-    r.Ebf.solve_pivots
+  let ms seconds = Json.Num (seconds *. 1e3) in
+  Json.Obj
+    [ ("round", Json.int r.Ebf.round);
+      ("rows_added", Json.int r.Ebf.rows_added);
+      ("violations_found", Json.int r.Ebf.violations_found);
+      ("scan_ms", ms r.Ebf.scan_seconds);
+      ("append_ms", ms r.Ebf.append_seconds);
+      ("solve_ms", ms r.Ebf.solve_seconds);
+      ("solve_pivots", Json.int r.Ebf.solve_pivots) ]
 
 let ebf_result_json (e : Ebf.result) =
-  Printf.sprintf
-    "{\"status\": \"%s\", \"objective\": %s, \"lp_rows\": %d, \
-     \"full_rows\": %d, \"lp_iterations\": %d, \"rounds\": %d, \
-     \"cache\": \"%s\", \"round_stats\": [%s]}"
-    (json_escape (Status.to_string e.Ebf.status))
-    (json_float e.Ebf.objective) e.Ebf.lp_rows e.Ebf.full_rows
-    e.Ebf.lp_iterations e.Ebf.rounds
-    (json_escape (Ebf.cache_outcome_name e.Ebf.cache_outcome))
-    (String.concat ", " (List.map round_stat_json e.Ebf.round_stats))
+  Json.Obj
+    [ ("status", Json.Str (Status.to_string e.Ebf.status));
+      ("objective", Json.Num e.Ebf.objective);
+      ("lp_rows", Json.int e.Ebf.lp_rows);
+      ("full_rows", Json.int e.Ebf.full_rows);
+      ("lp_iterations", Json.int e.Ebf.lp_iterations);
+      ("rounds", Json.int e.Ebf.rounds);
+      ("cache", Json.Str (Ebf.cache_outcome_name e.Ebf.cache_outcome));
+      ("round_stats", Json.Arr (List.map round_stat_json e.Ebf.round_stats)) ]
 
 let bench_entry_json e =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\": \"%s\", \"ms_per_run\": %s"
-       (json_escape e.bench_name)
-       (json_float e.ms_per_run));
-  (match e.solver with
-  | Some s -> Buffer.add_string buf (", \"solver\": " ^ solver_stats_json s)
-  | None -> ());
-  (match e.ebf_result with
-  | Some r -> Buffer.add_string buf (", \"ebf\": " ^ ebf_result_json r)
-  | None -> ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let some name json =
+    Option.fold ~none:[] ~some:(fun v -> [ (name, json v) ])
+  in
+  Json.Obj
+    ([ ("name", Json.Str e.bench_name); ("ms_per_run", Json.Num e.ms_per_run) ]
+    @ some "solver" solver_stats_json e.solver
+    @ some "ebf" ebf_result_json e.ebf_result)
 
 type scaling_point = {
   sc_jobs : int;
@@ -183,28 +166,26 @@ type scaling_point = {
 }
 
 let scaling_point_json p =
-  Printf.sprintf
-    "{\"jobs\": %d, \"wall_s\": %s, \"speedup\": %s, \"instances\": %d}"
-    p.sc_jobs (json_float p.sc_wall_s) (json_float p.sc_speedup) p.sc_instances
+  Json.Obj
+    [ ("jobs", Json.int p.sc_jobs); ("wall_s", Json.Num p.sc_wall_s);
+      ("speedup", Json.Num p.sc_speedup);
+      ("instances", Json.int p.sc_instances) ]
 
 let bench_json ?(jobs = 1) ?(scaling = []) ?(scaling_skipped = false) ~size
     entries =
-  let scaling_field =
+  let scaling_members =
     (* an explicitly-skipped sweep is recorded, not omitted, so a
        consumer can tell "not measured" from "measured empty" *)
-    if scaling_skipped then ",\n  \"scaling\": [],\n  \"scaling_skipped\": true"
-    else
-      match scaling with
-      | [] -> ""
-      | points ->
-        Printf.sprintf ",\n  \"scaling\": [\n    %s\n  ]"
-          (String.concat ",\n    " (List.map scaling_point_json points))
+    if scaling_skipped then
+      [ ("scaling", Json.Arr []); ("scaling_skipped", Json.Bool true) ]
+    else if scaling = [] then []
+    else [ ("scaling", Json.Arr (List.map scaling_point_json scaling)) ]
   in
-  Printf.sprintf
-    "{\n  \"schema\": \"lubt-bench/4\",\n  \"size\": \"%s\",\n  \
-     \"jobs\": %d,\n  \"cores\": %d,\n  \
-     \"benchmarks\": [\n    %s\n  ]%s\n}\n"
-    (json_escape size) jobs
-    (Lubt_util.Pool.default_jobs ())
-    (String.concat ",\n    " (List.map bench_entry_json entries))
-    scaling_field
+  Json.to_string
+    (Json.Obj
+       ([ ("schema", Json.Str "lubt-bench/4"); ("size", Json.Str size);
+          ("jobs", Json.int jobs);
+          ("cores", Json.int (Lubt_util.Pool.default_jobs ()));
+          ("benchmarks", Json.Arr (List.map bench_entry_json entries)) ]
+       @ scaling_members))
+  ^ "\n"

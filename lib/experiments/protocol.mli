@@ -19,6 +19,14 @@ type baseline_run = {
 
 val run_baseline : Lubt_data.Benchmarks.spec -> skew_rel:float -> baseline_run
 
+val baseline_topology : Lubt_core.Instance.t -> Lubt_topo.Tree.t
+(** The topology of an instance given without one: the baseline
+    router's tree, under the skew bound the instance's bounds allow
+    (largest upper minus smallest lower, unbounded when some upper is
+    infinite). [lubt solve] without [--topology], inline serve
+    instances without ["topology"] and topology-changing ECO edits all
+    use it. *)
+
 val achieved_window : baseline_run -> float * float
 (** The baseline's achieved [(shortest_rel, longest_rel)] window, or
     [(0, infinity)] for the unbounded-skew row. *)
@@ -93,29 +101,22 @@ type scaling_point = {
 val bench_json :
   ?jobs:int -> ?scaling:scaling_point list -> ?scaling_skipped:bool ->
   size:string -> bench_entry list -> string
-(** Renders entries as the [lubt-bench/4] JSON document (self-contained,
-    no external JSON dependency; [inf]/[nan] become [null]). [jobs]
-    (default 1) and [scaling] (default absent) fill the schema's
-    parallel-sweep fields; [scaling_skipped] (default false) records an
-    explicitly-skipped sweep as [scaling: []] with the [skipped]
-    marker. *)
+(** Renders entries as the [lubt-bench/4] JSON document: one line of
+    {!Lubt_obs.Json.to_string} output plus a newline ([inf]/[nan] become
+    [null]). [jobs] (default 1) and [scaling] (default absent) fill the
+    schema's parallel-sweep fields; [scaling_skipped] (default false)
+    records an explicitly-skipped sweep as [scaling: []] with the
+    [skipped] marker. *)
 
 (** {1 JSON building blocks}
 
-    Exposed for the batch driver and the CLI, which emit the same solver
-    and EBF records as JSON-lines. All of them produce a single
-    syntactically complete JSON value. *)
+    The bench-schema records as {!Lubt_obs.Json.t} values, for the batch
+    driver and the serve replies, which embed the same solver and EBF
+    records. *)
 
-val json_escape : string -> string
-(** Escapes a string for embedding between double quotes in JSON. *)
-
-val json_float : float -> string
-(** Shortest-roundtrip decimal rendering; [inf]/[nan] become [null]
-    (JSON has no literals for them). *)
-
-val solver_stats_json : Lubt_lp.Simplex.stats -> string
+val solver_stats_json : Lubt_lp.Simplex.stats -> Lubt_obs.Json.t
 (** The [solver] object of the bench schema. *)
 
-val ebf_result_json : Lubt_core.Ebf.result -> string
+val ebf_result_json : Lubt_core.Ebf.result -> Lubt_obs.Json.t
 (** The [ebf] object of the bench schema ([status], [objective], row
     counts, [round_stats]). *)

@@ -1,5 +1,6 @@
 module Request = Serve_request
 module Executor = Lubt_util.Pool.Executor
+module Json = Lubt_obs.Json
 module Log = Lubt_obs.Log
 module Trace = Lubt_obs.Trace
 module Clock = Lubt_obs.Clock
@@ -101,7 +102,6 @@ type stats = {
 }
 
 (* The request layer, re-exported for the CLI and the protocol tests *)
-let solve_report_fields = Request.solve_report_fields
 let solve_report_json = Request.solve_report_json
 let response_of_request = Request.response_of_request
 
@@ -410,11 +410,9 @@ let stats_fields s =
     ("cache_misses", s.cache_misses);
   ]
 
-let stats_members s =
-  String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) (stats_fields s))
+let stats_members s = List.map (fun (k, v) -> (k, Json.int v)) (stats_fields s)
 
-let stats_json s = "{" ^ stats_members s ^ "}"
+let stats_json s = Json.to_string (Json.Obj (stats_members s))
 
 (* The ping payload doubles as the health probe: queue depth and worker
    state for admission decisions on the client side, this daemon's
@@ -422,15 +420,17 @@ let stats_json s = "{" ^ stats_members s ^ "}"
 let health_response server ~id =
   let ex = server.executor in
   let _, _, cache_rejects = cache_counters server.cfg in
-  Printf.sprintf
-    "{\"id\": %s, \"ok\": true, \"pong\": true, \"health\": {\"pending\": \
-     %d, \"running\": %d, \"workers\": %d, \"breaker_open\": %b, \
-     \"p95_ms\": %s, %s, \"cache_rejects\": %d}}"
-    id (Executor.pending ex) (Executor.running ex) (Executor.workers ex)
-    (Clock.now () < server.breaker_until)
-    (Protocol.json_float (p95_ms server))
-    (stats_members (server_stats server))
-    cache_rejects
+  let health =
+    [ ("pending", Json.int (Executor.pending ex));
+      ("running", Json.int (Executor.running ex));
+      ("workers", Json.int (Executor.workers ex));
+      ("breaker_open", Json.Bool (Clock.now () < server.breaker_until));
+      ("p95_ms", Json.Num (p95_ms server)) ]
+    @ stats_members (server_stats server)
+    @ [ ("cache_rejects", Json.int cache_rejects) ]
+  in
+  Request.reply ~id ~ok:true
+    [ ("pong", Json.Bool true); ("health", Json.Obj health) ]
 
 (* Hand one request to the worker pool. Exactly-once response
    resolution: the task claims its ticket before answering; the
@@ -627,7 +627,7 @@ let feed server conn chunk =
           ~fields:[ ("conn", Trace.Int conn.c_id) ]
           "request line too large";
         answer ~failed:true server conn
-          (Request.error_response ~id:"null" ~code:"too_large"
+          (Request.error_response ~id:Json.Null ~code:"too_large"
              (Printf.sprintf "request line over %d bytes" max_line_bytes))
       end
   in

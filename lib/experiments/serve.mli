@@ -274,13 +274,10 @@ val shutdown : handle -> stats
     same code, so the daemon's responses and the one-shot CLI report
     can never drift apart) and for protocol tests. *)
 
-val solve_report_fields : Lubt_core.Lubt.report -> validated:bool -> string
-(** The members of the [lubt solve --json] report object — [cost],
-    [validated], [certified], [ebf], [solver] — without the enclosing
-    braces, for embedding in a response envelope. *)
-
 val solve_report_json : Lubt_core.Lubt.report -> validated:bool -> string
-(** The complete [lubt solve --json] stdout object. *)
+(** The complete [lubt solve --json] stdout object: [cost],
+    [validated], [certified], [ebf], [solver]. A success reply carries
+    the same members after its envelope's. *)
 
 val response_of_request :
   ?default_time_limit:float -> ?cache:Lubt_lp.Basis_cache.t -> string -> string

@@ -18,22 +18,18 @@ module Metrics = Lubt_obs.Metrics
 (* Report rendering (shared with the CLI's solve --json)               *)
 (* ------------------------------------------------------------------ *)
 
-let solve_report_fields (report : Lubt.report) ~validated =
-  let routed = report.Lubt.routed in
+let solve_report_members (report : Lubt.report) ~validated =
   let ebf = report.Lubt.ebf in
-  Printf.sprintf
-    "\"cost\": %s, \"validated\": %b, \"certified\": %b, \"ebf\": %s, \
-     \"solver\": %s"
-    (Protocol.json_float (Routed.cost routed))
-    validated
-    (match ebf.Ebf.certificate with
-    | Some r -> r.Certify.ok
-    | None -> false)
-    (Protocol.ebf_result_json ebf)
-    (Protocol.solver_stats_json ebf.Ebf.lp_stats)
+  let certified =
+    match ebf.Ebf.certificate with Some r -> r.Certify.ok | None -> false
+  in
+  [ ("cost", Json.Num (Routed.cost report.Lubt.routed));
+    ("validated", Json.Bool validated); ("certified", Json.Bool certified);
+    ("ebf", Protocol.ebf_result_json ebf);
+    ("solver", Protocol.solver_stats_json ebf.Ebf.lp_stats) ]
 
 let solve_report_json report ~validated =
-  "{" ^ solve_report_fields report ~validated ^ "}"
+  Json.to_string (Json.Obj (solve_report_members report ~validated))
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
@@ -61,17 +57,17 @@ type op =
   | Eco of eco_req
 
 type request = {
-  rq_id : string;  (* the id member, rendered back to JSON text *)
+  rq_id : Json.t;  (* the id member, echoed in the reply *)
   rq_id_text : string;  (* the same, as a short tag for logs/traces *)
   rq_op : op;
 }
 
-(* [id] as compact JSON for the response echo, and as a short plain
-   string for log/trace context. *)
+(* [id] for the response echo ([Null] when absent), and as a short
+   plain string for log/trace context. *)
 let id_of_json = function
-  | None -> ("null", "-")
-  | Some (Json.Str s) -> ("\"" ^ Protocol.json_escape s ^ "\"", s)
-  | Some j -> (Json.to_string j, Json.to_string j)
+  | None -> (Json.Null, "-")
+  | Some (Json.Str s as j) -> (j, s)
+  | Some j -> (j, Json.to_string j)
 
 let ( let* ) = Result.bind
 
@@ -265,7 +261,7 @@ let parse_op j =
    least parsed as JSON, so a client can match its rejection *)
 let parse_request line =
   match Json.parse line with
-  | Error e -> Error ("null", "not JSON: " ^ e)
+  | Error e -> Error (Json.Null, "not JSON: " ^ e)
   | Ok j -> (
     let rq_id, id_text = id_of_json (Json.member "id" j) in
     match parse_op j with
@@ -276,24 +272,19 @@ let parse_request line =
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Every reply line: the id first (clients match replies by it, and
+   may read it from the line's prefix), then [ok], then [members]. *)
+let reply ~id ~ok members =
+  Json.to_string (Json.Obj (("id", id) :: ("ok", Json.Bool ok) :: members))
+
 let error_response ?retry_after_ms ~id ~code msg =
   let retry =
     match retry_after_ms with
-    | None -> ""
-    | Some ms ->
-      Printf.sprintf ", \"retry_after_ms\": %s" (Protocol.json_float ms)
+    | None -> []
+    | Some ms -> [ ("retry_after_ms", Json.Num ms) ]
   in
-  Printf.sprintf
-    "{\"id\": %s, \"ok\": false, \"error\": {\"code\": \"%s\", \"message\": \
-     \"%s\"%s}}"
-    id code (Protocol.json_escape msg) retry
-
-let ok_envelope ~id ~status ~wall_ms fields =
-  Printf.sprintf
-    "{\"id\": %s, \"ok\": true, \"status\": \"%s\", \"wall_ms\": %s, %s}" id
-    (Protocol.json_escape status)
-    (Protocol.json_float wall_ms)
-    fields
+  let error = ("code", Json.Str code) :: ("message", Json.Str msg) :: retry in
+  reply ~id ~ok:false [ ("error", Json.Obj error) ]
 
 (* The sink delays of [r] outside their [l, u] window: how many, and
    the largest distance by which one misses it. *)
@@ -312,26 +303,29 @@ let bound_violations (r : Routed.t) =
     (Routed.sink_delays r);
   (!count, !worst)
 
-(* The reply for a tree that failed verification: the members an ok
-   reply would carry, but ["ok": false] and an error with the count and
-   worst size of the bound violations, so that a client reading only
-   ["ok"] never takes the tree as valid. The code is [bounds_violated]
-   when some sink delay misses its window, else [verification_failed].
-   The daemon counts such a reply as failed. *)
-let failed_envelope ~id ~status ~wall_ms ~reason (r : Routed.t) fields =
-  let count, worst = bound_violations r in
-  Printf.sprintf
-    "{\"id\": %s, \"ok\": false, \"status\": \"%s\", \"wall_ms\": %s, %s, \
-     \"error\": {\"code\": \"%s\", \"message\": \"%s\", \
-     \"violations\": %d, \"worst_violation\": %s}}"
-    id
-    (Protocol.json_escape status)
-    (Protocol.json_float wall_ms)
-    fields
-    (if count > 0 then "bounds_violated" else "verification_failed")
-    (Protocol.json_escape reason)
-    count
-    (Protocol.json_float worst)
+(* The reply for a built tree [r]: [status], [wall_ms], then [members],
+   as [(failed, degraded, line)]. A tree that failed verification
+   ([failure] gives the reason) keeps those members but answers
+   ["ok": false] with an error giving the count and worst size of the
+   bound violations, so that a client reading only ["ok"] never takes
+   the tree as valid. The code is [bounds_violated] when some sink
+   delay misses its window, else [verification_failed]. The daemon
+   counts such a reply as failed. *)
+let tree_reply ~id ~status ~wall_ms ~degraded ~failure (r : Routed.t) members =
+  let members =
+    ("status", Json.Str status) :: ("wall_ms", Json.Num wall_ms) :: members
+  in
+  match failure with
+  | None -> (false, degraded, reply ~id ~ok:true members)
+  | Some reason ->
+    let count, worst = bound_violations r in
+    let code = if count > 0 then "bounds_violated" else "verification_failed" in
+    let error =
+      [ ("code", Json.Str code); ("message", Json.Str reason);
+        ("violations", Json.int count); ("worst_violation", Json.Num worst) ]
+    in
+    let members = members @ [ ("error", Json.Obj error) ] in
+    (true, degraded, reply ~id ~ok:false members)
 
 (* The first reason [r] fails Routed.validate, or [None]. *)
 let validation_failure r =
@@ -339,17 +333,6 @@ let validation_failure r =
   | Ok () -> None
   | Error (e :: _) -> Some e
   | Error [] -> Some "tree failed validation"
-
-(* topology for an inline instance that came without one: the baseline
-   router, guided by the skew window the bounds imply (the same rule as
-   [lubt solve] without --topology) *)
-let baseline_topology (inst : Instance.t) =
-  let lo, _ = Lubt_util.Stats.min_max inst.Instance.lower in
-  let _, hi = Lubt_util.Stats.min_max inst.Instance.upper in
-  let bound = if hi = infinity then infinity else max 0.0 (hi -. lo) in
-  (Bst.route ~skew_bound:bound ?source:inst.Instance.source
-     inst.Instance.sinks)
-    .Bst.topology
 
 (* the [lubt batch] protocol: baseline route at the requested skew, then
    the LUBT LP over the baseline's achieved delay window *)
@@ -362,42 +345,35 @@ let bench_workload spec skew_rel =
 (* The degraded-response members: which rung answered, plus the usual
    report when the rung produced one (the heuristic rung has no LP
    report; it renders cost/validated directly). *)
-let ladder_fields ~validated (o : Ladder.outcome) =
-  let prefix =
-    Printf.sprintf "\"degraded\": %b, \"quality\": \"%s\"" o.Ladder.degraded
-      (Ladder.rung_to_string o.Ladder.rung)
-  in
-  match o.Ladder.report with
-  | Some report -> prefix ^ ", " ^ solve_report_fields report ~validated
+let ladder_members ~validated (o : Ladder.outcome) =
+  ("degraded", Json.Bool o.Ladder.degraded)
+  :: ("quality", Json.Str (Ladder.rung_to_string o.Ladder.rung))
+  ::
+  (match o.Ladder.report with
+  | Some report -> solve_report_members report ~validated
   | None ->
-    Printf.sprintf "%s, \"cost\": %s, \"validated\": %b, \"certified\": false"
-      prefix
-      (Protocol.json_float (Routed.cost o.Ladder.routed))
-      validated
+    [ ("cost", Json.Num (Routed.cost o.Ladder.routed));
+      ("validated", Json.Bool validated); ("certified", Json.Bool false) ])
 
 let ladder_response ~id ~t0 (o : Ladder.outcome) =
   let wall_ms = (Clock.now () -. t0) *. 1e3 in
   let status = if o.Ladder.degraded then "degraded" else "optimal" in
   let invalid = validation_failure o.Ladder.routed in
-  let fields = ladder_fields ~validated:(invalid = None) o in
+  let members = ladder_members ~validated:(invalid = None) o in
   let failure =
     match invalid with
     | None when not o.Ladder.verified -> Some "embedding failed verification"
     | f -> f
   in
-  match failure with
-  | None -> (false, o.Ladder.degraded, ok_envelope ~id ~status ~wall_ms fields)
-  | Some reason ->
-    ( true,
-      o.Ladder.degraded,
-      failed_envelope ~id ~status ~wall_ms ~reason o.Ladder.routed fields )
+  tree_reply ~id ~status ~wall_ms ~degraded:o.Ladder.degraded ~failure
+    o.Ladder.routed members
 
 (* A solve request's instance and topology; shared by the full solve
    path and the inline degraded path. *)
 let materialize_workload (q : solve_req) =
   match q.sq_workload with
   | Inline (inst, Some tree) -> (inst, tree)
-  | Inline (inst, None) -> (inst, baseline_topology inst)
+  | Inline (inst, None) -> (inst, Protocol.baseline_topology inst)
   | Bench (spec, skew_rel) -> bench_workload spec skew_rel
 
 (* The absolute deadline of a request's budget ([time_limit], else the
@@ -448,22 +424,15 @@ let execute_solve ~deadline ~cache ~id (q : solve_req) =
   end
   else
     match Lubt.solve ~options inst tree with
-    | Ok report -> (
+    | Ok report ->
       let failure = validation_failure report.Lubt.routed in
       let validated = failure = None in
       let wall_ms = (Clock.now () -. t0) *. 1e3 in
       Log.debug ~fields:[ ("wall_ms", Trace.Float wall_ms) ] "request solved";
-      let fields =
-        Printf.sprintf "\"degraded\": false, %s"
-          (solve_report_fields report ~validated)
-      in
-      match failure with
-      | None -> (false, false, ok_envelope ~id ~status:"optimal" ~wall_ms fields)
-      | Some reason ->
-        ( true,
-          false,
-          failed_envelope ~id ~status:"optimal" ~wall_ms ~reason
-            report.Lubt.routed fields ))
+      let members = solve_report_members report ~validated in
+      tree_reply ~id ~status:"optimal" ~wall_ms ~degraded:false ~failure
+        report.Lubt.routed
+        (("degraded", Json.Bool false) :: members)
     | Error Lubt.No_solution ->
       ( true,
         false,
@@ -518,7 +487,7 @@ let execute_eco ~deadline ~cache ~id (e : eco_req) =
   | Ok edited ->
     let topology =
       if List.for_all Instance.Edit.preserves_topology e.eq_edits then tree
-      else baseline_topology edited
+      else Protocol.baseline_topology edited
     in
     execute_solve ~deadline ~cache ~id
       { q with sq_workload = Inline (edited, Some topology) }
@@ -539,29 +508,18 @@ let metrics_json () =
         [ ("type", Json.Str "counter"); ("value", Json.Num v) ]
       | Metrics.Gauge v -> [ ("type", Json.Str "gauge"); ("value", Json.Num v) ]
       | Metrics.Histogram h ->
-        [
-          ("type", Json.Str "histogram");
-          ( "bounds",
-            Json.Arr
-              (Array.to_list
-                 (Array.map (fun b -> Json.Num b) h.Metrics.h_bounds)) );
-          ( "counts",
-            Json.Arr
-              (Array.to_list
-                 (Array.map
-                    (fun c -> Json.Num (float_of_int c))
-                    h.Metrics.h_counts)) );
+        let arr f a = Json.Arr (Array.to_list (Array.map f a)) in
+        [ ("type", Json.Str "histogram");
+          ("bounds", arr (fun b -> Json.Num b) h.Metrics.h_bounds);
+          ("counts", arr Json.int h.Metrics.h_counts);
           ("sum", Json.Num h.Metrics.h_sum);
-          ("count", Json.Num (float_of_int h.Metrics.h_count));
-        ]
+          ("count", Json.int h.Metrics.h_count) ]
     in
     Json.Obj (base @ value)
   in
   Json.Arr (List.map sample (Metrics.snapshot ()))
 
-let metrics_response ~id =
-  Printf.sprintf "{\"id\": %s, \"ok\": true, \"metrics\": %s}" id
-    (Json.to_string (metrics_json ()))
+let metrics_response ~id = reply ~id ~ok:true [ ("metrics", metrics_json ()) ]
 
 (* Execute one parsed request. Returns (failed, degraded, response
    line); never raises — an escaping exception here would otherwise eat
@@ -569,18 +527,16 @@ let metrics_response ~id =
 let execute ~deadline ~cache (rq : request) =
   let id = rq.rq_id in
   match rq.rq_op with
-  | Ping ->
-    (false, false, Printf.sprintf "{\"id\": %s, \"ok\": true, \"pong\": true}" id)
+  | Ping -> (false, false, reply ~id ~ok:true [ ("pong", Json.Bool true) ])
   | Metrics_dump -> (false, false, metrics_response ~id)
   | Sleep s ->
     let t0 = Clock.now () in
     Unix.sleepf s;
     ( false,
       false,
-      Printf.sprintf
-        "{\"id\": %s, \"ok\": true, \"status\": \"slept\", \"wall_ms\": %s}"
-        id
-        (Protocol.json_float ((Clock.now () -. t0) *. 1e3)) )
+      reply ~id ~ok:true
+        [ ("status", Json.Str "slept");
+          ("wall_ms", Json.Num ((Clock.now () -. t0) *. 1e3)) ] )
   | Solve q -> (
     try execute_solve ~deadline ~cache ~id q with
     | exn ->

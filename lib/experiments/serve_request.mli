@@ -3,9 +3,6 @@
     here; sessions, accounting and admission control live in {!Serve},
     whose documentation describes the protocol. *)
 
-val solve_report_fields : Lubt_core.Lubt.report -> validated:bool -> string
-(** See {!Serve.solve_report_fields}. *)
-
 val solve_report_json : Lubt_core.Lubt.report -> validated:bool -> string
 (** See {!Serve.solve_report_json}. *)
 
@@ -20,20 +17,32 @@ type op =
   | Eco of eco_req
 
 type request = {
-  rq_id : string;  (** the id member, rendered back to JSON text *)
+  rq_id : Lubt_obs.Json.t;
+      (** the id member, echoed as the first member of the reply;
+          [Null] when absent *)
   rq_id_text : string;  (** the same, as a short tag for logs/traces *)
   rq_op : op;
 }
 
-val parse_request : string -> (request, string * string) result
+val parse_request : string -> (request, Lubt_obs.Json.t * string) result
 (** [Error (id, message)] echoes the request's own id whenever the line
-    at least parsed as JSON (["null"] otherwise). *)
+    at least parsed as JSON ([Null] otherwise). *)
+
+val reply :
+  id:Lubt_obs.Json.t -> ok:bool -> (string * Lubt_obs.Json.t) list -> string
+(** A response line: the object [{"id": id, "ok": ok, members...}],
+    rendered by {!Lubt_obs.Json.to_string}. Every reply goes through it,
+    so [id] is always the first member. *)
 
 val error_response :
-  ?retry_after_ms:float -> id:string -> code:string -> string -> string
+  ?retry_after_ms:float ->
+  id:Lubt_obs.Json.t ->
+  code:string ->
+  string ->
+  string
 (** A failure response line: [{"id", "ok": false, "error": {...}}]. *)
 
-val metrics_response : id:string -> string
+val metrics_response : id:Lubt_obs.Json.t -> string
 (** The [metrics] op's response: the registry snapshot as JSON. *)
 
 val deadline : default_time_limit:float -> request -> float
@@ -48,7 +57,8 @@ val execute :
 (** Executes one parsed request: [(failed, degraded, response line)].
     Never raises. *)
 
-val execute_degraded_inline : id:string -> op -> (bool * bool * string) option
+val execute_degraded_inline :
+  id:Lubt_obs.Json.t -> op -> (bool * bool * string) option
 (** The heuristic floor rung run on the caller's thread, for a
     degrade-opted solve or eco that the worker pool refused; [None]
     when the request did not opt in or the rung fails. *)

@@ -8,6 +8,13 @@ type t =
 
 exception Error of int * string
 
+let int n = Num (float_of_int n)
+
+(* Arrays and objects nest at most this deep. No output of ours comes
+   near it, and a deeper input (a line of nothing but "[") costs time
+   superlinear in its depth: minutes for a line of 8 MiB. *)
+let max_depth = 512
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -122,11 +129,19 @@ let parse_exn s =
     | _ -> ());
     float_of_string (String.sub s start (!pos - start))
   in
+  let depth = ref 0 in
+  let nested f =
+    if !depth >= max_depth then fail "nested too deep";
+    incr depth;
+    let v = f () in
+    decr depth;
+    v
+  in
   let rec value () =
     skip_ws ();
     match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
+    | Some '{' -> nested obj
+    | Some '[' -> nested arr
     | Some '"' -> Str (string_lit ())
     | Some 't' -> lit "true" (Bool true)
     | Some 'f' -> lit "false" (Bool false)
@@ -203,25 +218,38 @@ let parse s =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+(* the bytes a JSON string cannot hold raw: controls, quote, backslash *)
+let needs_escape c = c < ' ' || c = '"' || c = '\\'
 
+let escape_into buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+(* The C formatter behind [Printf.sprintf "%.17g"], called without the
+   format interpreter: the same bytes for a finite float, for less. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Integral values below 1e15 print as "%.0f" would: every such float
+   is an exact OCaml int, and -0 keeps its sign. Everything else prints
+   with 17 significant digits, enough to read back the same float. *)
 let number_to_string f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && abs_float f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+    if f = 0.0 && Float.sign_bit f then "-0"
+    else string_of_int (int_of_float f)
+  else format_float "%.17g" f
 
 let to_string v =
   let buf = Buffer.create 256 in

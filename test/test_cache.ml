@@ -538,6 +538,15 @@ let test_edit_api () =
     (is_err
        (Instance.Edit.apply inst
           (Instance.Edit.Set_bounds { sink = 0; lower = 5.0; upper = 1.0 })));
+  let far = Instance.Edit.Move_sink { sink = 0; dx = max_float; dy = 0.0 } in
+  Alcotest.(check bool) "move overflowing to inf" true
+    (is_err (Instance.Edit.apply_all inst [ far; far ]));
+  Alcotest.(check bool) "sink added at nan" true
+    (is_err
+       (Instance.Edit.apply inst
+          (Instance.Edit.Add_sink
+             { point = Lubt_geom.Point.make nan 0.0; lower = 0.0; upper = 9.0 })
+       ));
   let one_sink =
     ok (Instance.Edit.apply inst (Instance.Edit.Remove_sink { sink = 0 }))
   in

@@ -471,6 +471,101 @@ let test_result_lp () =
   Alcotest.(check (list string)) "eager: the full formulation's rows"
     (names (Ebf.formulate inst tree)) (names (Lazy.force eager.Ebf.lp))
 
+(* ------------------------------------------------------------------ *)
+(* Metamorphic properties (QCheck)                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A tiny random case from a seed: 2-7 sinks on an integer grid (so
+   that the isometries below move them exactly), a source half of the
+   time, integral per-sink bounds with uppers from 0.8 to 1.6 radii (so
+   some cases are infeasible), and a fixed random topology. *)
+let metamorphic_case seed =
+  let rng = Prng.create seed in
+  let m = 2 + Prng.int rng 6 in
+  let with_source = Prng.bool rng in
+  let coord () = float_of_int (Prng.int rng 101) in
+  let sinks = Array.init m (fun _ -> pt (coord ()) (coord ())) in
+  let source = if with_source then Some (pt (coord ()) (coord ())) else None in
+  let r =
+    Instance.radius
+      (Instance.uniform_bounds ?source ~sinks ~lower:0.0 ~upper:infinity ())
+  in
+  let upper =
+    Array.init m (fun _ -> Float.round (r *. (0.8 +. Prng.float rng 0.8)))
+  in
+  let lower =
+    Array.map (fun u -> Float.round (u *. Prng.float rng 1.0)) upper
+  in
+  let inst = Instance.create ?source ~sinks ~lower ~upper () in
+  (inst, Topogen.random_binary rng ~num_sinks:m ~source_edge:with_source, rng)
+
+let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)
+
+(* [inst] with every point (source included) mapped by [f] and every
+   bound scaled by [k]. *)
+let transform ?(k = 1.0) f (inst : Instance.t) =
+  Instance.create
+    ?source:(Option.map f inst.Instance.source)
+    ~sinks:(Array.map f inst.Instance.sinks)
+    ~lower:(Array.map (fun l -> k *. l) inst.Instance.lower)
+    ~upper:(Array.map (fun u -> k *. u) inst.Instance.upper)
+    ()
+
+(* The same answer up to a factor: both infeasible, or both optimal with
+   [b] = [k a] to within 1e-9 relative. *)
+let same_answer ?(k = 1.0) (a : Ebf.result) (b : Ebf.result) =
+  match (a.Ebf.status, b.Ebf.status) with
+  | Status.Optimal, Status.Optimal ->
+    let want = k *. a.Ebf.objective in
+    Float.abs (b.Ebf.objective -. want) <= 1e-9 *. (1.0 +. Float.abs want)
+  | sa, sb -> sa = sb && sa = Status.Infeasible
+
+let prop_isometries =
+  QCheck.Test.make ~name:"translation, rotation, mirroring keep the cost"
+    ~count:200 seed_arb (fun seed ->
+      let inst, tree, rng = metamorphic_case seed in
+      let dx = float_of_int (Prng.int rng 2001 - 1000)
+      and dy = float_of_int (Prng.int rng 2001 - 1000) in
+      let base = Ebf.solve inst tree in
+      List.for_all
+        (fun f -> same_answer base (Ebf.solve (transform f inst) tree))
+        [
+          (fun p -> pt (p.Point.x +. dx) (p.Point.y +. dy));
+          (fun p -> pt (-.p.Point.y) p.Point.x);
+          (fun p -> pt (-.p.Point.x) p.Point.y);
+        ])
+
+let prop_scaling =
+  QCheck.Test.make ~name:"scaling by 2^k scales the cost by 2^k" ~count:200
+    seed_arb (fun seed ->
+      let inst, tree, rng = metamorphic_case seed in
+      let k = Float.ldexp 1.0 (Prng.int rng 9 - 4) in
+      same_answer ~k (Ebf.solve inst tree)
+        (Ebf.solve
+           (transform ~k (fun p -> pt (k *. p.Point.x) (k *. p.Point.y)) inst)
+           tree))
+
+let prop_tightening =
+  QCheck.Test.make ~name:"tightening one window never lowers the cost"
+    ~count:200 seed_arb (fun seed ->
+      let inst, tree, rng = metamorphic_case seed in
+      let i = Prng.int rng (Instance.num_sinks inst) in
+      let l = inst.Instance.lower.(i) and u = inst.Instance.upper.(i) in
+      let l' = l +. ((u -. l) *. Prng.float rng 1.0) in
+      let u' = u -. ((u -. l') *. Prng.float rng 1.0) in
+      let lower = Array.copy inst.Instance.lower
+      and upper = Array.copy inst.Instance.upper in
+      lower.(i) <- l';
+      upper.(i) <- u';
+      let base = Ebf.solve inst tree
+      and tight = Ebf.solve (Instance.with_bounds inst ~lower ~upper) tree in
+      match (base.Ebf.status, tight.Ebf.status) with
+      | _, Status.Infeasible -> true
+      | Status.Optimal, Status.Optimal ->
+        tight.Ebf.objective
+        >= base.Ebf.objective -. (1e-9 *. (1.0 +. Float.abs base.Ebf.objective))
+      | _ -> false)
+
 let () =
   Alcotest.run "core"
     [
@@ -495,6 +590,12 @@ let () =
           Alcotest.test_case "result carries its LP" `Quick test_result_lp;
           Alcotest.test_case "row generation economy" `Quick
             test_row_generation_economy;
+        ] );
+      ( "metamorphic",
+        [
+          QCheck_alcotest.to_alcotest prop_isometries;
+          QCheck_alcotest.to_alcotest prop_scaling;
+          QCheck_alcotest.to_alcotest prop_tightening;
         ] );
       ( "zero-skew",
         [

@@ -135,6 +135,9 @@ let test_io_error_handling () =
       ("bogus 1 2", "unknown record");
       ("source 0 0\nsource 1 1\nsink 0 0 0 1", "duplicate source");
       ("sink 0 0 5 1", "lower above upper");
+      ("sink 0 0 0 inf\nsink nan 5 0 inf\nsink 3 4 0 inf", "nan sink");
+      ("sink inf 0 0 inf\nsink 3 4 0 inf", "infinite sink");
+      ("source 0 -inf\nsink 3 4 0 inf", "infinite source");
     ]
   in
   List.iter
@@ -153,6 +156,8 @@ let test_io_error_handling () =
       ("nodes 3\nedge 1 0\nsink 1", "node 2 has no edge");
       ("nodes 2\nedge 1 0", "no sinks");
       ("nodes 2\nedge 5 0\nsink 1", "edge out of range");
+      (* rejected before an array of that size is allocated *)
+      ("nodes 4000000000000\nedge 1 0\nsink 1", "more nodes than edges");
     ]
 
 let test_file_roundtrip () =

@@ -68,6 +68,140 @@ let test_json_accessors () =
     (Option.bind (Json.member "s" j) Json.str);
   Alcotest.(check bool) "missing member" true (Json.member "zz" j = None)
 
+(* The printer's exact output for the cases its fast paths decide:
+   integral values print without the format interpreter, -0 keeps its
+   sign, clean strings are copied and others escaped, CR as \r. *)
+let test_json_printer_bytes () =
+  List.iter
+    (fun (v, want) -> Alcotest.(check string) want want (Json.to_string v))
+    [
+      (Json.Num 0.0, "0");
+      (Json.Num (-0.0), "-0");
+      (Json.Num 42.0, "42");
+      (Json.Num (-7.0), "-7");
+      (Json.Num 999999999999999.0, "999999999999999");
+      (Json.Num 1e15, "1000000000000000");
+      (Json.Num 0.1, "0.10000000000000001");
+      (Json.Num 1e300, "1.0000000000000001e+300");
+      (Json.Num infinity, "null");
+      (Json.Num nan, "null");
+      (Json.int (-12), "-12");
+      (Json.Str "plain", {|"plain"|});
+      ( Json.Str "a\rb\n\t\"\\\001\127\255",
+        "\"a\\rb\\n\\t\\\"\\\\\\u0001\127\255\"" );
+      ( Json.Obj [ ("k", Json.Arr [ Json.Null; Json.Bool false ]) ],
+        {|{"k": [null, false]}|} );
+    ]
+
+(* Equality up to the bits of every number, so that -0 against 0 and a
+   last-digit drift both count as differences. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys ->
+    List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+(* Finite floats with the awkward ones over-weighted: signed zeros,
+   integers on both sides of the printer's 1e15 switch, 2^53 and
+   arbitrary bit patterns. *)
+let json_float_gen =
+  let open QCheck.Gen in
+  let near c = map (fun d -> c +. float_of_int d) (int_range (-3) 3) in
+  let magnitude =
+    frequency
+      [
+        (1, oneofl [ 0.0; 1e15; 9007199254740992.0; 5e-324 ]);
+        (2, near 1e15);
+        (2, map float_of_int int);
+        (2, float_range 0.0 1e6);
+        ( 3,
+          map
+            (fun b ->
+              let f = Int64.float_of_bits b in
+              if Float.is_finite f then f else 0.5)
+            ui64 );
+      ]
+  in
+  map2 (fun neg f -> if neg then Float.neg f else f) bool magnitude
+
+(* Strings over all 256 bytes, with the ones that need an escape
+   over-weighted. *)
+let json_string_gen =
+  let open QCheck.Gen in
+  let awkward = oneofl [ '\r'; '\n'; '"'; '\\'; '\000'; '\127'; '\255' ] in
+  string_size ~gen:(frequency [ (3, char); (1, awkward) ]) (int_bound 12)
+
+let json_value_gen =
+  let open QCheck.Gen in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (1, return Json.Null);
+               (1, map (fun b -> Json.Bool b) bool);
+               (3, map (fun f -> Json.Num f) json_float_gen);
+               (3, map (fun s -> Json.Str s) json_string_gen);
+             ]
+         in
+         if n = 0 then leaf
+         else
+           let child = self (n - 1) in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) child));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair json_string_gen child)) );
+             ])
+
+let json_arb = QCheck.make ~print:Json.to_string json_value_gen
+
+(* Numbers print exactly as the format strings they replace: "%.0f" for
+   integral values below 1e15, "%.17g" for every other finite value. *)
+let prop_json_number_format =
+  QCheck.Test.make ~name:"numbers print as %.0f / %.17g" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") json_float_gen) (fun f ->
+      Json.to_string (Json.Num f)
+      =
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+      else Printf.sprintf "%.17g" f)
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = v, checker agrees" ~count:500
+    json_arb (fun v ->
+      let s = Json.to_string v in
+      Json_check.json_valid s
+      && match Json.parse s with Ok v' -> json_equal v v' | Error _ -> false)
+
+let prop_json_parse_total =
+  QCheck.Test.make ~name:"parse returns Ok or Error on any bytes" ~count:2000
+    (Fuzz.arbitrary (QCheck.Gen.map Json.to_string json_value_gen)) (fun s ->
+      match Json.parse s with Ok _ | Error _ -> true)
+
+(* Nesting is capped: a line of brackets is rejected at the cap, at
+   once, however long it is. *)
+let test_json_depth_cap () =
+  let deep n = String.make n '[' ^ String.make n ']' in
+  (match Json.parse (deep 512) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "depth 512 rejected: %s" e);
+  match Json.parse (deep 513) with
+  | Ok _ -> Alcotest.fail "depth 513 accepted"
+  | Error _ -> (
+    match Json.parse (String.make 8_000_000 '[') with
+    | Ok _ -> Alcotest.fail "unterminated brackets accepted"
+    | Error e ->
+      Alcotest.(check bool) ("stops at the cap: " ^ e) true
+        (String.ends_with ~suffix:"nested too deep" e))
+
 (* ------------------------------------------------------------------ *)
 (* Trace recorder                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -656,6 +790,11 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "printer bytes" `Quick test_json_printer_bytes;
+          Alcotest.test_case "depth cap" `Quick test_json_depth_cap;
+          QCheck_alcotest.to_alcotest prop_json_number_format;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
         ] );
       ( "trace",
         [

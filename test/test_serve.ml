@@ -150,7 +150,7 @@ let test_inline_instance_solve () =
   let text = Io.instance_to_string inst in
   let req =
     Printf.sprintf {|{"id": "i1", "instance": %s}|}
-      ("\"" ^ Protocol.json_escape text ^ "\"")
+      (Json.to_string (Json.Str text))
   in
   let r = respond req in
   Alcotest.(check bool) "ok" true (is_ok r);
@@ -186,7 +186,7 @@ let inline_instance_text () =
     Instance.uniform_bounds ~source:(Point.make 0.0 0.0) ~sinks ~lower:0.0
       ~upper:500.0 ()
   in
-  "\"" ^ Protocol.json_escape (Io.instance_to_string inst) ^ "\""
+  Json.to_string (Json.Str (Io.instance_to_string inst))
 
 let ebf_cache_name r =
   match Json.member "cache" (member_exn "ebf" r) with
@@ -256,6 +256,68 @@ let test_eco_malformed_edits () =
   Alcotest.(check string) "out-of-range sink applies as edit_failed"
     "edit_failed"
     (code (eco {|[{"edit": "remove_sink", "sink": 99}]|}))
+
+(* a coordinate JSON or the instance text can spell but geometry cannot
+   use (nan, inf, an overflowing move) is a typed error before any
+   solve: bad_request for an inline instance, edit_failed for an edit *)
+let test_non_finite_coordinates () =
+  let r =
+    respond
+      (Printf.sprintf {|{"id": "n", "instance": %s}|}
+         (Json.to_string
+            (Json.Str "sink 0 0 0 inf\nsink nan 5 0 inf\nsink 3 4 0 inf\n")))
+  in
+  Alcotest.(check string) "nan sink is a bad request" "bad_request"
+    (error_code r);
+  let code line = error_code (respond line) in
+  let eco edits =
+    Printf.sprintf {|{"id": "m", "op": "eco", "instance": %s, "edits": %s}|}
+      (inline_instance_text ()) edits
+  in
+  Alcotest.(check string) "move overflowing to inf" "edit_failed"
+    (code
+       (eco
+          {|[{"edit": "move_sink", "sink": 0, "dx": 1e308, "dy": 0},
+             {"edit": "move_sink", "sink": 0, "dx": 1e308, "dy": 0}]|}));
+  Alcotest.(check string) "added sink at 1e400" "edit_failed"
+    (code (eco {|[{"edit": "add_sink", "x": 1e400, "y": 0}]|}))
+
+(* every reply, whatever its outcome, starts with its id: clients may
+   read the id off the line's prefix *)
+let test_id_first () =
+  List.iter
+    (fun line ->
+      let reply = Serve.response_of_request line in
+      Alcotest.(check bool) ("id first: " ^ reply) true
+        (String.starts_with ~prefix:{|{"id": "f", "ok": |} reply))
+    [
+      {|{"id": "f", "op": "ping"}|};
+      {|{"id": "f", "op": "metrics"}|};
+      {|{"id": "f", "op": "sleep", "ms": 0}|};
+      {|{"id": "f", "bench": "prim1s"}|};
+      {|{"id": "f", "bench": "prim1s", "degrade": true}|};
+      {|{"id": "f", "bench": "r3s", "degrade": true, "time_limit": 1e-9}|};
+      {|{"id": "f", "op": "bogus"}|};
+    ]
+
+(* The decoder is total: random bytes, and valid requests with a few
+   bytes replaced, inserted or deleted or cut short, decode to Ok or to
+   an Error, never an exception. *)
+let prop_parse_request_total =
+  let seeds =
+    [
+      {|{"id": "r1", "bench": "prim1s", "size": "tiny", "seed": 3, "skew": 0.5}|};
+      {|{"id": 2, "instance": "sink 0 1 0 inf\nsink 2 3 0 inf\n", "certify": true, "time_limit": 5.0}|};
+      {|{"id": 3, "instance": "source 0 0\nsink 0 1 0 9\nsink 2 3 0 9\n", "topology": "nodes 4\nedge 1 0\nedge 2 1\nedge 3 1\nsink 2\nsink 3\n"}|};
+      {|{"id": "e", "op": "eco", "bench": "r1s", "edits": [{"edit": "set_bounds", "sink": 2, "lower": 1.5, "upper": 4.0}, {"edit": "move_sink", "sink": 0, "dx": -3.0, "dy": 1.0}, {"edit": "add_sink", "x": 10.0, "y": 4.0, "upper": 9.0}, {"edit": "remove_sink", "sink": 1}]}|};
+      {|{"id": "p", "op": "ping"}|};
+      {|{"id": "s", "op": "sleep", "ms": 5}|};
+    ]
+  in
+  QCheck.Test.make ~name:"parse_request never raises" ~count:3000
+    (Fuzz.arbitrary (QCheck.Gen.oneofl seeds)) (fun line ->
+      match Lubt_experiments.Serve_request.parse_request line with
+      | Ok _ | Error _ -> true)
 
 (* daemon restart over a --cache-dir disk tier: a brand-new in-memory
    cache over the same directory warm-starts from the persisted
@@ -1076,6 +1138,10 @@ let () =
           Alcotest.test_case "eco round-trip" `Quick test_eco_roundtrip;
           Alcotest.test_case "eco malformed edits" `Quick
             test_eco_malformed_edits;
+          Alcotest.test_case "non-finite coordinates" `Quick
+            test_non_finite_coordinates;
+          Alcotest.test_case "id first in every reply" `Quick test_id_first;
+          QCheck_alcotest.to_alcotest prop_parse_request_total;
           Alcotest.test_case "eco cache across daemon restart" `Quick
             test_eco_restart_cache;
           Alcotest.test_case "shared report renderer" `Quick
