@@ -150,15 +150,18 @@ let run_extensions size =
 (* One Table 1 LUBT call per paper benchmark at skew 0.5: its wall
    clock, pivots and rounds, the violation-scan, row-append and
    simplex-solve times summed over the rounds, the linear-algebra
-   counts and the mean LU fill (LU over basis nonzeros). It reads only
+   counts, the mean LU fill (LU over basis nonzeros) and the mean
+   kernel share (factored kernel dimension over basis dimension, at the
+   refactorisations). It reads only
    the stats the solve already returns, plus the baseline route that
    precedes the call: its wall clock and its merge-cost evaluations,
    read off the metrics registry. *)
 let run_lp_sweep size =
   Printf.printf "=== LP sweep (skew 0.5, one LUBT call each) ===\n";
-  Printf.printf "%-8s %6s %9s %7s %6s %10s %10s %10s %8s %8s %7s %6s %8s %9s\n%!"
+  Printf.printf
+    "%-8s %6s %9s %7s %6s %10s %10s %10s %8s %8s %7s %6s %6s %8s %9s\n%!"
     "bench" "sinks" "lubt_s" "iters" "rounds" "scan_ms" "append_ms" "solve_ms"
-    "ftran" "btran" "refact" "fill" "bst_ms" "bst_evals";
+    "ftran" "btran" "refact" "fill" "kernel" "bst_ms" "bst_evals";
   Metrics.enable ();
   let merge_evals = Metrics.counter "lubt_bst_merge_evals_total" in
   List.iter
@@ -173,7 +176,8 @@ let run_lp_sweep size =
         List.fold_left (fun acc rs -> acc +. (f rs *. 1e3)) 0.0 e.Ebf.round_stats
       in
       Printf.printf
-        "%-8s %6d %9.3f %7d %6d %10.1f %10.1f %10.1f %8d %8d %7d %6.2f %8.1f %9.0f\n%!"
+        "%-8s %6d %9.3f %7d %6d %10.1f %10.1f %10.1f %8d %8d %7d %6.2f %6.2f %8.1f \
+         %9.0f\n%!"
         spec.Benchmarks.name spec.Benchmarks.num_sinks r.Protocol.lubt_seconds
         s.Simplex.iterations e.Ebf.rounds
         (sum_ms (fun rs -> rs.Ebf.scan_seconds))
@@ -182,6 +186,8 @@ let run_lp_sweep size =
         s.Simplex.ftran_count s.Simplex.btran_count s.Simplex.refactorisations
         (float_of_int s.Simplex.factor_nnz
         /. float_of_int (max 1 s.Simplex.basis_nnz))
+        (float_of_int s.Simplex.kernel_dim
+        /. float_of_int (max 1 s.Simplex.factor_dim))
         (b.Protocol.bst_seconds *. 1e3) bst_evals)
     (Benchmarks.specs size)
 

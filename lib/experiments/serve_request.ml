@@ -233,6 +233,10 @@ let parse_solve_members j =
       sq_degrade = degrade;
     }
 
+(* The longest sleep a request may ask for. [Unix.sleepf] fails with
+   EINVAL on a huge or infinite duration, and [execute] must not raise. *)
+let max_sleep_ms = 60_000.0
+
 let parse_op j =
   let* op_name = mem_str ~what:"op" j in
   match op_name with
@@ -251,8 +255,9 @@ let parse_op j =
   | Some "sleep" -> (
     let* ms = mem_num ~what:"ms" j in
     match ms with
-    | Some ms when ms >= 0.0 -> Ok (Sleep (ms /. 1e3))
-    | Some _ -> Error "\"ms\" must be non-negative"
+    | Some ms when ms >= 0.0 && ms <= max_sleep_ms -> Ok (Sleep (ms /. 1e3))
+    | Some _ ->
+      Error (Printf.sprintf "\"ms\" must be between 0 and %.0f" max_sleep_ms)
     | None -> Error "a sleep request needs \"ms\"")
   | Some op ->
     Error (Printf.sprintf "unknown op %S (solve|eco|ping|metrics|sleep)" op)

@@ -12,7 +12,7 @@ type eco_req
 type op =
   | Ping
   | Metrics_dump  (** registry snapshot as JSON *)
-  | Sleep of float  (** seconds *)
+  | Sleep of float  (** seconds, at most {!max_sleep_ms} / 1000 *)
   | Solve of solve_req
   | Eco of eco_req
 
@@ -23,6 +23,11 @@ type request = {
   rq_id_text : string;  (** the same, as a short tag for logs/traces *)
   rq_op : op;
 }
+
+val max_sleep_ms : float
+(** The largest ["ms"] a ["sleep"] request may carry (one minute). A
+    larger or non-finite one is a [bad_request]: [Unix.sleepf] rejects a
+    huge duration, and a worker must not sleep unboundedly. *)
 
 val parse_request : string -> (request, Lubt_obs.Json.t * string) result
 (** [Error (id, message)] echoes the request's own id whenever the line

@@ -13,6 +13,8 @@ type counters = {
   mutable extensions : int;
   mutable factor_nnz : int;
   mutable basis_nnz : int;
+  mutable factor_dim : int;
+  mutable kernel_dim : int;
 }
 
 let fresh_counters () =
@@ -24,24 +26,26 @@ let fresh_counters () =
     extensions = 0;
     factor_nnz = 0;
     basis_nnz = 0;
+    factor_dim = 0;
+    kernel_dim = 0;
   }
 
 exception Zero_pivot of { row : int; magnitude : float }
 
 type op =
   | Eta of { r : int; wr : float; nz_idx : int array; nz_val : float array }
-      (* off-pivot nonzeros of the pivot column (index <> r) *)
+      (* off-pivot nonzeros of the pivot column (index <> r), increasing *)
   | Border of { bd : int; bc : Sparse.t }
       (* appended row [bd]; [bc] is the new row over basis positions < bd *)
 
 type t = {
-  mutable lu : Lu.t;
+  lu : Lu.t;
   mutable trail : op array;  (* oldest first; [len] entries are live *)
   mutable len : int;
   mutable count : int;  (* etas in the trail *)
   mutable extra : int;  (* borders in the trail *)
   mutable tnnz : int;  (* nonzeros stored across the trail *)
-  mutable ws : float array;  (* all-zero between solves, length >= dim *)
+  mutable work : Hvec.t;  (* zero between solves, length >= dim *)
   ops : counters;
 }
 
@@ -52,6 +56,8 @@ let create ?counters ?pivot_tol cols =
   ops.factor_nnz <- ops.factor_nnz + Lu.nnz lu;
   ops.basis_nnz <-
     ops.basis_nnz + Array.fold_left (fun acc c -> acc + Sparse.nnz c) 0 cols;
+  ops.factor_dim <- ops.factor_dim + Lu.dim lu;
+  ops.kernel_dim <- ops.kernel_dim + Lu.kernel_dim lu;
   {
     lu;
     trail = [||];
@@ -59,7 +65,7 @@ let create ?counters ?pivot_tol cols =
     count = 0;
     extra = 0;
     tnnz = 0;
-    ws = Array.make (Lu.dim lu) 0.0;
+    work = Hvec.create (Lu.dim lu);
     ops;
   }
 
@@ -79,121 +85,129 @@ let trail_nnz t = t.tnnz
 let lu_nnz t = Lu.nnz t.lu
 
 (* (G v), oldest operator already applied to v. *)
-let apply_forward v op =
+let apply_forward (v : Hvec.t) op =
   match op with
   | Eta e ->
-      let vr = v.(e.r) /. e.wr in
-      if v.(e.r) <> 0.0 then
+      let x = v.v.(e.r) in
+      if x <> 0.0 then begin
+        let vr = x /. e.wr in
+        (* [Hvec.add] written out: a call per entry cost a third of the
+           FTRAN *)
         for i = 0 to Array.length e.nz_idx - 1 do
           let j = e.nz_idx.(i) in
-          v.(j) <- v.(j) -. (e.nz_val.(i) *. vr)
+          if not v.on.(j) then begin
+            v.on.(j) <- true;
+            v.idx.(v.nnz) <- j;
+            v.nnz <- v.nnz + 1
+          end;
+          v.v.(j) <- v.v.(j) -. (e.nz_val.(i) *. vr)
         done;
-      v.(e.r) <- vr
-  | Border b -> v.(b.bd) <- Sparse.dot_dense b.bc v -. v.(b.bd)
+        v.v.(e.r) <- vr
+      end
+  | Border b ->
+      let x = v.v.(b.bd) in
+      let s = Sparse.dot_dense b.bc v.v -. x in
+      if s <> 0.0 || x <> 0.0 then Hvec.set v b.bd s
 
 (* (G^T c): eta adjoints touch only component r; border adjoints negate
    the border component and scatter it into the head. *)
-let apply_adjoint v op =
+let apply_adjoint (v : Hvec.t) op =
   match op with
   | Eta e ->
       let s = ref 0.0 in
       for i = 0 to Array.length e.nz_idx - 1 do
-        s := !s +. (e.nz_val.(i) *. v.(e.nz_idx.(i)))
+        s := !s +. (e.nz_val.(i) *. v.v.(e.nz_idx.(i)))
       done;
-      v.(e.r) <- (v.(e.r) -. !s) /. e.wr
+      let x = v.v.(e.r) in
+      let vr = (x -. !s) /. e.wr in
+      if vr <> 0.0 || x <> 0.0 then Hvec.set v e.r vr
   | Border b ->
-      let vd = v.(b.bd) in
-      v.(b.bd) <- -.vd;
-      if vd <> 0.0 then Sparse.add_scaled_into v vd b.bc
+      let vd = v.v.(b.bd) in
+      if vd <> 0.0 then begin
+        v.v.(b.bd) <- -.vd;
+        Sparse.iter (fun j a -> Hvec.add v j (vd *. a)) b.bc
+      end
 
-(* The whole trail, oldest operator first. *)
-let forward t v =
-  for k = 0 to t.len - 1 do
-    apply_forward v t.trail.(k)
-  done
+(* The zero work vector of length >= dim, for right-hand sides the
+   solves build themselves. *)
+let work t =
+  if Hvec.dim t.work < dim t then
+    t.work <- Hvec.create (max (dim t) (2 * Hvec.dim t.work));
+  t.work
 
-(* Extend an LU-dimension solution to full dimension, filling the border
-   tail from [tail_of]. *)
-let widen t sol tail_of =
-  let n = Lu.dim t.lu in
-  let d = n + t.extra in
-  if d = n then sol
-  else begin
-    let full = Array.make d 0.0 in
-    Array.blit sol 0 full 0 n;
-    for i = n to d - 1 do
-      full.(i) <- tail_of i
-    done;
-    full
+(* The border tail of [src] (entries at or beyond the LU dimension) is
+   the tail of the solution before the trail is applied. *)
+let copy_tail t (src : Hvec.t) x =
+  if t.extra > 0 then begin
+    let n = Lu.dim t.lu in
+    for e = 0 to src.nnz - 1 do
+      let i = src.idx.(e) in
+      if i >= n then Hvec.set x i src.v.(i)
+    done
   end
 
-(* The zeroed workspace of length >= dim. The per-pivot solves build
-   their right-hand sides in it rather than in fresh arrays, which at
-   basis dimensions are allocated on the major heap. *)
-let workspace t =
-  if Array.length t.ws < dim t then t.ws <- Array.make (dim t) 0.0;
-  t.ws
-
-(* Lu.solve and Lu.solve_transpose read only the first [Lu.dim] entries,
-   so the head of a full-dimension vector is passed as it is. *)
-let ftran t b =
+let ftran t b x =
   t.ops.ftrans <- t.ops.ftrans + 1;
-  let v = widen t (Lu.solve t.lu b) (fun i -> b.(i)) in
-  forward t v;
-  v
+  Hvec.clear x;
+  Lu.solve t.lu b x;
+  copy_tail t b x;
+  for k = 0 to t.len - 1 do
+    apply_forward x t.trail.(k)
+  done
 
-let ftran_sparse t sp =
-  t.ops.ftrans <- t.ops.ftrans + 1;
-  let n = Lu.dim t.lu in
-  let b = workspace t in
-  Sparse.iter (fun i x -> if i < n then b.(i) <- x) sp;
-  let sol = Lu.solve t.lu b in
-  Sparse.iter (fun i _ -> if i < n then b.(i) <- 0.0) sp;
-  let v = widen t sol (fun _ -> 0.0) in
-  if t.extra > 0 then Sparse.iter (fun i x -> if i >= n then v.(i) <- x) sp;
-  forward t v;
-  v
+let ftran_sparse t sp x =
+  let b = work t in
+  Sparse.iter (Hvec.set b) sp;
+  ftran t b x;
+  Hvec.clear b
 
-(* B^-T v for the right-hand side the caller placed in [workspace t]:
+(* B^-T v for the right-hand side the caller placed in [work t]:
    adjoints newest first, then the transposed LU solve; leaves the
-   workspace zeroed. *)
-let btran_ws t =
+   work vector zeroed. *)
+let btran_work t x =
   t.ops.btrans <- t.ops.btrans + 1;
-  let v = t.ws in
+  let v = t.work in
   for k = t.len - 1 downto 0 do
     apply_adjoint v t.trail.(k)
   done;
-  let x = widen t (Lu.solve_transpose t.lu v) (fun i -> v.(i)) in
-  Array.fill v 0 (dim t) 0.0;
-  x
+  Hvec.clear x;
+  Lu.solve_transpose t.lu v x;
+  copy_tail t v x;
+  Hvec.clear v
 
-let btran t c =
-  Array.blit c 0 (workspace t) 0 (dim t);
-  btran_ws t
+let btran t (c : Hvec.t) x =
+  let v = work t in
+  for e = 0 to c.nnz - 1 do
+    let i = c.idx.(e) in
+    Hvec.set v i c.v.(i)
+  done;
+  btran_work t x
 
-let btran_unit t r =
-  (workspace t).(r) <- 1.0;
-  btran_ws t
+let btran_unit t r x =
+  Hvec.set (work t) r 1.0;
+  btran_work t x
 
-let update ?(tol = 1e-12) t r w =
-  if abs_float w.(r) < tol then
-    raise (Zero_pivot { row = r; magnitude = abs_float w.(r) });
+let update ?(tol = 1e-12) t r (w : Hvec.t) =
+  if abs_float w.v.(r) < tol then
+    raise (Zero_pivot { row = r; magnitude = abs_float w.v.(r) });
   t.ops.updates <- t.ops.updates + 1;
-  let d = dim t in
+  Hvec.sort w (dim t);
   let nz = ref 0 in
-  for i = 0 to d - 1 do
-    if i <> r && w.(i) <> 0.0 then incr nz
+  for e = 0 to w.nnz - 1 do
+    let i = w.idx.(e) in
+    if i <> r && w.v.(i) <> 0.0 then incr nz
   done;
   let nz_idx = Array.make !nz 0 and nz_val = Array.make !nz 0.0 in
   let p = ref 0 in
-  for i = 0 to d - 1 do
-    if i <> r && w.(i) <> 0.0 then begin
+  for e = 0 to w.nnz - 1 do
+    let i = w.idx.(e) in
+    if i <> r && w.v.(i) <> 0.0 then begin
       nz_idx.(!p) <- i;
-      nz_val.(!p) <- w.(i);
+      nz_val.(!p) <- w.v.(i);
       incr p
     end
   done;
-  push t (Eta { r; wr = w.(r); nz_idx; nz_val });
+  push t (Eta { r; wr = w.v.(r); nz_idx; nz_val });
   t.count <- t.count + 1;
   t.tnnz <- t.tnnz + !nz + 1
 

@@ -4,8 +4,11 @@
     and one border extension per row appended without refactorising.
 
     This is the simplex engine's only basis representation: ftran/btran
-    cost O(nnz + trail) and a refactorisation costs one sparse LU. Every
-    solve runs the triangular passes of {!Lu} over a dense vector. *)
+    cost O(kernel + nnz + trail) and a refactorisation costs one sparse LU
+    of the structural kernel. Every solve takes and gives {!Hvec.t}s: it
+    reads the right-hand side's listed nonzeros and lists the nonzeros of
+    its result, so a caller pays for the result's nonzeros, not for the
+    basis dimension. *)
 
 type counters = {
   mutable ftrans : int;
@@ -19,6 +22,10 @@ type counters = {
   mutable basis_nnz : int;
       (** Nonzeros of the factored basis matrices, summed the same way:
           [factor_nnz / basis_nnz] is the mean LU fill ratio. *)
+  mutable factor_dim : int;  (** {!Lu.dim} summed over every factorisation. *)
+  mutable kernel_dim : int;
+      (** {!Lu.kernel_dim} summed the same way: [kernel_dim / factor_dim]
+          is the mean share of the basis that is eliminated. *)
 }
 (** Cumulative operation counters. A counters record outlives individual
     basis factorisations: pass the same record to successive {!create}
@@ -54,26 +61,29 @@ val trail_nnz : t -> int
 val lu_nnz : t -> int
 (** Nonzeros of the underlying LU factors. *)
 
-val ftran : t -> float array -> float array
-(** [ftran t b] is [B^-1 b]; [b] is unchanged. *)
+val ftran : t -> Hvec.t -> Hvec.t -> unit
+(** [ftran t b x] stores [B^-1 b] in [x], which is cleared first; [b] is
+    unchanged and must be distinct from [x]. Both have length >= {!dim}. *)
 
-val ftran_sparse : t -> Sparse.t -> float array
-(** [ftran_sparse t b] is [B^-1 b] for a right-hand side given by its
-    nonzeros; the result is dense. *)
+val ftran_sparse : t -> Sparse.t -> Hvec.t -> unit
+(** [ftran_sparse t b x] is {!ftran} for a right-hand side given by its
+    nonzeros. *)
 
-val btran : t -> float array -> float array
-(** [btran t c] is [B^-T c]: the adjoint trail, newest first, then the
-    transposed LU solve. *)
+val btran : t -> Hvec.t -> Hvec.t -> unit
+(** [btran t c x] stores [B^-T c] in [x], which is cleared first: the
+    adjoint trail, newest first, then the transposed LU solve. [c] is
+    unchanged and must be distinct from [x]. *)
 
-val btran_unit : t -> int -> float array
-(** [btran_unit t r] is row [r] of [B^-1]. *)
+val btran_unit : t -> int -> Hvec.t -> unit
+(** [btran_unit t r x] stores row [r] of [B^-1] in [x]. *)
 
-val update : ?tol:float -> t -> int -> float array -> unit
+val update : ?tol:float -> t -> int -> Hvec.t -> unit
 (** [update t r w] records a pivot: the basic variable at position [r] is
     replaced; [w] must be the ftran of the entering column (its nonzeros
-    among the first {!dim} entries are copied into a sparse eta). [tol] is the smallest acceptable pivot
-    magnitude (default [1e-12]; the simplex engine passes its current —
-    possibly escalated — pivot tolerance).
+    are copied into a sparse eta, and its list is sorted in place). [tol]
+    is the smallest acceptable pivot magnitude (default [1e-12]; the
+    simplex engine passes its current — possibly escalated — pivot
+    tolerance).
     @raise Zero_pivot if [w.(r)] is (numerically) zero. *)
 
 val append_row : t -> Sparse.t -> unit

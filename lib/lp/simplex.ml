@@ -77,6 +77,8 @@ type stats = {
   refactorisations : int;
   factor_nnz : int;
   basis_nnz : int;
+  factor_dim : int;
+  kernel_dim : int;
   dual_seconds : float;
   recoveries : recoveries;
 }
@@ -111,6 +113,8 @@ type t = {
   mutable m : int;  (* rows *)
   mutable cap : int;  (* row capacity of the grown arrays *)
   cols : Sparse.t array;  (* length n; structural columns over row indices *)
+  mutable rows : Sparse.t array;  (* length cap; rows over structural columns *)
+  mutable aux_cols : Sparse.t array;  (* length cap; column -e_i of row i *)
   mutable lo : float array;  (* length n+cap *)
   mutable up : float array;
   mutable obj : float array;
@@ -137,11 +141,14 @@ type t = {
   frng : Lubt_util.Prng.t option;  (* fault-injection stream *)
   st : istats;
   ops : Basis.counters;  (* shared with every factorisation of [basis] *)
-  (* scratch vectors, length cap *)
-  mutable w : float array;
-  mutable y : float array;
-  mutable rho : float array;
-  mutable cb : float array;
+  (* basis solve vectors, length cap: the ftran [w] of the entering
+     column (or of a basic value update), the multipliers [y] of the
+     basic costs, the pivot row [rho] of B^-1, and [rhs], a right-hand
+     side being built (zero between uses) *)
+  mutable w : Hvec.t;
+  mutable y : Hvec.t;
+  mutable rho : Hvec.t;
+  mutable rhs : Hvec.t;
   (* dual simplex state, length n+cap: reduced costs [d], kept by the
      dual step between from-scratch recomputations (valid while
      [d_fresh]), and the pivot row [alpha] = rho . A_j at the nonbasic
@@ -151,6 +158,7 @@ type t = {
   mutable alpha : float array;
   mutable arow : int array;
   mutable narow : int;
+  srow : Hvec.t;  (* length n: rho . A_j summed row-wise over rho's nonzeros *)
 }
 
 exception Numerical of string
@@ -270,41 +278,38 @@ let fault_fires t kind =
 let ftran t q =
   let tr0 = tr_start () in
   (* hand the column over sparse: no dense copy of it is built here *)
-  let rhs = if q < t.n then t.cols.(q) else Sparse.singleton (q - t.n) (-1.0) in
-  let w = Basis.ftran_sparse t.basis rhs in
-  Array.blit w 0 t.w 0 t.m;
+  let rhs = if q < t.n then t.cols.(q) else t.aux_cols.(q - t.n) in
+  Basis.ftran_sparse t.basis rhs t.w;
   if t.m > 0 && fault_fires t Fault_perturb_ftran then begin
     match t.frng with
     | Some rng ->
       (* large relative error in one component: either harmless (the
          component is never pivoted on) or caught by post-solve validation *)
       let r = Lubt_util.Prng.int rng t.m in
-      t.w.(r) <- t.w.(r) +. (0.01 *. (1.0 +. abs_float t.w.(r)))
+      Hvec.set t.w r (t.w.v.(r) +. (0.01 *. (1.0 +. abs_float t.w.v.(r))))
     | None -> ()
   end;
   tr_stop tr0 "simplex.ftran"
 
-(* y <- (B^-1)^T cb *)
-let compute_y t cb =
-  let tr0 = tr_start () in
-  let y = Basis.btran t.basis (Array.sub cb 0 t.m) in
-  Array.blit y 0 t.y 0 t.m;
-  tr_stop tr0 "simplex.btran"
-
-let fill_cb t =
+(* y <- (B^-1)^T cb for the basic costs cb *)
+let compute_y t =
   for r = 0 to t.m - 1 do
-    t.cb.(r) <- t.obj.(t.basic.(r))
-  done
+    let c = t.obj.(t.basic.(r)) in
+    if c <> 0.0 then Hvec.set t.rhs r c
+  done;
+  let tr0 = tr_start () in
+  Basis.btran t.basis t.rhs t.y;
+  Hvec.clear t.rhs;
+  tr_stop tr0 "simplex.btran"
 
 (* d <- c - A^T y from scratch. *)
 let compute_d t =
-  fill_cb t;
-  compute_y t t.cb;
+  compute_y t;
   for j = 0 to t.n + t.m - 1 do
     t.d.(j) <-
       (match t.vstat.(j) with
       | Basic _ -> 0.0
-      | _ -> t.obj.(j) -. col_dot t j t.y)
+      | _ -> t.obj.(j) -. col_dot t j t.y.v)
   done;
   t.d_fresh <- true
 
@@ -330,8 +335,7 @@ let set_probe t p = t.probe <- p
    linear-algebra counters — an observed engine reports more btrans than
    an unobserved one. *)
 let dual_infeasibility t =
-  fill_cb t;
-  compute_y t t.cb;
+  compute_y t;
   let worst = ref 0.0 in
   let total = t.n + t.m in
   for j = 0 to total - 1 do
@@ -339,13 +343,13 @@ let dual_infeasibility t =
     | Basic _ -> ()
     | _ when is_fixed t j -> ()
     | At_lower ->
-      let d = t.obj.(j) -. col_dot t j t.y in
+      let d = t.obj.(j) -. col_dot t j t.y.v in
       if d < 0.0 then worst := max !worst (-.d)
     | At_upper ->
-      let d = t.obj.(j) -. col_dot t j t.y in
+      let d = t.obj.(j) -. col_dot t j t.y.v in
       if d > 0.0 then worst := max !worst d
     | Free_zero ->
-      let d = abs_float (t.obj.(j) -. col_dot t j t.y) in
+      let d = abs_float (t.obj.(j) -. col_dot t j t.y.v) in
       worst := max !worst d
   done;
   !worst
@@ -383,26 +387,34 @@ let fire_probe t ?recovery ~entering ~leaving () =
         pr_recovery = recovery;
       }
 
+(* xb <- xb - B^-1 rhs over the nonzeros of the result, leaving [rhs]
+   zeroed *)
+let subtract_ftran_rhs t =
+  Basis.ftran t.basis t.rhs t.w;
+  Hvec.clear t.rhs;
+  let w = t.w in
+  for e = 0 to w.nnz - 1 do
+    let r = w.idx.(e) in
+    t.xb.(r) <- t.xb.(r) -. w.v.(r)
+  done
+
+(* xb = -B^-1 (sum of A_j x_j over the nonbasic columns) *)
 let recompute_xb t =
-  let m = t.m in
-  let s = Array.make m 0.0 in
-  for j = 0 to t.n + m - 1 do
+  for j = 0 to t.n + t.m - 1 do
     match t.vstat.(j) with
     | Basic _ -> ()
     | At_lower | At_upper | Free_zero ->
       let v = nonbasic_value t j in
-      if v <> 0.0 then col_iter t j (fun i a -> s.(i) <- s.(i) +. (a *. v))
+      if v <> 0.0 then col_iter t j (fun i a -> Hvec.add t.rhs i (a *. v))
   done;
-  let w = Basis.ftran t.basis s in
-  for r = 0 to m - 1 do
-    t.xb.(r) <- -.w.(r)
-  done
+  Array.fill t.xb 0 t.m 0.0;
+  subtract_ftran_rhs t
 
 (* The current basis matrix, column by column. *)
 let basis_columns t =
   Array.init t.m (fun k ->
       let j = t.basic.(k) in
-      if j < t.n then t.cols.(j) else Sparse.singleton (j - t.n) (-1.0))
+      if j < t.n then t.cols.(j) else t.aux_cols.(j - t.n))
 
 (* LU pivot threshold scaled with the (possibly escalated) simplex pivot
    tolerance, never looser than the Lu.factor default. *)
@@ -487,7 +499,9 @@ let dual_simplex t =
         let b = t.basic.(r) in
         let above = t.xb.(r) > t.up.(b) in
         let s = if above then 1.0 else -1.0 in
-        Array.blit (Basis.btran_unit t.basis r) 0 t.rho 0 t.m;
+        let rho = t.rho in
+        Basis.btran_unit t.basis r rho;
+        Hvec.sort rho t.m;
         if not t.d_fresh then compute_d t;
         (* pivot row and entering candidates: columns whose pivot sign
            restores primal feasibility, with their dual ratio
@@ -497,33 +511,52 @@ let dual_simplex t =
         let consider j ratio alpha =
           cands := (j, ratio, abs_float alpha) :: !cands
         in
-        (* records rho . A_j for the dual step; returns it signed by s *)
+        (* records alpha_j = rho . A_j for the dual step *)
         t.narow <- 0;
-        let row_alpha j =
-          let a = col_dot t j t.rho in
-          if a <> 0.0 then begin
-            t.alpha.(j) <- a;
-            t.arow.(t.narow) <- j;
-            t.narow <- t.narow + 1
-          end;
-          s *. a
-        in
-        let total = t.n + t.m in
-        for j = 0 to total - 1 do
+        let visit j a =
           match t.vstat.(j) with
           | Basic _ -> ()
           | _ when is_fixed t j -> ()
-          | At_lower ->
-            let alpha = row_alpha j in
-            if alpha > t.cur_tol_pivot then
-              consider j (max 0.0 t.d.(j) /. alpha) alpha
-          | At_upper ->
-            let alpha = row_alpha j in
-            if alpha < -.t.cur_tol_pivot then
-              consider j (min 0.0 t.d.(j) /. alpha) alpha
-          | Free_zero ->
-            let alpha = row_alpha j in
-            if abs_float alpha > t.cur_tol_pivot then consider j 0.0 alpha
+          | stat -> (
+            if a <> 0.0 then begin
+              t.alpha.(j) <- a;
+              t.arow.(t.narow) <- j;
+              t.narow <- t.narow + 1
+            end;
+            let alpha = s *. a in
+            match stat with
+            | At_lower ->
+              if alpha > t.cur_tol_pivot then
+                consider j (max 0.0 t.d.(j) /. alpha) alpha
+            | At_upper ->
+              if alpha < -.t.cur_tol_pivot then
+                consider j (min 0.0 t.d.(j) /. alpha) alpha
+            | Free_zero ->
+              if abs_float alpha > t.cur_tol_pivot then consider j 0.0 alpha
+            | Basic _ -> ())
+        in
+        (* The structural part row by row: sum rho_i row_i over rho's
+           nonzeros in increasing i, so each alpha_j adds the terms of
+           the column dot product in the same order. Only the columns it
+           touches can have alpha_j <> 0; they are visited in increasing
+           j, then the slacks of rho's nonzeros (alpha = -rho_i), the
+           order of a scan over every column. *)
+        let srow = t.srow in
+        for e = 0 to rho.nnz - 1 do
+          let i = rho.idx.(e) in
+          let ri = rho.v.(i) in
+          if ri <> 0.0 then
+            Sparse.iter (fun j a -> Hvec.add srow j (a *. ri)) t.rows.(i)
+        done;
+        Hvec.sort srow t.n;
+        for e = 0 to srow.nnz - 1 do
+          let j = srow.idx.(e) in
+          visit j srow.v.(j)
+        done;
+        Hvec.clear srow;
+        for e = 0 to rho.nnz - 1 do
+          let i = rho.idx.(e) in
+          visit (t.n + i) (-.rho.v.(i))
         done;
         let target = if above then t.up.(b) else t.lo.(b) in
         (* Entering choice: minimum dual ratio, ties (within 1e-12) to the
@@ -576,7 +609,6 @@ let dual_simplex t =
           (match flips with
           | [] -> ()
           | fs ->
-            let acc = Array.make t.m 0.0 in
             List.iter
               (fun j ->
                 let dx =
@@ -590,23 +622,22 @@ let dual_simplex t =
                   | Basic _ | Free_zero ->
                     invalid_arg "dual flip of unbounded variable"
                 in
-                col_iter t j (fun i a -> acc.(i) <- acc.(i) +. (a *. dx));
+                col_iter t j (fun i a -> Hvec.add t.rhs i (a *. dx));
                 t.st.s_flips <- t.st.s_flips + 1)
               fs;
-            let wf = Basis.ftran t.basis acc in
-            for r' = 0 to t.m - 1 do
-              t.xb.(r') <- t.xb.(r') -. wf.(r')
-            done);
+            subtract_ftran_rhs t);
           ftran t q;
-          let alpha_rq = t.w.(r) in
+          let alpha_rq = t.w.v.(r) in
           if abs_float alpha_rq < t.cur_tol_pivot then
             raise (Numerical "dual simplex: tiny pivot");
           let dq = (t.xb.(r) -. target) /. alpha_rq in
           let q_new = value t q +. dq in
           (* basis update first: raises before any state mutation *)
           update_basis t r;
-          for r' = 0 to t.m - 1 do
-            if r' <> r then t.xb.(r') <- t.xb.(r') -. (dq *. t.w.(r'))
+          let w = t.w in
+          for e = 0 to w.nnz - 1 do
+            let r' = w.idx.(e) in
+            if r' <> r then t.xb.(r') <- t.xb.(r') -. (dq *. w.v.(r'))
           done;
           (* dual step (Koberstein 2005): y moves along rho by theta, so
              d_j -= theta alpha_j over the pivot row; q becomes basic and
@@ -640,6 +671,8 @@ let initial_vstat lo up =
   else if up < infinity then At_upper
   else Free_zero
 
+let aux_columns cap = Array.init cap (fun i -> Sparse.singleton i (-1.0))
+
 let grow_arrays t needed_cap =
   if needed_cap > t.cap then begin
     let ncap = max needed_cap (2 * t.cap) in
@@ -658,10 +691,14 @@ let grow_arrays t needed_cap =
     t.obj <- grow_f t.obj t.n;
     t.basic <- grow_i t.basic;
     t.xb <- grow_f t.xb 0;
-    t.w <- Array.make ncap 0.0;
-    t.y <- Array.make ncap 0.0;
-    t.rho <- Array.make ncap 0.0;
-    t.cb <- Array.make ncap 0.0;
+    let rows = Array.make ncap Sparse.empty in
+    Array.blit t.rows 0 rows 0 t.m;
+    t.rows <- rows;
+    t.aux_cols <- aux_columns ncap;
+    t.w <- Hvec.create ncap;
+    t.y <- Hvec.create ncap;
+    t.rho <- Hvec.create ncap;
+    t.rhs <- Hvec.create ncap;
     t.d <- Array.make (t.n + ncap) 0.0;
     t.d_fresh <- false;
     t.alpha <- Array.make (t.n + ncap) 0.0;
@@ -676,12 +713,14 @@ let of_problem ?(params = default_params) prob =
   let n = Problem.nvars prob in
   let m = Problem.nrows prob in
   let cap = max 16 (m + (m / 2)) in
+  let rows = Array.make cap Sparse.empty in
+  for i = 0 to m - 1 do
+    rows.(i) <- (Problem.row prob i).coeffs
+  done;
   (* structural columns: transpose the row-wise model *)
   let buckets = Array.make n [] in
   for i = m - 1 downto 0 do
-    Sparse.iter
-      (fun j v -> buckets.(j) <- (i, v) :: buckets.(j))
-      (Problem.row prob i).coeffs
+    Sparse.iter (fun j v -> buckets.(j) <- (i, v) :: buckets.(j)) rows.(i)
   done;
   let cols = Array.map Sparse.of_assoc buckets in
   let lo = Array.make (n + cap) 0.0 and up = Array.make (n + cap) 0.0 in
@@ -706,10 +745,11 @@ let of_problem ?(params = default_params) prob =
     vstat.(n + i) <- Basic i
   done;
   let ops = Basis.fresh_counters () in
+  let aux_cols = aux_columns cap in
   (* the all-slack start B = -I, factorised like every later basis *)
   let basis =
     Basis.create ~counters:ops ~pivot_tol:(lu_pivot_tol tol_pivot)
-      (Array.init m (fun i -> Sparse.singleton i (-1.0)))
+      (Array.sub aux_cols 0 m)
   in
   let t =
     {
@@ -718,6 +758,8 @@ let of_problem ?(params = default_params) prob =
       m;
       cap;
       cols;
+      rows;
+      aux_cols;
       lo;
       up;
       obj;
@@ -743,15 +785,16 @@ let of_problem ?(params = default_params) prob =
         | None -> None);
       st = fresh_istats ();
       ops;
-      w = Array.make cap 0.0;
-      y = Array.make cap 0.0;
-      rho = Array.make cap 0.0;
-      cb = Array.make cap 0.0;
+      w = Hvec.create cap;
+      y = Hvec.create cap;
+      rho = Hvec.create cap;
+      rhs = Hvec.create cap;
       d = Array.make (n + cap) 0.0;
       d_fresh = false;
       alpha = Array.make (n + cap) 0.0;
       arow = Array.make (n + cap) 0;
       narow = 0;
+      srow = Hvec.create n;
     }
   in
   recompute_xb t;
@@ -789,6 +832,7 @@ let add_rows t rows =
       grow_arrays t (t.m + 1);
       let r_new = t.m in
       let aux = t.n + r_new in
+      t.rows.(r_new) <- sp;
       t.lo.(aux) <- lo;
       t.up.(aux) <- up;
       t.obj.(aux) <- 0.0;
@@ -1007,12 +1051,10 @@ let to_problem t =
   for j = 0 to t.n - 1 do
     ignore (Problem.add_var ~lo:t.lo.(j) ~up:t.up.(j) ~obj:t.obj.(j) prob)
   done;
-  let rows = Array.make (max 1 t.m) [] in
-  for j = t.n - 1 downto 0 do
-    Sparse.iter (fun i a -> rows.(i) <- (j, a) :: rows.(i)) t.cols.(j)
-  done;
   for i = 0 to t.m - 1 do
-    ignore (Problem.add_row prob ~lo:t.lo.(t.n + i) ~up:t.up.(t.n + i) rows.(i))
+    ignore
+      (Problem.add_row prob ~lo:t.lo.(t.n + i) ~up:t.up.(t.n + i)
+         (Sparse.to_assoc t.rows.(i)))
   done;
   prob
 
@@ -1299,9 +1341,8 @@ let primal t = Array.init t.n (fun j -> value t j)
 let row_activity t = Array.init t.m (fun i -> value t (t.n + i))
 
 let dual t =
-  fill_cb t;
-  compute_y t t.cb;
-  Array.sub t.y 0 t.m
+  compute_y t;
+  Array.sub t.y.v 0 t.m
 
 let solution t =
   {
@@ -1328,6 +1369,8 @@ let stats t =
     refactorisations = t.ops.Basis.factorisations;
     factor_nnz = t.ops.Basis.factor_nnz;
     basis_nnz = t.ops.Basis.basis_nnz;
+    factor_dim = t.ops.Basis.factor_dim;
+    kernel_dim = t.ops.Basis.kernel_dim;
     dual_seconds = t.st.s_dual_secs;
     recoveries =
       {
@@ -1350,6 +1393,8 @@ let zero_stats =
     refactorisations = 0;
     factor_nnz = 0;
     basis_nnz = 0;
+    factor_dim = 0;
+    kernel_dim = 0;
     dual_seconds = 0.0;
     recoveries = no_recoveries;
   }
@@ -1374,6 +1419,8 @@ let merge_stats a b =
     refactorisations = a.refactorisations + b.refactorisations;
     factor_nnz = a.factor_nnz + b.factor_nnz;
     basis_nnz = a.basis_nnz + b.basis_nnz;
+    factor_dim = a.factor_dim + b.factor_dim;
+    kernel_dim = a.kernel_dim + b.kernel_dim;
     dual_seconds = a.dual_seconds +. b.dual_seconds;
     recoveries = merge_recoveries a.recoveries b.recoveries;
   }

@@ -143,6 +143,12 @@ type stats = {
   basis_nnz : int;
       (** nonzeros of the factored basis matrices, summed the same way;
           [factor_nnz / basis_nnz] is the mean LU fill ratio *)
+  factor_dim : int;
+      (** dimensions of the factored bases, summed the same way *)
+  kernel_dim : int;
+      (** dimensions of their eliminated kernels (the basis less its
+          leading singleton columns), summed the same way;
+          [kernel_dim / factor_dim] is the mean kernel share *)
   dual_seconds : float;  (** wall time of the dual simplex runs *)
   recoveries : recoveries;  (** numerical-recovery telemetry *)
 }

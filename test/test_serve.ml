@@ -85,6 +85,20 @@ let test_bad_requests () =
     (code {|{"id": "x", "bench": "prim1s", "seed": 1e30}|});
   Alcotest.(check string) "negative skew" "bad_request"
     (code {|{"id": "x", "bench": "prim1s", "skew": -0.5}|});
+  (* a sleep is bounded: [Unix.sleepf] raises EINVAL on 1e20 s and
+     never returns on 1e300 s *)
+  let sleep ms = Printf.sprintf {|{"id": "s", "op": "sleep", "ms": %s}|} ms in
+  let cap = Lubt_experiments.Serve_request.max_sleep_ms in
+  List.iter
+    (fun ms ->
+      Alcotest.(check string) ("sleep " ^ ms) "bad_request" (code (sleep ms)))
+    [ "1e400"; "-1e400"; "1e300"; "1e20"; Printf.sprintf "%.17g" (cap +. 1.0);
+      "-1" ];
+  Alcotest.(check bool) "sleep 0 is ok" true (is_ok (respond (sleep "0")));
+  (match Lubt_experiments.Serve_request.parse_request (sleep (Printf.sprintf "%.17g" cap)) with
+  | Ok { rq_op = Sleep s; _ } ->
+    Alcotest.(check (float 0.0)) "sleep at the cap" (cap /. 1e3) s
+  | _ -> Alcotest.fail "sleep at the cap refused");
   (* the id still comes back on a bad request when the line parsed *)
   let r = respond {|{"id": "x", "op": "frobnicate"}|} in
   Alcotest.(check bool) "id echoed on bad request" true
