@@ -452,9 +452,8 @@ type cstate = {
 
    Fault tolerance: a connection that dies (ECONNRESET/EPIPE/EOF) is
    reopened and its in-flight requests are resent ([`Reconnects]);
-   [overloaded]/[breaker_open] rejections are retried with jittered
-   exponential backoff honouring the server's [retry_after_ms] hint
-   ([`Retries]; only retry exhaustion counts as [`Rejected]).
+   [overloaded] rejections are retried with jittered exponential
+   backoff ([`Retries]; only retry exhaustion counts as [`Rejected]).
    Latencies are measured from the FIRST send, so retries and
    reconnects show up as tail latency, not as dropped samples.
 
@@ -577,7 +576,7 @@ let run_load ~addr ~rps ~duration ~conns ~degrade_every ~chaos_seed =
                 incr degraded_ok;
               latencies := ((t1 -. t0) *. 1e3) :: !latencies
             end
-            else if code = "overloaded" || code = "breaker_open" then begin
+            else if code = "overloaded" then begin
               let a =
                 (match Hashtbl.find_opt attempts id with
                 | Some a -> a
@@ -593,16 +592,11 @@ let run_load ~addr ~rps ~duration ~conns ~degrade_every ~chaos_seed =
                 (* response arrived: the old send is settled, the id
                    now belongs to the retry queue, not the socket *)
                 Hashtbl.remove (conn_of_id id).cs_inflight id;
-                let hint =
-                  match Option.bind err (Json.member "retry_after_ms") with
-                  | Some (Json.Num ms) when ms > 0.0 -> ms /. 1e3
-                  | _ -> 0.0
+                let delay =
+                  Float.min 1.0
+                    (0.025 *. (2.0 ** float_of_int (a - 1))
+                    *. (0.5 +. Lubt_util.Prng.float jitter 1.0))
                 in
-                let backoff =
-                  0.025 *. (2.0 ** float_of_int (a - 1))
-                  *. (0.5 +. Lubt_util.Prng.float jitter 1.0)
-                in
-                let delay = Float.min 1.0 (Float.max hint backoff) in
                 incr retries;
                 retryq := (t1 +. delay, id) :: !retryq
               end

@@ -94,6 +94,13 @@ let or_die = function
     Log.err "%s" msg;
     exit 1
 
+(* The topology file when one is given, else the baseline router's
+   tree for the instance's window (solve, svg and optimize). *)
+let topology_for inst topo_path =
+  match topo_path with
+  | Some path -> or_die (Io.read_tree path)
+  | None -> Protocol.baseline_topology inst
+
 (* Cross-request warm-start cache plumbing, shared by solve, batch and
    serve. The in-process tier is on by default (it is cheap and pays
    off whenever one process solves related instances); --no-cache turns
@@ -301,11 +308,7 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed json
             ?recovery:e.Simplex.pr_recovery ())
   in
   let inst = or_die (Io.read_instance inst_path) in
-  let tree =
-    match topo_path with
-    | Some path -> or_die (Io.read_tree path)
-    | None -> Protocol.baseline_topology inst
-  in
+  let tree = topology_for inst topo_path in
   let lp_params =
     {
       Ebf.default_options.Ebf.lp_params with
@@ -628,9 +631,8 @@ let batch_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve socket port host metrics_port jobs max_pending default_time_limit
-    watchdog breaker_p95_ms breaker_queue breaker_cooldown chaos_seed
-    chaos_kill_rate chaos_delay_rate chaos_delay_ms cache_dir no_cache
-    log_level =
+    watchdog chaos_seed chaos_kill_rate chaos_delay_rate chaos_delay_ms
+    cache_dir no_cache log_level =
   Log.set_level log_level;
   if socket = None && port = None then begin
     prerr_endline "lubt serve: give --socket PATH and/or --port PORT";
@@ -664,10 +666,6 @@ let serve socket port host metrics_port jobs max_pending default_time_limit
       default_time_limit =
         (if default_time_limit <= 0.0 then infinity else default_time_limit);
       watchdog = (if watchdog <= 0.0 then infinity else watchdog);
-      breaker_p95_ms =
-        (if breaker_p95_ms <= 0.0 then infinity else breaker_p95_ms);
-      breaker_queue = max 0 breaker_queue;
-      breaker_cooldown = (if breaker_cooldown <= 0.0 then 1.0 else breaker_cooldown);
       chaos;
       cache = make_cache ~no_cache ~cache_dir;
       metrics_port;
@@ -753,30 +751,6 @@ let serve_cmd =
              the request answers with a $(b,watchdog_timeout) error and \
              the restart is counted in the stats.")
   in
-  let breaker_p95_ms =
-    Arg.(
-      value & opt float 0.0
-      & info [ "breaker-p95-ms" ] ~docv:"MS"
-          ~doc:
-            "Circuit breaker: when the p95 latency of recently completed \
-             requests reaches $(docv), new solves are rejected fast with \
-             $(b,breaker_open) + $(b,retry_after_ms) for the cooldown \
-             period (default: disabled).")
-  in
-  let breaker_queue =
-    Arg.(
-      value & opt int 0
-      & info [ "breaker-queue" ] ~docv:"N"
-          ~doc:
-            "Circuit breaker: open when the executor queue depth reaches \
-             $(docv) (default: disabled).")
-  in
-  let breaker_cooldown =
-    Arg.(
-      value & opt float 1.0
-      & info [ "breaker-cooldown" ] ~docv:"SECONDS"
-          ~doc:"How long the breaker stays open once tripped (default 1).")
-  in
   let chaos_seed =
     Arg.(
       value
@@ -816,30 +790,19 @@ let serve_cmd =
          "Long-lived solve daemon: JSON-lines requests over a Unix \
           socket and/or TCP, answered by a supervised pool of worker \
           domains with bounded-queue backpressure, per-request \
-          deadlines, a hard watchdog, a circuit breaker and an opt-in \
+          deadlines, a hard watchdog and an opt-in \
           graceful-degradation ladder; responses reuse the \
           $(b,solve --json) report shape. SIGTERM or SIGINT drains \
           in-flight requests and exits cleanly.")
     Term.(
       const serve $ socket $ port $ host $ metrics_port $ jobs $ max_pending
-      $ default_time_limit $ watchdog $ breaker_p95_ms $ breaker_queue
-      $ breaker_cooldown $ chaos_seed $ chaos_kill_rate $ chaos_delay_rate
-      $ chaos_delay_ms $ cache_dir_t $ no_cache_t $ log_level_t)
+      $ default_time_limit $ watchdog $ chaos_seed $ chaos_kill_rate
+      $ chaos_delay_rate $ chaos_delay_ms $ cache_dir_t $ no_cache_t
+      $ log_level_t)
 
 (* ------------------------------------------------------------------ *)
 (* svg                                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let topology_for inst topo_path =
-  match topo_path with
-  | Some path -> or_die (Io.read_tree path)
-  | None ->
-    let lo, _ = Lubt_util.Stats.min_max inst.Instance.lower in
-    let _, hi = Lubt_util.Stats.min_max inst.Instance.upper in
-    let bound = if hi = infinity then infinity else max 0.0 (hi -. lo) in
-    (Bst.route ~skew_bound:bound ?source:inst.Instance.source
-       inst.Instance.sinks)
-      .Bst.topology
 
 let svg inst_path topo_path out labels =
   let inst = or_die (Io.read_instance inst_path) in

@@ -16,9 +16,13 @@ let create ?source ~sinks ~lower ~upper () =
   let source_ok = Option.fold ~none:true ~some:finite source in
   if not (source_ok && Array.for_all finite sinks) then
     invalid_arg "Instance.create: non-finite coordinate";
+  (* an infinite lower bound admits no tree, and the solver's relative
+     violation test reads inf/inf = NaN as satisfied *)
   for i = 0 to m - 1 do
     if not (0.0 <= lower.(i) && lower.(i) <= upper.(i)) then
-      invalid_arg "Instance.create: need 0 <= lower <= upper"
+      invalid_arg "Instance.create: need 0 <= lower <= upper";
+    if not (Float.is_finite lower.(i)) then
+      invalid_arg "Instance.create: lower bound must be finite"
   done;
   { sinks; source; lower = Array.copy lower; upper = Array.copy upper }
 

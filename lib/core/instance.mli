@@ -21,7 +21,8 @@ val create :
   t
 (** @raise Invalid_argument when arrays disagree in length, a sink or
     the source has a non-finite (infinite or NaN) coordinate, some
-    [lower > upper], or some bound is negative. *)
+    [lower > upper], some bound is negative, or some [lower] is
+    infinite ([upper] may be [infinity]: no upper bound). *)
 
 val uniform_bounds :
   ?source:Lubt_geom.Point.t ->
@@ -74,9 +75,10 @@ module Edit : sig
 
   val apply : t -> op -> (t, string) result
   (** Applies one edit. [Error] (with a human-readable reason) on an
-      out-of-range sink index, bounds violating [0 <= lower <= upper], a
-      non-finite sink coordinate (a move that overflows, say), or
-      removing the last sink; the input instance is never mutated. *)
+      out-of-range sink index, bounds violating [0 <= lower <= upper] or
+      an infinite [lower], a non-finite sink coordinate (a move that
+      overflows, say), or removing the last sink; the input instance is
+      never mutated. *)
 
   val apply_all : t -> op list -> (t, string) result
   (** Applies edits left to right, stopping at the first failure. *)

@@ -13,7 +13,7 @@ module Basis_cache = Lubt_lp.Basis_cache
    [lubt_requests_total] is every protocol line answered (rejections
    and parse errors included) and [served] in health and stats is
    requests minus rejections. The latency histogram is one family
-   labelled by op; the breaker reads its p95 from the same family. *)
+   labelled by op. *)
 let m_requests =
   Metrics.counter ~help:"Protocol requests answered (any outcome)"
     "lubt_requests_total"
@@ -29,10 +29,6 @@ let m_failed =
 let m_degraded =
   Metrics.counter ~help:"Requests answered by a degraded ladder rung"
     "lubt_serve_degraded_total"
-
-let m_breaker_trips =
-  Metrics.counter ~help:"Circuit-breaker open transitions"
-    "lubt_serve_breaker_trips_total"
 
 let m_connections =
   Metrics.counter ~help:"Protocol sessions accepted"
@@ -63,9 +59,6 @@ type config = {
   max_pending : int;
   default_time_limit : float;
   watchdog : float;
-  breaker_p95_ms : float;
-  breaker_queue : int;
-  breaker_cooldown : float;
   chaos : Executor.chaos option;
   cache : Basis_cache.t option;
   metrics_port : int option;
@@ -80,9 +73,6 @@ let default_config =
     max_pending = 64;
     default_time_limit = infinity;
     watchdog = infinity;
-    breaker_p95_ms = infinity;
-    breaker_queue = 0;
-    breaker_cooldown = 1.0;
     chaos = None;
     cache = None;
     metrics_port = None;
@@ -96,7 +86,6 @@ type stats = {
   degraded : int;
   restarts : int;
   watchdog_fires : int;
-  breaker_trips : int;
   cache_hits : int;
   cache_misses : int;
 }
@@ -159,12 +148,6 @@ let max_header_bytes = 8192
 let count conn counter n =
   if conn.c_kind = Protocol then Metrics.incr counter ~by:(float_of_int n)
 
-(* The breaker's p95 window: the registry's latency histograms minus
-   the merged read taken two marks ago, where a mark moves forward
-   once [lat_epoch] more requests have completed since the last one —
-   the most recent 128–256 requests, read in O(buckets). *)
-let lat_epoch = 128
-
 type server = {
   cfg : config;
   executor : Executor.t;
@@ -177,68 +160,7 @@ type server = {
       (* the registry's serve counters when [create] ran: the registry
          is process-wide and one process may host several daemons in
          turn, so this daemon's counts are the registry minus these *)
-  mutable marks : Metrics.histogram_snapshot * Metrics.histogram_snapshot;
-      (* latency reads at the last two window marks, older first;
-         loop-thread only *)
-  mutable breaker_until : float;  (* loop-thread only; Clock.now axis *)
 }
-
-(* The three per-op latency histograms merged: every request the
-   workers have completed in this process. *)
-let latency_read () =
-  Metrics.merge_histogram
-    (Metrics.read_histogram m_lat_solve)
-    (Metrics.merge_histogram
-       (Metrics.read_histogram m_lat_eco)
-       (Metrics.read_histogram m_lat_sleep))
-
-(* p95 over the window since the older mark; NaN while it is empty (a
-   NaN never trips the [>=] threshold, so a cold server admits). *)
-let p95_ms server =
-  let now = latency_read () in
-  let _, newer = server.marks in
-  if now.Metrics.h_count - newer.Metrics.h_count >= lat_epoch then
-    server.marks <- (newer, now);
-  let older, _ = server.marks in
-  if now.Metrics.h_count = older.Metrics.h_count then nan
-  else
-    Metrics.Buckets.quantile ~bounds:now.Metrics.h_bounds
-      ~counts:(Array.map2 ( - ) now.Metrics.h_counts older.Metrics.h_counts)
-      0.95
-
-(* The circuit breaker: called on the select loop before submitting a
-   solve. Once open it stays open for [breaker_cooldown] seconds and
-   rejections carry the remaining wait as a Retry-After-style hint.
-   Both thresholds default to "never" (p95 [infinity], queue [0]). *)
-let breaker_check server =
-  let now = Clock.now () in
-  if now < server.breaker_until then Some (server.breaker_until -. now)
-  else begin
-    let cfg = server.cfg in
-    let depth = Executor.pending server.executor in
-    let queue_trip = cfg.breaker_queue > 0 && depth >= cfg.breaker_queue in
-    let p95 = if cfg.breaker_p95_ms < infinity then p95_ms server else nan in
-    let p95_trip = p95 >= cfg.breaker_p95_ms in
-    if queue_trip || p95_trip then begin
-      server.breaker_until <- now +. cfg.breaker_cooldown;
-      Metrics.incr m_breaker_trips;
-      Log.warn
-        ~fields:
-          [
-            ("queue_depth", Trace.Int depth);
-            ("p95_ms", Trace.Float p95);
-          ]
-        "circuit breaker open for %.3gs (%s)" cfg.breaker_cooldown
-        (if queue_trip then "queue depth over threshold"
-         else "p95 latency over threshold");
-      if Trace.enabled () then
-        Trace.instant "serve.breaker_open"
-          ~args:
-            [ ("queue_depth", Trace.Int depth); ("p95_ms", Trace.Float p95) ];
-      Some cfg.breaker_cooldown
-    end
-    else None
-  end
 
 (* One byte on the self-pipe wakes the select loop so it reconsiders
    interest sets and prunes dead sessions. The write end is
@@ -370,7 +292,6 @@ let registry_stats () =
     degraded = read m_degraded;
     restarts = 0;
     watchdog_fires = 0;
-    breaker_trips = read m_breaker_trips;
     cache_hits = 0;
     cache_misses = 0;
   }
@@ -389,7 +310,6 @@ let server_stats server =
     degraded = now.degraded - b.degraded;
     restarts = Executor.restarts server.executor;
     watchdog_fires = Executor.watchdog_fires server.executor;
-    breaker_trips = now.breaker_trips - b.breaker_trips;
     cache_hits;
     cache_misses;
   }
@@ -405,7 +325,6 @@ let stats_fields s =
     ("degraded", s.degraded);
     ("restarts", s.restarts);
     ("watchdog_fires", s.watchdog_fires);
-    ("breaker_trips", s.breaker_trips);
     ("cache_hits", s.cache_hits);
     ("cache_misses", s.cache_misses);
   ]
@@ -423,9 +342,7 @@ let health_response server ~id =
   let health =
     [ ("pending", Json.int (Executor.pending ex));
       ("running", Json.int (Executor.running ex));
-      ("workers", Json.int (Executor.workers ex));
-      ("breaker_open", Json.Bool (Clock.now () < server.breaker_until));
-      ("p95_ms", Json.Num (p95_ms server)) ]
+      ("workers", Json.int (Executor.workers ex)) ]
     @ stats_members (server_stats server)
     @ [ ("cache_rejects", Json.int cache_rejects) ]
   in
@@ -543,9 +460,10 @@ let submit server conn (rq : Request.request) =
       answer ~rejected:true server conn
         (Request.error_response ~id:rq.rq_id ~code msg))
 
-(* Dispatch one request line. Cheap ops (ping, metrics, malformed and
-   breaker rejections) are answered on the session thread; solves,
-   ecos and sleeps go to the worker pool. *)
+(* Dispatch one request line. Cheap ops (ping, metrics and malformed
+   lines) are answered on the session thread; solves, ecos and sleeps
+   go to the worker pool, whose bounded queue is the one admission
+   limit. *)
 let dispatch server conn line =
   if String.trim line <> "" then
     match Request.parse_request line with
@@ -559,22 +477,11 @@ let dispatch server conn line =
       (* cheap like ping: a snapshot merge over a handful of blocks,
          answered on the session thread so it works under saturation *)
       answer server conn (Request.metrics_response ~id:rq_id)
-    | Ok rq -> (
+    | Ok rq ->
       (* sleep occupies a worker exactly like a solve, so admission
          control covers both; ping stays exempt — it is the health
          probe clients use to decide when to retry *)
-      match breaker_check server with
-      | None -> submit server conn rq
-      | Some wait_s ->
-        Log.warn
-          ~fields:
-            [ ("conn", Trace.Int conn.c_id); ("req", Trace.Str rq.rq_id_text) ]
-          "rejected: breaker_open";
-        answer ~rejected:true server conn
-          (Request.error_response ~id:rq.rq_id ~code:"breaker_open"
-             ~retry_after_ms:(wait_s *. 1e3)
-             (Printf.sprintf "circuit breaker open (overload); retry in %.0f ms"
-                (wait_s *. 1e3))))
+      submit server conn rq
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -720,7 +627,6 @@ let create cfg =
         ~max_pending:(max 0 cfg.max_pending) ~watchdog:cfg.watchdog
         ?chaos:cfg.chaos ()
     in
-    let latency = latency_read () in
     Ok
       {
         cfg;
@@ -730,8 +636,6 @@ let create cfg =
         stop_w;
         stopped = Atomic.make false;
         baseline = registry_stats ();
-        marks = (latency, latency);
-        breaker_until = neg_infinity;
       }
 
 let stop server =

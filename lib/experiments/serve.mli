@@ -104,9 +104,7 @@
     worker domain running the request died; the daemon replaced it),
     [watchdog_timeout] (the request overran the [--watchdog] hard
     deadline; its worker was deposed and replaced), [dropped] (shutdown
-    cancelled the queued request), [breaker_open] (admission control —
-    the error object additionally carries [retry_after_ms]),
-    [bounds_violated] (a tree was built but some sink delays miss their
+    cancelled the queued request), [bounds_violated] (a tree was built but some sink delays miss their
     window; the reply also carries the solve report members, and the
     error object [violations] and [worst_violation]),
     [verification_failed] (the same for a tree that keeps its window but
@@ -117,12 +115,11 @@
     of order).
 
     [ping] responses carry a [health] object — queue depth, running and
-    live worker counts, breaker state and p95, every {!stats} member
-    so far (sessions, served/rejected/failed/degraded totals,
-    supervision counters, breaker trips, warm-start cache hits and
-    misses; cache counters are zeros when the daemon runs cacheless)
-    and [cache_rejects] — so clients can make admission decisions
-    without a separate endpoint.
+    live worker counts, every {!stats} member so far (sessions,
+    served/rejected/failed/degraded totals, supervision counters,
+    warm-start cache hits and misses; cache counters are zeros when the
+    daemon runs cacheless) and [cache_rejects] — so clients can make
+    admission decisions without a separate endpoint.
 
     {2 Metrics}
 
@@ -130,8 +127,7 @@
     request path into it: answered requests
     ([lubt_requests_total]) and their failures, degradations and
     rejections, per-op latency histograms
-    ([lubt_serve_request_latency_ms]), breaker trips, sessions, bytes
-    in/out, plus whatever the solver layers record (simplex work
+    ([lubt_serve_request_latency_ms]), sessions, bytes in/out, plus whatever the solver layers record (simplex work
     counters, EBF rounds, executor supervision, warm-start cache
     outcomes). The registry is the daemon's only request accounting:
     [ping] health and the shutdown {!stats} read it too ([served] is
@@ -144,17 +140,18 @@
     HTTP listener. Its sessions are one more session kind in the
     daemon's one select loop and are answered there, so a scraper can
     never occupy a worker; they are not counted as sessions, requests
-    or bytes. The circuit breaker reads its p95 from the
-    latency histograms as well: the difference between the current
-    read and one taken two window marks ago, a mark moving forward
-    every 128 completed requests (O(buckets) per admission check).
+    or bytes.
 
     {2 Scheduling and observability}
 
     Requests are parsed on the session thread and executed on the
-    executor's worker domains. When [max_pending] requests are already
-    queued, new solve requests are refused immediately with
-    [overloaded] — bounded backpressure instead of an unbounded queue.
+    executor's worker domains. Admission has one limit per concern:
+    when [max_pending] requests are already queued, a new solve, eco
+    or sleep is refused immediately with [overloaded] (a degrade-opted
+    one is answered inline by the heuristic rung instead) — bounded
+    backpressure instead of an unbounded queue; the per-request
+    deadline, counted from dispatch, bounds latency; the [watchdog]
+    bounds a stuck worker.
     Each request runs under {!Lubt_obs.Trace.with_context} carrying its
     [req] id, so its spans, counters and every {!Lubt_obs.Log} line it
     emits are stamped with the request id; worker domains record into
@@ -175,16 +172,6 @@ type config = {
           off): a request running longer has its worker deposed and
           replaced ({!Lubt_util.Pool.Executor}) and is answered with
           [watchdog_timeout] *)
-  breaker_p95_ms : float;
-      (** circuit breaker: open when the p95 of the last completed
-          requests reaches this many milliseconds (default [infinity]
-          = never) *)
-  breaker_queue : int;
-      (** circuit breaker: open when the executor queue depth reaches
-          this bound (default [0] = never) *)
-  breaker_cooldown : float;
-      (** seconds the breaker stays open once tripped (default 1.0);
-          also the [retry_after_ms] hint sent with the rejection *)
   chaos : Lubt_util.Pool.Executor.chaos option;
       (** deterministic service-level fault injection (worker kills,
           task latency) for tests and chaos smokes; default [None] *)
@@ -206,20 +193,19 @@ val max_line_bytes : int
 
 val default_config : config
 (** No listeners ([create] requires at least one of [socket]/[port]),
-    [jobs = 4], [max_pending = 64], no default deadline, watchdog and
-    breaker off, no chaos, no cache. *)
+    [jobs = 4], [max_pending = 64], no default deadline, watchdog off,
+    no chaos, no cache. *)
 
 type stats = {
   connections : int;  (** sessions accepted over the server's lifetime *)
   served : int;  (** requests answered, successfully or with an error *)
   rejected : int;
-      (** requests refused by backpressure or the circuit breaker *)
+      (** requests refused by backpressure ([overloaded]) or shutdown *)
   failed : int;  (** requests answered with [ok: false] *)
   degraded : int;
       (** answers from a rung below the top one, ok or [bounds_violated] *)
   restarts : int;  (** worker domains respawned (crash or watchdog) *)
   watchdog_fires : int;  (** requests failed by the watchdog deadline *)
-  breaker_trips : int;  (** times the circuit breaker opened *)
   cache_hits : int;
       (** warm-start cache hits (exact + parent) over the server's
           lifetime; 0 when cacheless *)

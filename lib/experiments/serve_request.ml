@@ -282,13 +282,8 @@ let parse_request line =
 let reply ~id ~ok members =
   Json.to_string (Json.Obj (("id", id) :: ("ok", Json.Bool ok) :: members))
 
-let error_response ?retry_after_ms ~id ~code msg =
-  let retry =
-    match retry_after_ms with
-    | None -> []
-    | Some ms -> [ ("retry_after_ms", Json.Num ms) ]
-  in
-  let error = ("code", Json.Str code) :: ("message", Json.Str msg) :: retry in
+let error_response ~id ~code msg =
+  let error = [ ("code", Json.Str code); ("message", Json.Str msg) ] in
   reply ~id ~ok:false [ ("error", Json.Obj error) ]
 
 (* The sink delays of [r] outside their [l, u] window: how many, and

@@ -39,12 +39,7 @@ val reply :
     rendered by {!Lubt_obs.Json.to_string}. Every reply goes through it,
     so [id] is always the first member. *)
 
-val error_response :
-  ?retry_after_ms:float ->
-  id:Lubt_obs.Json.t ->
-  code:string ->
-  string ->
-  string
+val error_response : id:Lubt_obs.Json.t -> code:string -> string -> string
 (** A failure response line: [{"id", "ok": false, "error": {...}}]. *)
 
 val metrics_response : id:Lubt_obs.Json.t -> string

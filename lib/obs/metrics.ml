@@ -299,11 +299,6 @@ let read_counter (d : counter) =
   | Counter v -> v
   | _ -> invalid_arg "Metrics.read_counter: not a counter"
 
-let read_histogram (d : histogram) =
-  match value_of (live_blocks ()) d with
-  | Histogram h -> h
-  | _ -> invalid_arg "Metrics.read_histogram: not a histogram"
-
 let snapshot () =
   let live = live_blocks () in
   let ds = Mutex.protect defs_lock (fun () -> List.rev !defs) in

@@ -34,9 +34,7 @@ type gauge
 type histogram
 
 (** Bucket-layout helpers: the registry's histograms use them, and a
-    reader can take {!quantile} over any bucket counts on a layout —
-    the serve admission breaker reads p95 off the difference of two
-    {!read_histogram} results this way. *)
+    reader can take {!quantile} over any bucket counts on a layout. *)
 module Buckets : sig
   val log : lo:float -> hi:float -> count:int -> float array
   (** [log ~lo ~hi ~count] is [count] geometrically spaced upper
@@ -123,9 +121,6 @@ val snapshot : unit -> sample list
 val read_counter : counter -> float
 (** One counter merged across domains: the value {!snapshot} reports
     for it, without merging every other metric. *)
-
-val read_histogram : histogram -> histogram_snapshot
-(** One histogram merged across domains, as {!snapshot} reports it. *)
 
 val merge_histogram :
   histogram_snapshot -> histogram_snapshot -> histogram_snapshot

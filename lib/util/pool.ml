@@ -82,15 +82,6 @@ let map ?jobs f xs =
   reraise_first results;
   List.map (function Ok v -> v | Error _ -> assert false) results
 
-let mapi ?jobs f xs =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let tasks = Array.of_list (List.mapi (fun i x () -> f i x) xs) in
-  let results = Array.to_list (run_indexed ~jobs tasks) in
-  reraise_first results;
-  List.map (function Ok v -> v | Error _ -> assert false) results
-
-let iter ?jobs f xs = ignore (map ?jobs f xs)
-
 (* ------------------------------------------------------------------ *)
 (* Persistent executor (serve mode)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -574,10 +565,3 @@ module Executor = struct
       pool.monitor <- None
     | None -> ()
 end
-
-let map_seeded ?jobs ~seed f xs =
-  let root = Prng.create seed in
-  (* split all streams sequentially up front: stream i is a function of
-     (seed, i) alone, never of jobs or scheduling *)
-  let seeded = List.map (fun x -> (Prng.split root, x)) xs in
-  map ?jobs (fun (rng, x) -> f rng x) seeded

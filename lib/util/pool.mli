@@ -8,14 +8,11 @@
     per-task dispatch overhead (one atomic fetch-and-add) is negligible.
 
     {b Determinism.} Results are returned in input order, regardless of
-    which domain ran which task or in what order tasks finished. With
-    {!map_seeded}, per-task PRNG streams are split from the root seed
-    {e sequentially, before any domain starts}, so a seeded sweep is
-    bit-for-bit reproducible at any [jobs] count.
+    which domain ran which task or in what order tasks finished.
 
     {b Exception safety.} A raising task never brings down the pool or
     the caller mid-sweep: every task's exception is captured with its
-    backtrace and input index. [map]/[iter] re-raise the failure with the
+    backtrace and input index. [map] re-raises the failure with the
     lowest input index after all tasks have run to completion (so a
     deterministic failure is reported identically at any [jobs] count);
     [map_result] hands back all outcomes for per-instance reporting.
@@ -38,7 +35,7 @@ type failure = {
 (** A captured task failure. *)
 
 exception Task_failed of failure
-(** Raised by {!map} and {!iter} (in the calling domain, after the sweep
+(** Raised by {!map} (in the calling domain, after the sweep
     has drained) when at least one task raised; carries the failure with
     the smallest input index. Re-raised with
     [Printexc.raise_with_backtrace] so the worker-side frames survive
@@ -54,13 +51,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     clamped to [1 .. length xs]; [jobs = 1] runs sequentially in the
     calling domain — no domain is spawned, giving bit-for-bit the
     sequential semantics (same evaluation order, same allocations).
-    @raise Task_failed after the sweep if any task raised. *)
-
-val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** {!map} with the input index passed to the task. *)
-
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [iter ~jobs f xs] runs [f] on every element, in parallel.
     @raise Task_failed after the sweep if any task raised. *)
 
 val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, failure) result list
@@ -220,13 +210,3 @@ module Executor : sig
       stranded. Idempotent-ish: a second call re-joins nothing and
       keeps the first call's drain mode. *)
 end
-
-val map_seeded :
-  ?jobs:int -> seed:int -> (Prng.t -> 'a -> 'b) -> 'a list -> 'b list
-(** [map_seeded ~seed f xs] gives every task a private PRNG stream:
-    stream [i] is the [i]-th {!Prng.split} of a parent created with
-    [seed]. The streams are derived sequentially before any worker
-    starts, so the value of task [i] does not depend on [jobs] or on
-    scheduling — seeded sweeps reproduce bit-for-bit at any domain
-    count.
-    @raise Task_failed after the sweep if any task raised. *)

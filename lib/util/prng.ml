@@ -15,8 +15,6 @@ let next_int64 t =
   logxor z (shift_right_logical z 31)
 
 (* Uniform float in [0,1) from the top 53 bits. *)
-let split t = { state = next_int64 t }
-
 let unit_float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)

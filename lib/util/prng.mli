@@ -14,16 +14,6 @@ val create : int -> t
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
 
-val split : t -> t
-(** [split t] derives a child generator seeded by [t]'s next raw output
-    and advances [t] by one step. Successive splits from one parent yield
-    statistically independent streams (splitmix64's output mixes its
-    counter state through two 64-bit finalisers), and the derivation is
-    purely sequential — splitting [n] children from a seeded parent gives
-    the same [n] streams no matter which domains later consume them. This
-    is what {!Pool.map_seeded} uses to hand every task its own
-    reproducible stream at any worker count. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output of splitmix64. *)
 

@@ -135,6 +135,7 @@ let test_io_error_handling () =
       ("bogus 1 2", "unknown record");
       ("source 0 0\nsource 1 1\nsink 0 0 0 1", "duplicate source");
       ("sink 0 0 5 1", "lower above upper");
+      ("sink 0 0 inf inf", "infinite lower bound");
       ("sink 0 0 0 inf\nsink nan 5 0 inf\nsink 3 4 0 inf", "nan sink");
       ("sink inf 0 0 inf\nsink 3 4 0 inf", "infinite sink");
       ("source 0 -inf\nsink 3 4 0 inf", "infinite source");

@@ -4,7 +4,9 @@
    the test parses it, checks the solve against the sidecar, and checks
    that the writer's output is a fixed point of write/parse/write — a
    structural round-trip failure is reported as a unified diff of the
-   two texts, so a regression shows exactly which lines moved. *)
+   two texts, so a regression shows exactly which lines moved. The
+   trajectory group pins the lazy EBF's pivots on the scaled batch
+   corpus (ebf_trajectory.ml). *)
 
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
@@ -131,6 +133,69 @@ let check_fixture name () =
     Alcotest.failf "%s: round-trip changed objective %.17g -> %.17g" name
       sol.Status.objective sol2.Status.objective
 
+(* The first field where two trajectory lines part, as
+   [(key, expected, got)]; a field one line lacks reads "(none)". *)
+let first_field_difference expected got =
+  let split l =
+    List.map
+      (fun tok ->
+        match String.index_opt tok '=' with
+        | Some i ->
+          (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
+        | None -> ("id", tok))
+      (String.split_on_char ' ' l)
+  in
+  let rec go = function
+    | [], [] -> None
+    | (k, v) :: _, [] -> Some (k, v, "(none)")
+    | [], (k, v) :: _ -> Some (k, "(none)", v)
+    | (ke, ve) :: es, (kg, vg) :: gs ->
+      if ke <> kg then Some (ke ^ "/" ^ kg, ke ^ "=" ^ ve, kg ^ "=" ^ vg)
+      else if ve <> vg then Some (ke, ve, vg)
+      else go (es, gs)
+  in
+  go (split expected, split got)
+
+(* The lazy EBF's trajectory on the scaled batch corpus (see
+   ebf_trajectory.ml) is pinned field by field: a change that keeps the
+   pivots keeps every line. A failure names the first instance and the
+   first field that moved; test/golden/dune says how to rewrite the
+   fixture when a change moves it on purpose. *)
+let test_ebf_trajectory () =
+  let expected =
+    In_channel.with_open_text
+      (Filename.concat fixtures_dir "ebf_trajectory.golden")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = Ebf_trajectory.lines () in
+  Alcotest.(check int) "instances" (List.length expected) (List.length got);
+  let changed =
+    List.filter (fun (e, g) -> e <> g) (List.combine expected got)
+  in
+  match changed with
+  | [] -> ()
+  | (e, g) :: _ -> (
+    let id l = List.hd (String.split_on_char ' ' l) in
+    match first_field_difference e g with
+    | Some (key, ve, vg) ->
+      Alcotest.failf
+        "%d of %d instances changed; first: %s, field %s: expected %s, got %s"
+        (List.length changed) (List.length got) (id e) key ve vg
+    | None -> assert false (* the lines differ *))
+
+let test_first_field_difference () =
+  let check what expected e g =
+    Alcotest.(check (option (triple string string string)))
+      what expected (first_field_difference e g)
+  in
+  check "equal" None "a/s0 x=1 y=2" "a/s0 x=1 y=2";
+  check "value" (Some ("y", "2", "3")) "a/s0 x=1 y=2" "a/s0 x=1 y=3";
+  check "id" (Some ("id", "a/s0", "a/s1")) "a/s0 x=1" "a/s1 x=1";
+  check "missing field" (Some ("y", "2", "(none)")) "a/s0 x=1 y=2" "a/s0 x=1";
+  check "key order" (Some ("y/z", "y=2", "z=2")) "a/s0 y=2" "a/s0 z=2"
+
 (* the diff printer is itself load-bearing for failure reports: pin it *)
 let test_unified_diff () =
   let a = "alpha\nbeta\ngamma" and b = "alpha\ngamma\ndelta" in
@@ -145,4 +210,8 @@ let () =
           (fun name -> Alcotest.test_case name `Quick (check_fixture name))
           fixtures );
       ("diff", [ Alcotest.test_case "unified diff shape" `Quick test_unified_diff ]);
+      ( "trajectory",
+        [ Alcotest.test_case "ebf trajectory golden" `Slow test_ebf_trajectory;
+          Alcotest.test_case "first differing field" `Quick
+            test_first_field_difference ] );
     ]

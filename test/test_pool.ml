@@ -1,11 +1,10 @@
 (* Tests for the domain pool: result ordering, exception capture,
-   jobs-count invariance, seeded-stream determinism, the batch engine's
+   jobs-count invariance, the batch engine's
    jobs=1 vs jobs=N agreement, and JSON well-formedness of every
    machine-readable record the sweeps emit (including the CLI's
    solve --json stdout). *)
 
 module Pool = Lubt_util.Pool
-module Prng = Lubt_util.Prng
 module Batch = Lubt_experiments.Batch
 module Protocol = Lubt_experiments.Protocol
 module Benchmarks = Lubt_data.Benchmarks
@@ -94,35 +93,6 @@ let test_map_result_positions () =
     "errors sit at their input positions"
     [ "ok:2"; "err:1"; "ok:4"; "err:3"; "ok:6" ]
     (List.map render results)
-
-let test_seeded_streams () =
-  let inputs = List.init 50 Fun.id in
-  let f rng x =
-    (* consume a per-task amount of the stream to prove independence *)
-    let acc = ref 0.0 in
-    for _ = 0 to x mod 5 do
-      acc := !acc +. Prng.float rng 1.0
-    done;
-    !acc
-  in
-  let runs =
-    List.map (fun jobs -> Pool.map_seeded ~jobs ~seed:123 f inputs) [ 1; 2; 8 ]
-  in
-  match runs with
-  | base :: rest ->
-    List.iter
-      (fun run ->
-        List.iter2
-          (fun a b ->
-            Alcotest.(check bool)
-              "stream depends on (seed, index) only" true
-              (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)))
-          base run)
-      rest;
-    (* different seed must give a different stream *)
-    let other = Pool.map_seeded ~jobs:2 ~seed:124 f inputs in
-    Alcotest.(check bool) "seed matters" false (base = other)
-  | [] -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* batch engine: jobs-count invariance on real EBF solves              *)
@@ -497,7 +467,6 @@ let () =
             test_exception_lowest_index;
           Alcotest.test_case "map_result positions" `Quick
             test_map_result_positions;
-          Alcotest.test_case "seeded streams" `Quick test_seeded_streams;
         ] );
       ( "batch",
         [

@@ -5,8 +5,8 @@
    identical to single-shot solves), bounded-queue backpressure,
    per-request deadline expiry, the malformed-input robustness
    contract (a bad line never takes down the session or the daemon),
-   the request-line length bound, the agreement of health, metrics
-   dump and shutdown stats, and both circuit breakers. *)
+   the request-line length bound, and the agreement of health, metrics
+   dump and shutdown stats. *)
 
 module Serve = Lubt_experiments.Serve
 module Protocol = Lubt_experiments.Protocol
@@ -271,18 +271,22 @@ let test_eco_malformed_edits () =
     "edit_failed"
     (code (eco {|[{"edit": "remove_sink", "sink": 99}]|}))
 
-(* a coordinate JSON or the instance text can spell but geometry cannot
-   use (nan, inf, an overflowing move) is a typed error before any
-   solve: bad_request for an inline instance, edit_failed for an edit *)
+(* a coordinate or lower bound JSON or the instance text can spell but
+   geometry cannot use (nan, inf, an overflowing move) is a typed error
+   before any solve: bad_request for an inline instance, edit_failed for
+   an edit. An infinite lower bound admits no tree. *)
 let test_non_finite_coordinates () =
-  let r =
-    respond
-      (Printf.sprintf {|{"id": "n", "instance": %s}|}
-         (Json.to_string
-            (Json.Str "sink 0 0 0 inf\nsink nan 5 0 inf\nsink 3 4 0 inf\n")))
+  let inline text =
+    error_code
+      (respond
+         (Printf.sprintf {|{"id": "n", "instance": %s}|}
+            (Json.to_string (Json.Str text))))
   in
   Alcotest.(check string) "nan sink is a bad request" "bad_request"
-    (error_code r);
+    (inline "sink 0 0 0 inf\nsink nan 5 0 inf\nsink 3 4 0 inf\n");
+  Alcotest.(check string) "infinite lower bound is a bad request"
+    "bad_request"
+    (inline "source 0 0\nsink 0 10 inf inf\nsink 10 0 0 inf\n");
   let code line = error_code (respond line) in
   let eco edits =
     Printf.sprintf {|{"id": "m", "op": "eco", "instance": %s, "edits": %s}|}
@@ -294,7 +298,9 @@ let test_non_finite_coordinates () =
           {|[{"edit": "move_sink", "sink": 0, "dx": 1e308, "dy": 0},
              {"edit": "move_sink", "sink": 0, "dx": 1e308, "dy": 0}]|}));
   Alcotest.(check string) "added sink at 1e400" "edit_failed"
-    (code (eco {|[{"edit": "add_sink", "x": 1e400, "y": 0}]|}))
+    (code (eco {|[{"edit": "add_sink", "x": 1e400, "y": 0}]|}));
+  Alcotest.(check string) "set_bounds lower 1e400" "edit_failed"
+    (code (eco {|[{"edit": "set_bounds", "sink": 0, "lower": 1e400}]|}))
 
 (* every reply, whatever its outcome, starts with its id: clients may
    read the id off the line's prefix *)
@@ -429,7 +435,6 @@ let temp_socket () =
     (Printf.sprintf "lubt-test-%d-%d.sock" (Unix.getpid ()) (Random.int 100000))
 
 let with_daemon ?(jobs = 2) ?(max_pending = 64) ?(watchdog = infinity)
-    ?(breaker_p95_ms = infinity) ?(breaker_queue = 0) ?(breaker_cooldown = 1.0)
     ?chaos ?metrics_port f =
   let path = temp_socket () in
   let cfg =
@@ -439,9 +444,6 @@ let with_daemon ?(jobs = 2) ?(max_pending = 64) ?(watchdog = infinity)
       jobs;
       max_pending;
       watchdog;
-      breaker_p95_ms;
-      breaker_queue;
-      breaker_cooldown;
       chaos;
       metrics_port;
     }
@@ -919,7 +921,7 @@ let test_metrics_endpoint () =
   Alcotest.(check int) "stats: three pings" 3 stats.Serve.served
 
 (* ------------------------------------------------------------------ *)
-(* Fault tolerance: health, degradation, breaker, watchdog, chaos      *)
+(* Fault tolerance: health, degradation, watchdog, chaos               *)
 (* ------------------------------------------------------------------ *)
 
 module Executor = Lubt_util.Pool.Executor
@@ -941,11 +943,8 @@ let test_socket_ping_health () =
                 (Json.member k h <> None))
             [
               "pending"; "running"; "workers"; "restarts"; "watchdog_fires";
-              "breaker_open"; "p95_ms"; "served"; "degraded"; "rejected";
-              "cache_hits"; "cache_misses";
-            ];
-          Alcotest.(check bool) "breaker closed" true
-            (member_exn "breaker_open" h = Json.Bool false)
+              "served"; "degraded"; "rejected"; "cache_hits"; "cache_misses";
+            ]
         | ls -> Alcotest.failf "expected 1 line, got %d" (List.length ls));
         Unix.close fd)
   in
@@ -997,80 +996,6 @@ let test_socket_degraded () =
         Unix.close fd)
   in
   Alcotest.(check int) "stats count the degradation" 1 stats.Serve.degraded
-
-(* queue-depth breaker: once the queue reaches the bound the daemon
-   rejects fast with breaker_open and a retry_after_ms hint *)
-let test_socket_breaker () =
-  let _, stats =
-    with_daemon ~jobs:1 ~max_pending:8 ~breaker_queue:1 ~breaker_cooldown:0.2
-      (fun path ->
-        let fd = connect path in
-        send fd {|{"id": "slow", "op": "sleep", "ms": 400}|};
-        Unix.sleepf 0.1;
-        send fd {|{"id": "queued", "op": "sleep", "ms": 1}|};
-        Unix.sleepf 0.05;
-        send fd {|{"id": "shed", "op": "sleep", "ms": 1}|};
-        let lines = read_lines fd 3 in
-        let shed =
-          List.filter_map
-            (fun l ->
-              let j = parse_response l in
-              if is_ok j then None else Some j)
-            lines
-        in
-        (match shed with
-        | [ j ] ->
-          Alcotest.(check string) "breaker_open code" "breaker_open"
-            (error_code j);
-          Alcotest.(check string) "rejected id" "shed" (response_id j);
-          let hint =
-            match Json.member "error" j with
-            | Some e -> Json.member "retry_after_ms" e
-            | None -> None
-          in
-          (match hint with
-          | Some h ->
-            Alcotest.(check bool) "positive retry_after_ms" true
-              (match Json.num h with Some ms -> ms > 0.0 | None -> false)
-          | None -> Alcotest.fail "no retry_after_ms hint")
-        | l -> Alcotest.failf "expected 1 rejection, got %d" (List.length l));
-        Unix.close fd)
-  in
-  Alcotest.(check bool) "stats count the trip" true
-    (stats.Serve.breaker_trips >= 1);
-  Alcotest.(check int) "stats count the rejection" 1 stats.Serve.rejected
-
-(* p95 breaker: one completed 100 ms request puts the window's p95
-   over a 50 ms threshold, so the next sleep is shed; the first one is
-   admitted because the latencies earlier daemons in this process
-   recorded are not this daemon's window *)
-let test_socket_p95_breaker () =
-  let _, stats =
-    with_daemon ~jobs:1 ~breaker_p95_ms:50.0 (fun path ->
-        let fd = connect path in
-        let j = probe fd {|{"id": "first", "op": "sleep", "ms": 100}|} in
-        Alcotest.(check bool) "a cold window admits" true (is_ok j);
-        let j = probe fd {|{"id": "shed", "op": "sleep", "ms": 100}|} in
-        Alcotest.(check string) "breaker_open code" "breaker_open"
-          (error_code j);
-        (match Json.member "retry_after_ms" (member_exn "error" j) with
-        | Some ms ->
-          Alcotest.(check bool) "positive retry_after_ms" true
-            (match Json.num ms with Some ms -> ms > 0.0 | None -> false)
-        | None -> Alcotest.fail "no retry_after_ms hint");
-        let h = member_exn "health" (probe fd {|{"id": "h", "op": "ping"}|}) in
-        Alcotest.(check bool) "health: breaker open" true
-          (member_exn "breaker_open" h = Json.Bool true);
-        (match Json.num (member_exn "p95_ms" h) with
-        | Some p ->
-          Alcotest.(check bool) "health: finite p95 over the threshold" true
-            (Float.is_finite p && p >= 50.0)
-        | None -> Alcotest.fail "health p95_ms is not a number");
-        Unix.close fd)
-  in
-  Alcotest.(check bool) "stats count the trip" true
-    (stats.Serve.breaker_trips >= 1);
-  Alcotest.(check int) "stats count the rejection" 1 stats.Serve.rejected
 
 (* the watchdog deposes a stuck request's worker and answers the
    request with a structured watchdog_timeout *)
@@ -1186,9 +1111,6 @@ let () =
             test_socket_ping_health;
           Alcotest.test_case "degraded over the wire" `Quick
             test_socket_degraded;
-          Alcotest.test_case "breaker sheds load" `Quick test_socket_breaker;
-          Alcotest.test_case "p95 breaker sheds load" `Quick
-            test_socket_p95_breaker;
           Alcotest.test_case "watchdog over the wire" `Quick
             test_socket_watchdog;
           Alcotest.test_case "chaos crash contained" `Quick
